@@ -55,11 +55,24 @@ _REGIONS = {"u": Region.GOOD_OPEN, "f": Region.SUBBUNDLE_F, "x": Region.WHOLE,
             "whole": Region.WHOLE}
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_bound(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        bound = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
+    if bound <= 0:
+        raise argparse.ArgumentTypeError(f"bound must be positive, got {text!r}")
+    return bound
+
+
+def _parse_threads(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad thread count {text!r}") from exc
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"threads must be >= 1, got {text!r}")
+    return threads
 
 
 def _parse_variety(text: str) -> HKVariety:
@@ -83,6 +96,8 @@ def _parse_grid(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}") from exc
     if len(vals) < 1 or any(b <= a for a, b in zip(vals, vals[1:])):
         raise argparse.ArgumentTypeError("grid must be strictly increasing")
+    if vals[0] <= 0:
+        raise argparse.ArgumentTypeError("grid bounds must be positive")
     return vals
 
 
@@ -91,7 +106,12 @@ def _default_threads(value: Optional[int]) -> int:
         return value
     env = os.environ.get("HKCOUNT_THREADS")
     if env:
-        return int(env)
+        try:
+            return _parse_threads(env)
+        except argparse.ArgumentTypeError as exc:
+            # argparse's convention for a bad argument: one line, exit 2
+            print(f"hkcount: error: HKCOUNT_THREADS: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_PARSE) from None
     return os.cpu_count() or 1
 
 
@@ -339,19 +359,12 @@ def _suite_oracle() -> list[dict]:
     ok = True
     for n in (1, 2, 3):
         hist = projective_norm_histogram(n, 50 * 50)
-        running = 0
-        by_b = {}
-        for norm2 in sorted(hist):
-            running += hist[norm2]
-            by_b[norm2] = running
-        keys = sorted(by_b)
+        norms = sorted(hist)
+        i = cum = 0  # cum = number of points of height <= b
         for b in range(1, 51):
-            cum = 0
-            for k in keys:
-                if k <= b * b:
-                    cum = by_b[k]
-                else:
-                    break
+            while i < len(norms) and norms[i] <= b * b:
+                cum += hist[norms[i]]
+                i += 1
             ok = ok and (cum == count_projective_moebius(n, b))
     return [{"name": "enumeration equals Moebius-sieve count, n<=3, B<=50",
              "observed": 0 if ok else 1, "tolerance": 0, "ok": ok}]
@@ -410,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact count of points of height <= B")
     common(p, field=False)
-    p.add_argument("--B", type=_parse_rational, required=True,
+    p.add_argument("--B", type=_parse_bound, required=True,
                    help="height bound (rational, e.g. 100 or 5/2)")
     p.add_argument("--region", choices=sorted(_REGIONS), default="x")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_parse_threads, default=None)
     p.add_argument("--stream", action="store_true",
                    help="print every point instead of the count")
     p.set_defaults(func=cmd_count, field=None)
@@ -423,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_grid, required=True,
                    help="comma-separated strictly increasing bounds")
     p.add_argument("--region", choices=sorted(_REGIONS), default="x")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_parse_threads, default=None)
     p.add_argument("--no-predict", action="store_true")
     p.set_defaults(func=cmd_sweep)
     p.set_defaults(format="csv")
@@ -448,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, bundle=False, field=False)
     p.add_argument("--suite", default="all",
                    choices=("all",) + tuple(_SUITES))
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_parse_threads, default=None)
     p.set_defaults(func=cmd_verify)
     return ap
 

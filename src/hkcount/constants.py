@@ -229,7 +229,9 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
     The partial sum over points of height <= X misses at most
     kappa * s / (s - m - 1) * X^{m+1-s}; X is chosen to push that below
     `tol`.  Raises TooCloseToPoleError when the required X implies more
-    points than the work budget allows.
+    points than the work budget allows.  The points come from the
+    enumeration module's primitive-vector walk, one int64 block of
+    norms^2 at a time, and each block is summed in float64.
     """
     if m == -1:
         return 0.0
@@ -239,7 +241,7 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
         raise DomainError("m must be >= -1")
     if s <= m + 1:
         raise DomainError(f"Z_(P^{m}) diverges for s <= {m + 1}")
-    from .enumeration import _canonical_vectors
+    from .enumeration import _primitive_norm_blocks
 
     k = m + 1
     kappa = _kappa_bound(k)
@@ -252,8 +254,8 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
             f"{kappa * (x + 1) ** k:.2e} points; over budget {_ZP_BUDGET}")
     n2max = int(math.floor(x * x))
     total = 0.0
-    for _, norm2 in _canonical_vectors(k, n2max):
-        total += float(norm2) ** (-0.5 * s)
+    for block in _primitive_norm_blocks(k, n2max):
+        total += float((block ** (-0.5 * s)).sum())
     return total
 
 

@@ -3,11 +3,29 @@
 Counting on the good open subset U factors through the base: the fiber
 count over a base point Q depends only on Nq = H(Q)^2, so the driver
 builds a histogram of base norms and evaluates each distinct norm once.
+
+The histogram comes from one walk over canonical primitive vectors
+(`_primitive_norm_blocks`).  It runs depth-first over the leading
+coordinates and expands each coordinate for a whole batch of prefixes at
+once with numpy, so it yields int64 blocks of at most about _CHUNK
+norms^2 and never holds every prefix.  Each vector gets its own np.gcd
+test: the walk is a genuine enumeration, independent of the Mobius ball
+count it is checked against.  zetaP_numeric sums over the same blocks.
+
 Fiber vectors are counted by a recursive box walk on the integer
 quadratic form sum c_i y_i^2 <= S_max (largest coefficient first), with
 the innermost coordinate resolved by a Mobius/inclusion-exclusion
-coprimality count instead of a per-point gcd.  All bound comparisons are
-integer-exact; no floating point enters any count.
+coprimality count instead of a per-point gcd.  For r = 1 the fibers of
+all base norms are counted in one batched step (`_count_r1_batched`):
+the parameters (c_0, S_max) are computed in int64 arrays (c_1 = 1), the y_0
+rows of all norms are flattened into blocks of _CHUNK rows, and the
+coprime count of the last coordinate is read off a numpy table of
+squarefree divisors.  The batched step takes only the norms for which
+an int64 guard (`_r1_batch_limit`) proves that every intermediate value
+stays below 2^62; every other norm, and every r >= 2 count, goes
+through the per-norm Python path with unbounded integers.  All bound
+comparisons are integer-exact, integer roots included (Newton from a
+power-of-two seed); no floating point enters any count.
 
 Counts on the subbundle F are always computed by reduction through
 restrict_to_F (so the restriction lemmas are exercised on every F count);
@@ -21,7 +39,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, log
+from operator import mul
 from typing import Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .geometry import (
     HKVariety,
@@ -77,18 +98,83 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return isqrt(n)
-    x = int(round(n ** (1.0 / k))) + 1
-    while x ** k > n:
-        x = ((k - 1) * x + n // x ** (k - 1)) // k
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    if k >= n.bit_length():
+        return 1  # 2^k > n
+    # 2^ceil(bits/k) is at or above the root; from above, integer Newton
+    # decreases strictly until it reaches the floor of the root.
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _squared_cap(B: Union[int, Fraction]) -> tuple[int, int]:
     """(p, q) with B^2 = p/q for an exact rational bound."""
     b2 = Fraction(B) ** 2
     return b2.numerator, b2.denominator
+
+
+# ---------------------------------------------------------------------------
+# int64 array kernels
+# ---------------------------------------------------------------------------
+
+# Elements per block of the primitive-vector walk, and rows per block of
+# the batched fiber step.  Larger blocks save no time and raise peak
+# memory: `verify --suite oracle` (the P^3 walk to norm^2 2500) peaked at
+# 90.7 MB with 2^16 and 84.3 MB with 2^14 (84.5 MB with the per-vector
+# Python walk), at the same speed.
+_CHUNK = 1 << 14
+_INT64_SAFE = 1 << 62  # every int64 intermediate stays below this
+
+
+def _iroot_array(n: np.ndarray, k: int) -> np.ndarray:
+    """Elementwise floor(n ** (1/k)) of an int64 array with 0 <= n < 2^62.
+
+    Integer Newton from 2^ceil(bits/k), as in `iroot`; x^(k-1) is never
+    formed (n is divided by x k-1 times), so nothing can overflow.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if k == 1:
+        return n.copy()
+    bits = np.zeros_like(n)
+    v = n.copy()
+    for step in (32, 16, 8, 4, 2, 1):
+        big = (v >> step) > 0
+        bits += big * step
+        v = np.where(big, v >> step, v)
+    bits += v > 0
+    x = np.left_shift(1, (bits + k - 1) // k)
+    m = np.maximum(n, 1)
+    while True:
+        quot = m
+        for _ in range(k - 1):
+            quot = quot // x
+        y = ((k - 1) * x + quot) // k
+        down = y < x
+        if not down.any():
+            return np.where(n == 0, 0, x)
+        x = np.where(down, y, x)
+
+
+def _ragged_arange(lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, value) of the concatenated ranges lo[i] .. lo[i] + width[i] - 1."""
+    row = np.repeat(np.arange(len(width)), width)
+    first = np.cumsum(width) - width
+    value = np.arange(row.size, dtype=np.int64) - np.repeat(first - lo, width)
+    return row, value
+
+
+def _blocks(width: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Slices [a, b) of consecutive rows whose widths sum to at most _CHUNK
+    plus the width of the slice's last row."""
+    ends = np.cumsum(width)
+    if ends.size == 0:
+        return
+    cuts = np.searchsorted(ends, np.arange(_CHUNK, int(ends[-1]), _CHUNK)) + 1
+    bounds = np.unique(np.concatenate(([0], cuts, [width.size])))
+    yield from zip(bounds[:-1].tolist(), bounds[1:].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +217,40 @@ def enum_projective(n: int, B: Union[int, Fraction]) -> Iterator[ProjectivePoint
         yield ProjectivePoint(vec)
 
 
+def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[np.ndarray]:
+    """int64 blocks of the norms^2 of the canonical primitive vectors in Z^dim
+    with norm^2 <= n2max: the vectors `_canonical_vectors` yields, in blocks.
+
+    A prefix is (rem, g, lead): budget left, gcd so far, all zero so far.
+    Each level expands the next coordinate of a slice of prefixes in one
+    ragged arange and recurses slice by slice, so every level holds about
+    _CHUNK prefixes at a time.  The last coordinate gets the gcd test.
+    """
+    def expand(depth, rem, g, lead):
+        top = _iroot_array(rem, 2)
+        lo = np.where(lead, 0, -top)
+        width = top - lo + 1
+        for a, b in _blocks(width):
+            row, y = _ragged_arange(lo[a:b], width[a:b])
+            row += a
+            if depth == dim - 1:
+                yield (n2max - rem[row] + y * y)[np.gcd(g[row], y) == 1]
+            else:
+                yield from expand(depth + 1, rem[row] - y * y,
+                                  np.gcd(g[row], y), lead[row] & (y == 0))
+
+    yield from expand(0, np.array([n2max], dtype=np.int64),
+                      np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
+
+
 def projective_norm_histogram(n: int, n2max: int) -> dict[int, int]:
-    """Counts of canonical primitive vectors in Z^{n+1} grouped by norm^2."""
-    hist: dict[int, int] = {}
-    for _, m in _canonical_vectors(n + 1, n2max):
-        hist[m] = hist.get(m, 0) + 1
-    return hist
+    """Counts of canonical primitive vectors in Z^{n+1} grouped by norm^2
+    (keys ascending)."""
+    hist = np.zeros(n2max + 1, dtype=np.int64)
+    for block in _primitive_norm_blocks(n + 1, n2max):
+        np.add.at(hist, block, 1)
+    norms = np.flatnonzero(hist)
+    return dict(zip(norms.tolist(), hist[norms].tolist()))
 
 
 def count_enum_projective(n: int, B: Union[int, Fraction]) -> int:
@@ -202,7 +316,7 @@ def count_projective_moebius(n: int, B: Union[int, Fraction]) -> int:
 # coprimality counting for the innermost fiber coordinate
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # bounded: a long-running process sees many y0
 def _squarefree_divisors(g: int) -> tuple[tuple[int, int], ...]:
     """(divisor, Mobius sign) pairs over the radical of g."""
     divs = [(1, 1)]
@@ -284,12 +398,111 @@ def _fiber_params(X_weights: tuple[int, ...], ar: int, lam: int, mu: int,
     return cs, smax
 
 
+# Largest y_0 the batched r = 1 step tabulates squarefree divisors for.  A
+# norm whose fiber has more y_0 rows goes through the per-norm path.  At
+# 2^17 the table holds 1.04M entries (16 MB); B = 2^30 on X_2(1) with -K
+# needs 2^15.
+_Y0_TABLE_MAX = 1 << 17
+
+
+def _r1_batch_limit(weights: tuple[int, ...], ar: int, lam: int, mu: int,
+                    p: int, q: int) -> int:
+    """Largest base norm m whose r = 1 fiber step provably fits in int64.
+
+    With e = lam*ar - mu, the cap floor(p m^e / q) of `_fiber_params` is
+    (p m^e) // q for e >= 0 and (p // q) // m^-e for e < 0; for r = 1 the
+    fiber weights are (0, ar), so the form is m^ar y_0^2 + y_1^2.  Keeping
+    p m^e, q (or p // q, m^-e) and m^ar below 2^62 bounds every later
+    value too: S_max, the rows' remainders and last-coordinate tops are at
+    most the cap, a row counts at most 2 sqrt(cap) + 1 < 2^32 points, and
+    a block sums at most _CHUNK rows.  lam <= 62 keeps the Newton terms of
+    `_iroot_array` small.  Returns 0 when no norm qualifies.
+    """
+    top = _INT64_SAFE - 1
+    e = lam * ar - mu
+    if len(weights) != 2 or lam > 62 or (q if e >= 0 else p // q) > top:
+        return 0
+
+    def largest(base: int, k: int) -> int:
+        """Largest m with base * m^k <= top."""
+        if base > top:
+            return 0
+        return top if k == 0 else iroot(top // base, k)
+
+    return min(largest(p, e) if e >= 0 else largest(1, -e), largest(1, ar))
+
+
+def _divisor_table(ymax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start, div, sign): the squarefree divisors d of y and their Mobius
+    signs mu(d) are div[start[y]:start[y + 1]] and sign[...], y = 1..ymax."""
+    mob = np.array(_mobius_sieve(ymax), dtype=np.int64)
+    d = np.flatnonzero(mob[1:]) + 1
+    row, k = _ragged_arange(np.ones_like(d), ymax // d)
+    y = d[row] * k
+    order = np.argsort(y, kind="stable")
+    div = d[row][order]
+    start = np.searchsorted(y[order], np.arange(ymax + 2))
+    return start, div, mob[div]
+
+
+def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
+                      p: int, q: int, norms: np.ndarray,
+                      mults: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """`_fiber_params` and `_count_fiber_good` for r = 1, over int64 arrays.
+
+    Counts the norms within `_r1_batch_limit` whose fibers have at most
+    _Y0_TABLE_MAX rows.  The y_0 rows of all of them are flattened into
+    blocks; a row's last coordinate runs over |y_1| <= M with
+    M = isqrt(S_max - m^ar y_0^2), and its coprime count is
+    sum over squarefree d | y_0 of mu(d) floor(M/d), read off
+    `_divisor_table`.  Returns (sum of mult * fiber count, rows, done),
+    where done marks the norms counted here; rows is the number of y_0
+    rows, which `_count_fiber_good` reports as rows_visited.
+    """
+    done = norms <= _r1_batch_limit(weights, ar, lam, mu, p, q)
+    if not done.any():
+        return 0, 0, done
+    m, mult = norms[done], mults[done]
+    e = lam * ar - mu
+    cap = (p * m ** e) // q if e >= 0 else (p // q) // m ** -e
+    smax = _iroot_array(cap, lam)
+    c0 = m ** ar
+    top0 = _iroot_array(smax // c0, 2)
+    fits = top0 <= _Y0_TABLE_MAX
+    done[np.flatnonzero(done)[~fits]] = False
+    live = fits & (top0 > 0)
+    smax, c0, top0, mult = (a[live] for a in (smax, c0, top0, mult))
+    rows = int(top0.sum())
+    if rows == 0:
+        return 0, 0, done
+    start, div, sign = _divisor_table(int(top0.max()))
+    ends = np.cumsum(top0)
+    count = 0
+    for r0 in range(0, rows, _CHUNK):
+        flat = np.arange(r0, min(r0 + _CHUNK, rows), dtype=np.int64)
+        row = np.searchsorted(ends, flat, side="right")
+        y0 = flat - (ends[row] - top0[row]) + 1
+        last = _iroot_array(smax[row] - c0[row] * y0 * y0, 2)
+        ndiv = start[y0 + 1] - start[y0]
+        term, j = _ragged_arange(start[y0], ndiv)
+        coprime = np.add.reduceat(sign[j] * (last[term] // div[j]),
+                                  np.cumsum(ndiv) - ndiv)
+        per_row = 2 * coprime + (y0 == 1)  # y0 = 1 also admits y1 = 0
+        heads = np.flatnonzero(np.diff(row, prepend=-1))
+        per_norm = np.add.reduceat(per_row, heads)
+        # Python ints: mult * count may pass 2^63
+        count += sum(map(mul, mult[row[heads]].tolist(), per_norm.tolist()))
+    return count, rows, done
+
+
 def _good_chunk_worker(args: tuple) -> tuple[int, int]:
-    """Process-pool worker: count one chunk of base-norm histogram items."""
-    weights, ar, lam, mu, p, q, items = args
+    """Process-pool worker: count one chunk of base norms one by one with
+    unbounded integers; the chunk is given as int64 arrays of norms and
+    multiplicities."""
+    weights, ar, lam, mu, p, q, norms, mults = args
     count = 0
     visited = 0
-    for m, mult in items:
+    for m, mult in zip(norms.tolist(), mults.tolist()):
         params = _fiber_params(weights, ar, lam, mu, p, q, m)
         if params is None:
             continue
@@ -308,15 +521,26 @@ def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
     lam, mu = L.lam, L.mu
     # On U the fiber height is >= 1, so Nq^mu <= B^2 bounds the base.
     n2max = iroot(p // q, mu)
-    hist = sorted(projective_norm_histogram(X.t - 1, n2max).items())
+    hist = projective_norm_histogram(X.t - 1, n2max)
+    norms = np.fromiter(hist, dtype=np.int64, count=len(hist))
+    mults = np.fromiter(hist.values(), dtype=np.int64, count=len(hist))
+    del hist  # the arrays replace it; freeing it lowers the peak memory
     weights, ar = X.fiber_weights, X.a[-1]
-    if threads == 1 or len(hist) < 4 * threads:
-        return _good_chunk_worker((weights, ar, lam, mu, p, q, tuple(hist)))
-    chunks = [hist[i::threads] for i in range(threads)]
-    args = [(weights, ar, lam, mu, p, q, tuple(ch)) for ch in chunks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_good_chunk_worker, args))
-    return sum(c for c, _ in parts), sum(v for _, v in parts)
+    # The batched step runs here: the pool's fixed cost (about 20 ms per
+    # call on 2 CPUs) exceeds what splitting it saves.  The pool takes the
+    # norms left to the per-norm path.
+    count, visited, done = _count_r1_batched(weights, ar, lam, mu, p, q,
+                                             norms, mults)
+    norms, mults = norms[~done], mults[~done]
+    if threads == 1 or len(norms) < 4 * threads:
+        parts = [_good_chunk_worker((weights, ar, lam, mu, p, q, norms, mults))]
+    else:
+        args = [(weights, ar, lam, mu, p, q, norms[i::threads],
+                 mults[i::threads]) for i in range(threads)]
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(_good_chunk_worker, args))
+    return (count + sum(c for c, _ in parts),
+            visited + sum(v for _, v in parts))
 
 
 def count_hk(req: CountRequest) -> CountResult:
@@ -461,8 +685,6 @@ def estimate_exponent(table: Sequence, exponent: Optional[float] = None) -> Expo
     the given exponent `a` (default: slope rounded to the nearest integer)
     and returns C as log_coefficient and C2 as coefficient.
     """
-    import numpy as np
-
     pairs = []
     for row in table:
         if isinstance(row, dict):

@@ -75,6 +75,43 @@ class TestCount:
         assert all(";" in ln for ln in lines)
 
 
+class TestInputErrors:
+    """Each bad input exits 2 with a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--variety", "1,2:1", "--B", "0"],
+        ["count", "--variety", "1,2:1", "--B", "0/3"],
+        ["count", "--variety", "1,2:1", "--B=-3"],
+        ["sweep", "--variety", "1,2:1", "--grid", "0,2"],
+        ["sweep", "--variety", "1,2:1", "--grid=-2,2"],
+        ["count", "--variety", "1,2:1", "--B", "5", "--threads", "0"],
+        ["count", "--variety", "1,2:1", "--B", "5", "--threads=-2"],
+        ["verify", "--suite", "residue", "--threads", "0"],
+    ], ids=["B-zero", "B-zero-fraction", "B-negative", "grid-zero",
+            "grid-negative", "threads-zero", "threads-negative",
+            "verify-threads-zero"])
+    def test_bad_argument(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    @pytest.mark.parametrize("argv", [
+        ["count", "--variety", "1,2:1", "--B", "5"],
+        ["sweep", "--variety", "1,2:1", "--grid", "2,3"],
+    ], ids=["count", "sweep"])
+    def test_bad_threads_environment(self, capsys, monkeypatch, argv, value):
+        monkeypatch.setenv("HKCOUNT_THREADS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("hkcount: error: HKCOUNT_THREADS")
+        assert len(err.splitlines()) == 1
+
+
 class TestSweep:
     def test_csv_header_and_ratio(self, capsys):
         code, out, _ = run(capsys, "sweep", "--variety", "1,2:1",

@@ -1,15 +1,24 @@
 """Exact counting: enumeration, sieve oracle, fibration counts, fits."""
 import math
+import time
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkcount import enumeration
 from hkcount.enumeration import (
     CountRequest,
     DegenerateFitError,
+    _canonical_vectors,
+    _count_r1_batched,
+    _iroot_array,
     _mobius_sieve,
+    _primitive_norm_blocks,
+    _squared_cap,
     count_enum_projective,
     count_hk,
     count_projective_moebius,
@@ -37,6 +46,20 @@ class TestPrimitives:
         r = iroot(n, k)
         assert r ** k <= n < (r + 1) ** k
 
+    @settings(deadline=None)
+    @given(st.integers(2 ** 1000, 2 ** 3000), st.integers(1, 70))
+    def test_iroot_beyond_float_range(self, n, k):
+        # a float seed overflows above 2^1024; the integer seed does not
+        r = iroot(n, k)
+        assert r ** k <= n < (r + 1) ** k
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 62 - 1), min_size=1, max_size=20),
+           st.integers(1, 62))
+    def test_iroot_array_matches_iroot(self, ns, k):
+        got = _iroot_array(np.array(ns, dtype=np.int64), k)
+        assert got.tolist() == [iroot(n, k) for n in ns]
+
     def test_mobius_sieve(self):
         # mu(1..12) [DERIVED: textbook values]
         assert _mobius_sieve(12)[1:] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
@@ -49,6 +72,25 @@ class TestPrimitives:
     def test_histogram_matches_enumeration(self):
         hist = projective_norm_histogram(2, 100)
         assert sum(hist.values()) == count_enum_projective(2, 10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_histogram_equals_python_walk(self, data):
+        # the numpy walk against the plain per-vector walk it replaced
+        n = data.draw(st.integers(1, 3))
+        n2max = data.draw(st.integers(0, {1: 3000, 2: 600, 3: 150}[n]))
+        expected: dict[int, int] = {}
+        for _, m in _canonical_vectors(n + 1, n2max):
+            expected[m] = expected.get(m, 0) + 1
+        hist = projective_norm_histogram(n, n2max)
+        assert hist == expected
+        assert list(hist) == sorted(hist)
+
+    def test_walk_blocks_are_bounded(self):
+        n2max = 2 ** 20
+        sizes = [b.size for b in _primitive_norm_blocks(2, n2max)]
+        assert len(sizes) > 1
+        assert max(sizes) <= enumeration._CHUNK + 2 * isqrt(n2max) + 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 25))
@@ -122,6 +164,90 @@ class TestCountHK:
         counts = {count_hk(CountRequest(X, L, Fraction(40), Region.GOOD_OPEN,
                                         threads=k)).count for k in (1, 2, 4)}
         assert len(counts) == 1
+
+
+class TestBatchedFiberStep:
+    """The batched r = 1 step against the per-norm path, on both sides of
+    its int64 guard."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 20), st.integers(1, 6), st.integers(1, 6),
+           st.fractions(1, 60, max_denominator=4))
+    def test_equals_per_norm_path(self, a, lam, mu, B):
+        weights, ar = HKVariety(1, 2, (a,)).fiber_weights, a
+        p, q = _squared_cap(B)
+        norms = np.arange(1, 301, dtype=np.int64)
+        mults = norms % 7 + 1
+        count, rows, done = _count_r1_batched(weights, ar, lam, mu, p, q,
+                                              norms, mults)
+
+        def per_norm(sel):  # the per-norm path, with unbounded integers
+            return enumeration._good_chunk_worker(
+                (weights, ar, lam, mu, p, q, norms[sel], mults[sel]))
+
+        assert (count, rows) == per_norm(done)
+        # the rest on the per-norm path, as _count_good_open does
+        c, v = per_norm(~done)
+        assert (count + c, rows + v) == per_norm(np.ones_like(done))
+
+    def test_guard_splits_large_twist(self):
+        # m^119 passes 2^62 from m = 2 on: only m = 1 is batched
+        X = HKVariety(1, 2, (20,))
+        p, q = _squared_cap(Fraction(89))
+        norms = np.arange(1, 50, dtype=np.int64)
+        _, _, done = _count_r1_batched(X.fiber_weights, 20, 6, 1, p, q,
+                                       norms, np.ones_like(norms))
+        assert done.tolist() == [True] + [False] * 48
+
+    def test_rows_beyond_divisor_table_fall_back(self, monkeypatch):
+        X = HKVariety(1, 2, (1,))
+        L = anticanonical(X)
+        want = count_hk(CountRequest(X, L, Fraction(4096), Region.GOOD_OPEN))
+        monkeypatch.setattr(enumeration, "_Y0_TABLE_MAX", 3)
+        got = count_hk(CountRequest(X, L, Fraction(4096), Region.GOOD_OPEN))
+        assert (got.count, got.points_visited) == (want.count,
+                                                   want.points_visited)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_threads_and_partition(self, data):
+        r = data.draw(st.integers(1, 2))
+        top = 20 if r == 1 else 3
+        a = tuple(sorted(data.draw(st.integers(0, top)) for _ in range(r)))
+        X = HKVariety(r, data.draw(st.integers(2, 3)), a)
+        L = LineBundleClass(data.draw(st.integers(1, 6)),
+                            data.draw(st.integers(1, 6)))
+        B = data.draw(st.fractions(1, 40, max_denominator=3))
+
+        def count(region, threads):
+            try:
+                return count_hk(CountRequest(X, L, B, region, threads)).count
+            except NotBigError:
+                return None
+
+        u = count(Region.GOOD_OPEN, 1)
+        assert count(Region.GOOD_OPEN, 2) == u
+        f = count(Region.SUBBUNDLE_F, 1)
+        whole = count(Region.WHOLE, 2)
+        # None: the stratum's count is infinite, and then so is the whole
+        assert whole == (None if u is None or f is None else u + f)
+
+    @pytest.mark.parametrize("bundle, B, expected", [
+        (LineBundleClass(6, 1), 89,
+         145696913406806411003147549250070410775800),
+        (LineBundleClass(5, 1), 100,
+         2075684994600228754061045320103980379437556),
+    ])
+    def test_large_twist_pins(self, bundle, B, expected):
+        # cross-checked against an exact count that walks every fiber
+        # coordinate but the last; the caps pass 2^1024
+        X = HKVariety(1, 2, (20,))
+        for threads in (1, 2):
+            t0 = time.perf_counter()
+            res = count_hk(CountRequest(X, bundle, Fraction(B),
+                                        Region.GOOD_OPEN, threads))
+            assert res.count == expected
+            assert time.perf_counter() - t0 < 5.0
 
 
 class TestSweepAndFit:
