@@ -136,8 +136,6 @@ def _iroot_array(n: np.ndarray, k: int) -> np.ndarray:
     formed (n is divided by x k-1 times), so nothing can overflow.
     """
     n = np.asarray(n, dtype=np.int64)
-    if k == 1:
-        return n.copy()
     bits = np.zeros_like(n)
     v = n.copy()
     for step in (32, 16, 8, 4, 2, 1):
