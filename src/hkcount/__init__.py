@@ -49,6 +49,7 @@ from .constants import (
     hirzebruch_table,
     load_invariants,
     predict,
+    region_prediction,
     schanuel_constant,
     stratum_predictions,
     threefold_intro,

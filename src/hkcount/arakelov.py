@@ -18,16 +18,17 @@ verifies, to stated tolerances and by independent code paths:
   * the double-exponential decay bound phi(x) <= beta e^{-pi e^{-2x}}
     for x <= 0.
 
-Quadratures are adaptive Gauss-Kronrod on [-X0, 0]; the truncated tails
-over (-inf, -X0] are bounded through the decay bound above by incomplete
-gamma functions and added as certified (numerically negligible) terms.
+Quadratures are mpmath's tanh-sinh (double-exponential) rule on [-X0, 0],
+split at the integrand's interior peaks; the truncated tails over
+(-inf, -X0] are bounded through the decay bound above by incomplete gamma
+functions and added as certified (numerically negligible) terms.  mpmath
+is imported on first use, so importing this module loads no numerical
+library.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .constants import (
     TooCloseToPoleError,
@@ -40,13 +41,6 @@ from .constants import (
 
 class QuadratureFailure(ArithmeticError):
     """Adaptive quadrature could not certify the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class ArakelovDivisorQ:
-    """A divisor class over Q is determined by its real degree."""
-
-    degree: float
 
 
 @dataclass(frozen=True)
@@ -151,22 +145,31 @@ def _certified_tail(c: float, rank: int = 1) -> float:
     return bound
 
 
+def quad(f, points) -> tuple[float, float]:
+    """Tanh-sinh quadrature of f over [points[0], points[-1]], one rule per
+    interval between consecutive points.  f takes and returns floats.
+    Returns (value, error estimate), both floats."""
+    import mpmath as mp
+
+    val, err = mp.quad(lambda x: f(float(x)), points, error=True)
+    return float(val), float(err)
+
+
 def _pic_integrals(c1: float, c2: float, rank: int,
                    quad_tol: float) -> float:
     """integral over [-inf, 0] of (e^{c1 x} + e^{c2 x}) ((1+phi)^rank - 1) dx,
-    as Gauss-Kronrod on [-X0, 0] plus certified tails."""
+    as tanh-sinh quadrature on [-X0, 0] plus certified tails."""
     def integrand(x: float) -> float:
         # expm1/log1p keep (1+phi)^rank - 1 accurate where phi is far below
         # machine epsilon yet the e^{cx} factor is astronomically large
         g = math.expm1(rank * math.log1p(phi(x)))
         return (math.exp(c1 * x) + math.exp(c2 * x)) * g
 
-    # e^{cx} phi(x) peaks at x = -log(-c / 2 pi)/2 for c < -2 pi; handing
-    # the interior peak to the subdivision logic keeps large |c| accurate
+    # e^{cx} phi(x) peaks at x = -log(-c / 2 pi)/2 for c < -2 pi; splitting
+    # the interval there keeps large |c| accurate
     peaks = sorted({max(-_X0 + 1e-9, -0.5 * math.log(-c / (2.0 * math.pi)))
                     for c in (c1, c2) if c < -2.0 * math.pi})
-    val, err = quad(integrand, -_X0, 0.0, epsabs=quad_tol / 4.0,
-                    epsrel=1e-10, limit=500, points=peaks or None)
+    val, err = quad(integrand, [-_X0, *peaks, 0.0])
     if err > max(quad_tol, 1e-8 * abs(val)):
         raise QuadratureFailure(
             f"quadrature error estimate {err:.3e} exceeds tolerance")

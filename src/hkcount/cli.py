@@ -25,7 +25,7 @@ from .constants import (
     hirzebruch_table,
     load_invariants,
     predict,
-    schanuel_constant,
+    region_prediction,
     stratum_predictions,
     threefold_cases,
     threefold_intro,
@@ -36,14 +36,7 @@ from .constants import (
 )
 from .enumeration import CountRequest, count_hk, count_projective_moebius, \
     count_subbundle_direct, enum_hk_points, projective_norm_histogram, sweep
-from .geometry import (
-    HKVariety,
-    LineBundleClass,
-    NotBigError,
-    ProjectiveSpace,
-    anticanonical,
-    restrict_to_F,
-)
+from .geometry import HKVariety, LineBundleClass, NotBigError, anticanonical
 from .heights import Region, format_point
 
 EXIT_OK = 0
@@ -207,7 +200,8 @@ def cmd_sweep(args) -> int:
     threads = _default_threads(args.threads)
     inv = _field(args)
     try:
-        prediction = predict(X, L, inv) if not args.no_predict else None
+        prediction = (None if args.no_predict
+                      else region_prediction(X, L, region, inv))
     except (NotBigError, TooCloseToPoleError):
         prediction = None
     try:

@@ -26,9 +26,9 @@ has three independent evaluation routes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .geometry import (
     CaseTag,
@@ -144,11 +144,11 @@ _BERNOULLI = [
 _EM_N = 24  # direct terms; with 12 Bernoulli corrections this gives ~1e-15
 
 
-def hurwitz_zeta(s: float, a: float = 1.0, precision: float = 1e-14) -> float:
+def hurwitz_zeta(s: float, a: float = 1.0) -> float:
     """zeta(s, a) = sum_{k>=0} (k+a)^{-s} by Euler-Maclaurin, s > 1, a > 0.
 
     The truncation parameters are fixed so the remainder (first omitted
-    Bernoulli term) is far below `precision` for 1 < s < ~60.
+    Bernoulli term) is far below 1e-14 for 1 < s < ~60.
     """
     if s <= 1:
         raise DomainError(f"hurwitz_zeta needs s > 1, got {s}")
@@ -170,19 +170,19 @@ def hurwitz_zeta(s: float, a: float = 1.0, precision: float = 1e-14) -> float:
     return total
 
 
-def zeta(s: float, precision: float = 1e-14) -> float:
+def zeta(s: float) -> float:
     """Riemann zeta for s > 1."""
-    return hurwitz_zeta(s, 1.0, precision)
+    return hurwitz_zeta(s, 1.0)
 
 
-def gamma(s: float, precision: float = 1e-14) -> float:
+def gamma(s: float) -> float:
     """Gamma function (platform Lanczos; oracle-validated in the tests)."""
     if s <= 0:
         raise DomainError(f"gamma evaluator needs s > 0, got {s}")
     return math.gamma(s)
 
 
-def L_minus4(s: float, precision: float = 1e-14) -> float:
+def L_minus4(s: float) -> float:
     """Dirichlet L-function of the nontrivial character mod 4.
 
     L_{-4}(s) = 4^{-s} (zeta(s, 1/4) - zeta(s, 3/4)); the two Hurwitz
@@ -475,6 +475,39 @@ class StratumPrediction:
     note: str  # "", "infinite", or "dominated-by-F"
 
 
+def _stratum_prediction(st: Stratum, inv: FieldInvariants,
+                        zeta_proj=None) -> StratumPrediction:
+    if not st.big:
+        return StratumPrediction(st, None, "infinite")
+    if not st.open_part:
+        return StratumPrediction(
+            st, _whole_prediction(st.space, st.bundle, inv, zeta_proj), "")
+    space = st.space
+    assert isinstance(space, HKVariety)
+    if space.a[-1] > 0:
+        return StratumPrediction(st, predict(space, st.bundle, inv, zeta_proj),
+                                 "")
+    # good open subset of a trivial fibration: U = X minus F
+    whole = _whole_prediction(space, st.bundle, inv, zeta_proj)
+    f_space, f_bundle = restrict_to_F(space, st.bundle)
+    try:
+        f_pred = _whole_prediction(f_space, f_bundle, inv, zeta_proj)
+    except NotBigError:
+        return StratumPrediction(st, None, "infinite")
+    key_w = (whole.a_l, whole.log_exponent)
+    key_f = (f_pred.a_l, f_pred.log_exponent)
+    if key_w > key_f:
+        return StratumPrediction(st, whole, "")
+    if key_w == key_f:
+        c = whole.constant - f_pred.constant
+        assert c > 0, "subbundle constant exceeds whole-space constant"
+        return StratumPrediction(
+            st, AsymptoticPrediction(whole.a_l, whole.log_exponent, c,
+                                     whole.case, whole.source,
+                                     Region.GOOD_OPEN), "")
+    return StratumPrediction(st, None, "dominated-by-F")
+
+
 def stratum_predictions(X: HKVariety, L: Optional[LineBundleClass] = None,
                         inv: FieldInvariants = QQ, variant: bool = False,
                         zeta_proj=None) -> list[StratumPrediction]:
@@ -488,43 +521,38 @@ def stratum_predictions(X: HKVariety, L: Optional[LineBundleClass] = None,
     """
     if L is None:
         L = anticanonical(X)
-    out: list[StratumPrediction] = []
-    for st in decompose(X, L, variant=variant):
-        if not st.big:
-            out.append(StratumPrediction(st, None, "infinite"))
-            continue
-        if not st.open_part:
-            out.append(StratumPrediction(
-                st, _whole_prediction(st.space, st.bundle, inv, zeta_proj), ""))
-            continue
-        space = st.space
-        assert isinstance(space, HKVariety)
-        if space.a[-1] > 0:
-            out.append(StratumPrediction(st, predict(space, st.bundle, inv,
-                                                     zeta_proj), ""))
-            continue
-        # good open subset of a trivial fibration: U = X minus F
-        whole = _whole_prediction(space, st.bundle, inv, zeta_proj)
-        f_space, f_bundle = restrict_to_F(space, st.bundle)
-        try:
-            f_pred = _whole_prediction(f_space, f_bundle, inv, zeta_proj)
-        except NotBigError:
-            out.append(StratumPrediction(st, None, "infinite"))
-            continue
-        key_w = (whole.a_l, whole.log_exponent)
-        key_f = (f_pred.a_l, f_pred.log_exponent)
-        if key_w > key_f:
-            out.append(StratumPrediction(st, whole, ""))
-        elif key_w == key_f:
-            c = whole.constant - f_pred.constant
-            assert c > 0, "subbundle constant exceeds whole-space constant"
-            out.append(StratumPrediction(
-                st, AsymptoticPrediction(whole.a_l, whole.log_exponent, c,
-                                         whole.case, whole.source,
-                                         Region.GOOD_OPEN), ""))
-        else:
-            out.append(StratumPrediction(st, None, "dominated-by-F"))
-    return out
+    return [_stratum_prediction(st, inv, zeta_proj)
+            for st in decompose(X, L, variant=variant)]
+
+
+def region_prediction(X: HKVariety, L: LineBundleClass, region: Region,
+                      inv: FieldInvariants = QQ
+                      ) -> Optional[AsymptoticPrediction]:
+    """Leading term of the count on `region`, from the stratum chain.
+
+    U is the chain's first stratum, F the union of the later ones and the
+    whole space the union of all of them.  A union grows like its dominant
+    strata, those with the largest (a, log exponent), whose constants add.
+    None when a stratum of the region is infinite or none has a prediction.
+    """
+    chain = decompose(X, L)
+    if region is Region.GOOD_OPEN:
+        chain = chain[:1]
+    elif region is Region.SUBBUNDLE_F:
+        chain = chain[1:]
+    preds = []
+    for st in chain:
+        sp = _stratum_prediction(st, inv)
+        if sp.note == "infinite":
+            return None
+        if sp.prediction is not None:
+            preds.append(sp.prediction)
+    if not preds:
+        return None
+    top = max((p.a_l, p.log_exponent) for p in preds)
+    lead = [p for p in preds if (p.a_l, p.log_exponent) == top]
+    return replace(lead[0], constant=sum(p.constant for p in lead),
+                   region=region)
 
 
 def hirzebruch_table(inv: FieldInvariants = QQ) -> list[dict]:

@@ -27,6 +27,9 @@ through the per-norm Python path with unbounded integers.  All bound
 comparisons are integer-exact, integer roots included (Newton from a
 power-of-two seed); no floating point enters any count.
 
+numpy is imported inside the functions that use it, and the process
+pool only on the pooled branch, so importing this module costs neither.
+
 Counts on the subbundle F are always computed by reduction through
 restrict_to_F (so the restriction lemmas are exercised on every F count);
 the direct F enumeration below exists solely as a test oracle.
@@ -34,15 +37,15 @@ the direct F enumeration below exists solely as a test oracle.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, log
 from operator import mul
-from typing import Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .geometry import (
     HKVariety,
@@ -135,6 +138,8 @@ def _iroot_array(n: np.ndarray, k: int) -> np.ndarray:
     Integer Newton from 2^ceil(bits/k), as in `iroot`; x^(k-1) is never
     formed (n is divided by x k-1 times), so nothing can overflow.
     """
+    import numpy as np
+
     n = np.asarray(n, dtype=np.int64)
     bits = np.zeros_like(n)
     v = n.copy()
@@ -158,6 +163,8 @@ def _iroot_array(n: np.ndarray, k: int) -> np.ndarray:
 
 def _ragged_arange(lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row, value) of the concatenated ranges lo[i] .. lo[i] + width[i] - 1."""
+    import numpy as np
+
     row = np.repeat(np.arange(len(width)), width)
     first = np.cumsum(width) - width
     value = np.arange(row.size, dtype=np.int64) - np.repeat(first - lo, width)
@@ -167,6 +174,8 @@ def _ragged_arange(lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.nd
 def _blocks(width: np.ndarray) -> Iterator[tuple[int, int]]:
     """Slices [a, b) of consecutive rows whose widths sum to at most _CHUNK
     plus the width of the slice's last row."""
+    import numpy as np
+
     ends = np.cumsum(width)
     if ends.size == 0:
         return
@@ -224,6 +233,8 @@ def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[np.ndarray]:
     ragged arange and recurses slice by slice, so every level holds about
     _CHUNK prefixes at a time.  The last coordinate gets the gcd test.
     """
+    import numpy as np
+
     def expand(depth, rem, g, lead):
         top = _iroot_array(rem, 2)
         lo = np.where(lead, 0, -top)
@@ -244,6 +255,8 @@ def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[np.ndarray]:
 def projective_norm_histogram(n: int, n2max: int) -> dict[int, int]:
     """Counts of canonical primitive vectors in Z^{n+1} grouped by norm^2
     (keys ascending)."""
+    import numpy as np
+
     hist = np.zeros(n2max + 1, dtype=np.int64)
     for block in _primitive_norm_blocks(n + 1, n2max):
         np.add.at(hist, block, 1)
@@ -433,6 +446,8 @@ def _r1_batch_limit(weights: tuple[int, ...], ar: int, lam: int, mu: int,
 def _divisor_table(ymax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(start, div, sign): the squarefree divisors d of y and their Mobius
     signs mu(d) are div[start[y]:start[y + 1]] and sign[...], y = 1..ymax."""
+    import numpy as np
+
     mob = np.array(_mobius_sieve(ymax), dtype=np.int64)
     d = np.flatnonzero(mob[1:]) + 1
     row, k = _ragged_arange(np.ones_like(d), ymax // d)
@@ -457,6 +472,8 @@ def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
     where done marks the norms counted here; rows is the number of y_0
     rows, which `_count_fiber_good` reports as rows_visited.
     """
+    import numpy as np
+
     done = norms <= _r1_batch_limit(weights, ar, lam, mu, p, q)
     if not done.any():
         return 0, 0, done
@@ -513,6 +530,8 @@ def _good_chunk_worker(args: tuple) -> tuple[int, int]:
 
 def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
                      threads: int) -> tuple[int, int]:
+    import numpy as np
+
     if not is_big(L):
         raise NotBigError(f"bundle {L} is not big on {X}; the count is infinite")
     p, q = _squared_cap(B)
@@ -533,6 +552,8 @@ def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
     if threads == 1 or len(norms) < 4 * threads:
         parts = [_good_chunk_worker((weights, ar, lam, mu, p, q, norms, mults))]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         args = [(weights, ar, lam, mu, p, q, norms[i::threads],
                  mults[i::threads]) for i in range(threads)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -683,6 +704,8 @@ def estimate_exponent(table: Sequence, exponent: Optional[float] = None) -> Expo
     the given exponent `a` (default: slope rounded to the nearest integer)
     and returns C as log_coefficient and C2 as coefficient.
     """
+    import numpy as np
+
     pairs = []
     for row in table:
         if isinstance(row, dict):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkcount import arakelov
 from hkcount.arakelov import (
+    QuadratureFailure,
     ScaledLatticeSum,
     geer_schoof_bound_check,
     h0,
@@ -109,6 +111,12 @@ class TestXiIntegral:
         assert abs(xi_integral(3.0)
                    - float(mp.zeta(3)) / (2 * math.pi)) < 1e-10
 
+    @pytest.mark.parametrize("s", [8.0, 12.0, 20.0, 50.0])
+    def test_peak_split_matches_completed_zeta(self, s):
+        # e^{-sx} phi(x) peaks inside [-X0, 0] for s > 2 pi
+        want = 2.0 * xi_K(s)
+        assert abs(xi_integral(s) - want) <= 1e-12 * want
+
     def test_large_s_dominated_by_rational_term(self):
         # the integral terms are positive, so 2 xi(s) > 1/(s-1) - 1/s
         val = xi_integral(50.0)
@@ -117,6 +125,11 @@ class TestXiIntegral:
     def test_domain(self):
         with pytest.raises(ValueError):
             xi_integral(1.0)
+
+    def test_error_estimate_above_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(arakelov, "quad", lambda f, points: (1.0, 1e-3))
+        with pytest.raises(QuadratureFailure):
+            xi_integral(3.0)
 
 
 class TestRankIdentity:

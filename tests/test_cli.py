@@ -1,9 +1,14 @@
 """CLI contract: subcommands, formats, exit codes, round-trips."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hkcount
 from hkcount.cli import EXIT_INFINITE, EXIT_OK, EXIT_VERIFY, main
 
 
@@ -135,6 +140,18 @@ class TestSweep:
         csv_rows = [ln.split(",") for ln in csv_out.strip().splitlines()[1:]]
         assert [r["count"] for r in rows] == [int(r[1]) for r in csv_rows]
 
+    def test_subbundle_region_prediction(self, capsys):
+        # F of X_2(1) at -K is P^1 with O(1): N(F, B) ~ (3/pi) B^2, not the
+        # open-subset constant; the count at B = 100 is 9544
+        code, out, _ = run(capsys, "sweep", "--variety", "1,2:1",
+                           "--grid", "50,100", "--region", "f",
+                           "--threads", "1")
+        assert code == EXIT_OK
+        last = out.strip().splitlines()[-1].split(",")
+        assert last[1] == "9544"
+        assert float(last[2]) == pytest.approx(3 / math.pi * 100 ** 2)
+        assert abs(float(last[3]) - 1.0) < 0.01
+
     def test_rejects_bad_grid(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--variety", "1,2:1", "--bundle", "1,1",
@@ -197,3 +214,32 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "partition")
         assert code == EXIT_OK
         assert "FAIL" not in out
+
+
+class TestImportCost:
+    """Importing the package, and commands that need no array code, load no
+    numerical library; each case runs in a fresh interpreter."""
+
+    HEAVY = ("scipy", "numpy", "mpmath")
+
+    def loaded(self, code):
+        src = str(Path(hkcount.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        script = (f"import json, sys\n{code}\nprint(json.dumps("
+                  f"[m for m in {self.HEAVY!r} if m in sys.modules]))")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_import_loads_no_numerical_library(self):
+        assert self.loaded("import hkcount, hkcount.cli") == []
+
+    @pytest.mark.parametrize("argv", [
+        ["tables"],
+        ["zeta", "--what", "zeta", "--s", "3"],
+    ], ids=["tables", "zeta"])
+    def test_command_loads_no_numpy(self, argv):
+        code = f"from hkcount.cli import main\nmain({argv!r})"
+        assert "numpy" not in self.loaded(code)
