@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .enumeration import _ball_count, _primitive_norm_blocks
 from .geometry import (
     CaseTag,
     HKVariety,
@@ -241,8 +242,6 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
         raise DomainError("m must be >= -1")
     if s <= m + 1:
         raise DomainError(f"Z_(P^{m}) diverges for s <= {m + 1}")
-    from .enumeration import _primitive_norm_blocks
-
     k = m + 1
     kappa = _kappa_bound(k)
     excess = s - k  # > 0
@@ -273,24 +272,9 @@ def zetaP1_closed(s: float) -> float:
 
 
 def _shell_counts(k: int, nmax: int) -> list[int]:
-    """r_k(n) = #{v in Z^k : ||v||^2 = n} for n = 0..nmax, by convolution."""
-    r1 = [0] * (nmax + 1)
-    r1[0] = 1
-    j = 1
-    while j * j <= nmax:
-        r1[j * j] = 2
-        j += 1
-    rk = r1[:]
-    for _ in range(k - 1):
-        new = [0] * (nmax + 1)
-        for i, ri in enumerate(rk):
-            if ri == 0:
-                continue
-            for j2 in range(0, nmax - i + 1):
-                if r1[j2]:
-                    new[i + j2] += ri * r1[j2]
-        rk = new
-    return rk
+    """r_k(n) = #{v in Z^k : ||v||^2 = n} for n = 0..nmax, as differences of
+    consecutive lattice-ball counts."""
+    return [_ball_count(k, n) - _ball_count(k, n - 1) for n in range(nmax + 1)]
 
 
 def zetaP_theta(m: int, s: float) -> float:

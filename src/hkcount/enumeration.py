@@ -10,7 +10,16 @@ coordinates and expands each coordinate for a whole batch of prefixes at
 once with numpy, so it yields int64 blocks of at most about _CHUNK
 norms^2 and never holds every prefix.  Each vector gets its own np.gcd
 test: the walk is a genuine enumeration, independent of the Mobius ball
-count it is checked against.  zetaP_numeric sums over the same blocks.
+count it is checked against.  zetaP_numeric sums over the same blocks,
+and count_enum_projective counts them.
+
+Counts on P^n, and so every F count, come from the Mobius sieve over
+lattice balls (Schanuel 1979): twice N(P^n) is sum over d of
+mu(d) (#{v in Z^{n+1} : |v|^2 <= n2max // d^2} - 1).  The ball count
+`_ball_count` folds Z^2 at the diagonal and Z^3 onto the cone
+0 <= x <= y <= z, so each is a sum of C-level isqrt calls over a
+precomputed list of squares; higher dimensions recurse down to Z^3.  It
+is integer-only and needs no numpy, so a P^n or F count does not load it.
 
 Fiber vectors are counted by a recursive box walk on the integer
 quadratic form sum c_i y_i^2 <= S_max (largest coefficient first), with
@@ -21,8 +30,9 @@ the parameters (c_0, S_max) are computed in int64 arrays (c_1 = 1), the y_0
 rows of all norms are flattened into blocks of _CHUNK rows, and the
 coprime count of the last coordinate is read off a numpy table of
 squarefree divisors.  The batched step takes only the norms for which
-an int64 guard (`_r1_batch_limit`) proves that every intermediate value
-stays below 2^62; every other norm, and every r >= 2 count, goes
+an int64 guard (`_r1_batch_band`) proves that every intermediate value
+stays below 2^62 (for a cap p // q / m^k with p // q past 2^62, by a
+two-limb division); every other norm, and every r >= 2 count, goes
 through the per-norm Python path with unbounded integers.  All bound
 comparisons are integer-exact, integer roots included (Newton from a
 power-of-two seed); no floating point enters any count.
@@ -265,22 +275,54 @@ def projective_norm_histogram(n: int, n2max: int) -> dict[int, int]:
 
 
 def count_enum_projective(n: int, B: Union[int, Fraction]) -> int:
-    """N(P^n, B) by direct enumeration (reference path)."""
-    return sum(1 for _ in enum_projective(n, B))
+    """N(P^n, B) by direct enumeration (reference path): the size of the
+    primitive-vector walk, each vector gcd-tested."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    p, q = _squared_cap(B)
+    return sum(block.size for block in _primitive_norm_blocks(n + 1, p // q))
 
 
 def _ball_count(k: int, m: int) -> int:
-    """Number of integer vectors in Z^k with norm^2 <= m (origin included)."""
+    """Number of integer vectors in Z^k with norm^2 <= m (origin included).
+
+    k = 2 folds the quadrant at the diagonal: the points with x, y >= 1 are
+    2 sum_{x <= t} isqrt(m - x^2) - t^2, t = isqrt(m // 2), since min(x, y)
+    <= t and the square [1, t]^2 is counted twice.  k = 3 sums over the
+    cone 0 <= x <= y <= z and weights each point by its orbit under signs
+    and permutations: 2^(#nonzero coordinates) times 6, 3 or 1 when the
+    coordinates are distinct, two equal or all equal.  For each x the
+    points with x < y < z come from one isqrt sum over y in
+    (x, isqrt((m - x^2) // 2)].  k >= 4 recurses over the first coordinate
+    down to k = 3.  Integers only; every lattice point is counted, with
+    no gcd.
+    """
     if m < 0:
         return 0
     if k == 1:
         return 2 * isqrt(m) + 1
-    total = _ball_count(k - 1, m)
-    x = 1
-    while x * x <= m:
-        total += 2 * _ball_count(k - 1, m - x * x)
-        x += 1
-    return total
+    r = range(isqrt(m) + 1)
+    sq = list(map(mul, r, r))
+    if k == 2:
+        t = isqrt(m // 2)
+        inner = 2 * sum(map(isqrt, map(m.__sub__, sq[1:t + 1]))) - t * t
+        return 1 + 4 * isqrt(m) + 4 * inner
+    if k == 3:
+        total = 0
+        for x in range(isqrt(m // 3) + 1):
+            rem = m - sq[x]
+            top = isqrt(rem // 2)  # largest y with y <= z
+            tops = sum(map(isqrt, map(rem.__sub__, sq[x + 1:top + 1])))
+            lt = tops - (top * (top + 1) - x * (x + 1)) // 2  # x < y < z
+            eq = top - x  # x < y = z
+            diag = isqrt(rem - sq[x]) - x  # x = y < z
+            if x:
+                total += 8 * (6 * lt + 3 * eq + 3 * diag + 1)
+            else:
+                total += 4 * (6 * lt + 3 * eq) + 6 * diag + 1
+        return total
+    return _ball_count(k - 1, m) + 2 * sum(
+        _ball_count(k - 1, m - s) for s in sq[1:])
 
 
 def _mobius_sieve(n: int) -> list[int]:
@@ -416,23 +458,27 @@ def _fiber_params(X_weights: tuple[int, ...], ar: int, lam: int, mu: int,
 _Y0_TABLE_MAX = 1 << 17
 
 
-def _r1_batch_limit(weights: tuple[int, ...], ar: int, lam: int, mu: int,
-                    p: int, q: int) -> int:
-    """Largest base norm m whose r = 1 fiber step provably fits in int64.
+def _r1_batch_band(weights: tuple[int, ...], ar: int, lam: int, mu: int,
+                   p: int, q: int) -> tuple[int, int]:
+    """Band [lo, hi] of base norms m whose r = 1 fiber step provably fits
+    in int64.
 
     With e = lam*ar - mu, the cap floor(p m^e / q) of `_fiber_params` is
-    (p m^e) // q for e >= 0 and (p // q) // m^-e for e < 0; for r = 1 the
-    fiber weights are (0, ar), so the form is m^ar y_0^2 + y_1^2.  Keeping
-    p m^e, q (or p // q, m^-e) and m^ar below 2^62 bounds every later
-    value too: S_max, the rows' remainders and last-coordinate tops are at
-    most the cap, a row counts at most 2 sqrt(cap) + 1 < 2^32 points, and
-    a block sums at most _CHUNK rows.  lam <= 62 keeps the Newton terms of
-    `_iroot_array` small.  Returns 0 when no norm qualifies.
+    (p m^e) // q for e >= 0 and P // m^-e, P = p // q, for e < 0; for
+    r = 1 the fiber weights are (0, ar), so the form is m^ar y_0^2 + y_1^2.
+    Keeping p m^e and q (e >= 0), or m^-e and the cap (e < 0), and m^ar
+    below 2^62 bounds every later value too: S_max, the rows' remainders
+    and last-coordinate tops are at most the cap, a row counts at most
+    2 sqrt(cap) + 1 < 2^32 points, and a block sums at most _CHUNK rows.
+    For e < 0 the cap stays below 2^62 from m^-e > P // 2^62 on, which
+    gives the band its lower end; P itself may reach 2^93, the range of
+    `_floor_div_wide`.  lam <= 62 keeps the Newton terms of `_iroot_array`
+    small.  The band is empty (lo > hi) when no norm qualifies.
     """
     top = _INT64_SAFE - 1
     e = lam * ar - mu
-    if len(weights) != 2 or lam > 62 or (q if e >= 0 else p // q) > top:
-        return 0
+    if len(weights) != 2 or lam > 62 or (q if e >= 0 else p // q >> 31) > top:
+        return 1, 0
 
     def largest(base: int, k: int) -> int:
         """Largest m with base * m^k <= top."""
@@ -440,7 +486,37 @@ def _r1_batch_limit(weights: tuple[int, ...], ar: int, lam: int, mu: int,
             return 0
         return top if k == 0 else iroot(top // base, k)
 
-    return min(largest(p, e) if e >= 0 else largest(1, -e), largest(1, ar))
+    if e >= 0:
+        return 1, min(largest(p, e), largest(1, ar))
+    # smallest m with m^-e > P // 2^62
+    lo = iroot(p // q // _INT64_SAFE, -e) + 1
+    return lo, min(largest(1, -e), largest(1, ar))
+
+
+def _floor_div_wide(P: int, d: np.ndarray) -> np.ndarray:
+    """P // d for an int P < 2^93 and an int64 array 1 <= d < 2^62 whose
+    quotients are below 2^62, in int64.
+
+    P = hi 2^31 + lo; hi // d and its remainder r < d are int64, and
+    (r 2^31 + lo) // d, which is below 2^31, is one more division where
+    d < 2^31 and a bit-by-bit long division elsewhere.
+    """
+    import numpy as np
+
+    hi, lo = divmod(P, 1 << 31)
+    quot, r = np.divmod(hi, d)
+    low = np.empty_like(d)
+    narrow = d < 1 << 31
+    low[narrow] = ((r[narrow] << 31) + lo) // d[narrow]
+    r, dw = r[~narrow], d[~narrow]
+    bits = np.zeros_like(dw)
+    for b in range(30, -1, -1):
+        r = (r << 1) | ((lo >> b) & 1)  # r < 2d < 2^63
+        ge = r >= dw
+        r -= dw * ge
+        bits |= ge.astype(np.int64) << b
+    low[~narrow] = bits
+    return (quot << 31) + low
 
 
 def _divisor_table(ymax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -463,7 +539,7 @@ def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
                       mults: np.ndarray) -> tuple[int, int, np.ndarray]:
     """`_fiber_params` and `_count_fiber_good` for r = 1, over int64 arrays.
 
-    Counts the norms within `_r1_batch_limit` whose fibers have at most
+    Counts the norms in `_r1_batch_band` whose fibers have at most
     _Y0_TABLE_MAX rows.  The y_0 rows of all of them are flattened into
     blocks; a row's last coordinate runs over |y_1| <= M with
     M = isqrt(S_max - m^ar y_0^2), and its coprime count is
@@ -474,12 +550,18 @@ def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
     """
     import numpy as np
 
-    done = norms <= _r1_batch_limit(weights, ar, lam, mu, p, q)
+    lo, hi = _r1_batch_band(weights, ar, lam, mu, p, q)
+    done = (norms >= lo) & (norms <= hi)
     if not done.any():
         return 0, 0, done
     m, mult = norms[done], mults[done]
     e = lam * ar - mu
-    cap = (p * m ** e) // q if e >= 0 else (p // q) // m ** -e
+    if e >= 0:
+        cap = (p * m ** e) // q
+    elif p // q < _INT64_SAFE:
+        cap = (p // q) // m ** -e
+    else:
+        cap = _floor_div_wide(p // q, m ** -e)
     smax = _iroot_array(cap, lam)
     c0 = m ** ar
     top0 = _iroot_array(smax // c0, 2)

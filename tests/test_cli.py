@@ -239,7 +239,10 @@ class TestImportCost:
     @pytest.mark.parametrize("argv", [
         ["tables"],
         ["zeta", "--what", "zeta", "--s", "3"],
-    ], ids=["tables", "zeta"])
+        # an F count reduces to the Mobius ball count on P^2
+        ["count", "--variety", "1,3:1", "--bundle", "1,2", "--region", "f",
+         "--B", "200", "--threads", "1"],
+    ], ids=["tables", "zeta", "count-f"])
     def test_command_loads_no_numpy(self, argv):
         code = f"from hkcount.cli import main\nmain({argv!r})"
         assert "numpy" not in self.loaded(code)

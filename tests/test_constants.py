@@ -1,4 +1,5 @@
 """Special functions and closed-form constants, against independent oracles."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hkcount.constants import (
     L_minus4,
     SourceFormula,
     TooCloseToPoleError,
+    _shell_counts,
     gamma,
     hirzebruch_table,
     hurwitz_zeta,
@@ -117,6 +119,18 @@ class TestProjectiveZeta:
             zetaP_numeric(1, 2.0, 1e-4)
         with pytest.raises(DomainError):
             zetaP_theta(2, 3.0)
+
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_shell_counts_brute_force(self, k):
+        # r_k(n) by listing Z^k in the box [-6, 6]^k, which holds every
+        # vector of norm^2 <= 40
+        want = [0] * 41
+        for v in itertools.product(range(-6, 7), repeat=k):
+            n = sum(x * x for x in v)
+            if n <= 40:
+                want[n] += 1
+        assert _shell_counts(k, 40) == want
 
 
 class TestSchanuel:

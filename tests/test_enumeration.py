@@ -13,8 +13,10 @@ from hkcount import enumeration
 from hkcount.enumeration import (
     CountRequest,
     DegenerateFitError,
+    _ball_count,
     _canonical_vectors,
     _count_r1_batched,
+    _floor_div_wide,
     _iroot_array,
     _mobius_sieve,
     _primitive_norm_blocks,
@@ -107,6 +109,56 @@ class TestPrimitives:
         for p in pts:
             assert sum(x * x for x in p.coords) <= 25
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stream_equals_block_count(self, n):
+        # the _canonical_vectors stream against the block walk's count
+        for B in range(1, 13):
+            assert len(list(enum_projective(n, B))) == count_enum_projective(n, B)
+
+
+def _ball_count_recursive(k, m):
+    """#{v in Z^k : |v|^2 <= m}, one frame per coordinate value: the plain
+    recursion the folded kernel replaced."""
+    if m < 0:
+        return 0
+    if k == 1:
+        return 2 * isqrt(m) + 1
+    total = _ball_count_recursive(k - 1, m)
+    x = 1
+    while x * x <= m:
+        total += 2 * _ball_count_recursive(k - 1, m - x * x)
+        x += 1
+    return total
+
+
+class TestBallCount:
+    """The folded lattice-ball kernel behind the Mobius sieve."""
+
+    def test_equals_recursion_exhaustively(self):
+        for k, top in ((1, 1500), (2, 1500), (3, 1500), (4, 300), (5, 60)):
+            for m in range(-2, top):
+                assert _ball_count(k, m) == _ball_count_recursive(k, m), (k, m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 10 ** 5))
+    def test_equals_recursion_large(self, k, m):
+        assert _ball_count(k, m) == _ball_count_recursive(k, m)
+
+    @pytest.mark.parametrize("n, B", [(1, 2000), (2, 150), (3, 40)])
+    def test_moebius_equals_enumeration(self, n, B):
+        assert count_projective_moebius(n, B) == count_enum_projective(n, B)
+
+    def test_subbundle_pin(self):
+        # F of X_3(1) with bundle (1, 2) is P^2 at norm^2 <= 4e6; the value
+        # is pinned in bench/pins.json, cross-checked against
+        # bench/reference.py
+        X = HKVariety(1, 3, (1,))
+        t0 = time.perf_counter()
+        res = count_hk(CountRequest(X, LineBundleClass(1, 2), Fraction(2000),
+                                    Region.SUBBUNDLE_F, 1))
+        assert res.count == 13938736657
+        assert time.perf_counter() - t0 < 5.0
+
 
 class TestCountHK:
     def test_regions_partition(self):
@@ -198,6 +250,53 @@ class TestBatchedFiberStep:
         _, _, done = _count_r1_batched(X.fiber_weights, 20, 6, 1, p, q,
                                        norms, np.ones_like(norms))
         assert done.tolist() == [True] + [False] * 48
+
+    @staticmethod
+    def batched_equals_per_norm(args, norms):
+        mults = norms % 7 + 1
+        count, rows, done = _count_r1_batched(*args, norms, mults)
+        assert done.all()
+        assert (count, rows) == enumeration._good_chunk_worker(
+            (*args, norms, mults))
+
+    @pytest.mark.parametrize("B, per_norm", [(2 ** 31, 1), (2 ** 32, 4)])
+    def test_two_limb_cap(self, B, per_norm):
+        # B^2 >= 2^62: the cap P // m of -K on X_2(1) (P = B^2) is divided
+        # in two limbs; it reaches 2^62 for m <= P // 2^62, which is left
+        # to the per-norm path
+        X = HKVariety(1, 2, (1,))
+        L = anticanonical(X)
+        args = (X.fiber_weights, 1, L.lam, L.mu, *_squared_cap(B))
+        small = np.arange(1, 11)
+        done = _count_r1_batched(*args, small, np.ones_like(small))[2]
+        assert done.tolist() == [False] * per_norm + [True] * (10 - per_norm)
+        self.batched_equals_per_norm(args, np.arange(1000, 1100))
+
+    def test_two_limb_cap_wide_divisor(self):
+        # bundle (1, 3): the cap is P // m^2, and m^2 passes 2^31 at
+        # m = 46341, where the second limb is divided bit by bit
+        X = HKVariety(1, 2, (1,))
+        args = (X.fiber_weights, 1, 1, 3, *_squared_cap(2 ** 32))
+        assert enumeration._r1_batch_band(*args)[0] == 3  # 2^64 // 2^62 < 3^2
+        self.batched_equals_per_norm(args, np.arange(46000, 47000, 10))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_floor_div_wide(self, data):
+        def bits(lo, hi):  # an integer of a drawn bit length in [lo, hi]
+            return st.integers(lo, hi).flatmap(
+                lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+
+        P = data.draw(bits(63, 93))
+        # every d > P // 2^62 keeps the quotient below 2^62; the sizes run
+        # on both sides of 2^31, so both the one-step and the bitwise
+        # division of the second limb run
+        ds = data.draw(st.lists(bits(1, 62), min_size=1, max_size=20))
+        ds = [d for d in ds if P // d < 2 ** 62] or [2 ** 62 - 1]
+        got = _floor_div_wide(P, np.array(ds, dtype=np.int64))
+        assert got.tolist() == [P // d for d in ds]
+        for d in ds:  # exact multiples: a partial remainder reaches d itself
+            assert _floor_div_wide(P // d * d, np.array([d])).tolist() == [P // d]
 
     def test_rows_beyond_divisor_table_fall_back(self, monkeypatch):
         X = HKVariety(1, 2, (1,))
