@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .enumeration import _ball_count, _primitive_norm_blocks
+from .enumeration import _primitive_norm_blocks
 from .geometry import (
     CaseTag,
     HKVariety,
@@ -272,9 +272,18 @@ def zetaP1_closed(s: float) -> float:
 
 
 def _shell_counts(k: int, nmax: int) -> list[int]:
-    """r_k(n) = #{v in Z^k : ||v||^2 = n} for n = 0..nmax, as differences of
-    consecutive lattice-ball counts."""
-    return [_ball_count(k, n) - _ball_count(k, n - 1) for n in range(nmax + 1)]
+    """r_k(n) = #{v in Z^k : ||v||^2 = n} for n = 0..nmax.
+
+    Adds one coordinate at a time, the recursion of `_ball_count` over the
+    first coordinate: r_k(n) = r_{k-1}(n) + 2 sum_{j >= 1} r_{k-1}(n - j^2),
+    from r_0 = [1, 0, 0, ...].  O(k nmax^1.5) integer steps.
+    """
+    squares = [j * j for j in range(1, math.isqrt(nmax) + 1)]
+    shells = [1] + [0] * nmax
+    for _ in range(k):
+        shells = [r + 2 * sum(shells[n - s] for s in squares if s <= n)
+                  for n, r in enumerate(shells)]
+    return shells
 
 
 def zetaP_theta(m: int, s: float) -> float:

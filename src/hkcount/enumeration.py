@@ -31,8 +31,8 @@ rows of all norms are flattened into blocks of _CHUNK rows, and the
 coprime count of the last coordinate is read off a numpy table of
 squarefree divisors.  The batched step takes only the norms for which
 an int64 guard (`_r1_batch_band`) proves that every intermediate value
-stays below 2^62 (for a cap p // q / m^k with p // q past 2^62, by a
-two-limb division); every other norm, and every r >= 2 count, goes
+stays below 2^62 (a cap p // q / m^k comes from a two-limb division,
+so p // q may pass 2^62); every other norm, and every r >= 2 count, goes
 through the per-norm Python path with unbounded integers.  All bound
 comparisons are integer-exact, integer roots included (Newton from a
 power-of-two seed); no floating point enters any count.
@@ -499,14 +499,15 @@ def _floor_div_wide(P: int, d: np.ndarray) -> np.ndarray:
 
     P = hi 2^31 + lo; hi // d and its remainder r < d are int64, and
     (r 2^31 + lo) // d, which is below 2^31, is one more division where
-    d < 2^31 and a bit-by-bit long division elsewhere.
+    r < 2^31 and a bit-by-bit long division elsewhere.  P < 2^62 gives
+    hi < 2^31, so such a P always takes the two divisions.
     """
     import numpy as np
 
     hi, lo = divmod(P, 1 << 31)
     quot, r = np.divmod(hi, d)
     low = np.empty_like(d)
-    narrow = d < 1 << 31
+    narrow = r < 1 << 31
     low[narrow] = ((r[narrow] << 31) + lo) // d[narrow]
     r, dw = r[~narrow], d[~narrow]
     bits = np.zeros_like(dw)
@@ -558,8 +559,6 @@ def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
     e = lam * ar - mu
     if e >= 0:
         cap = (p * m ** e) // q
-    elif p // q < _INT64_SAFE:
-        cap = (p // q) // m ** -e
     else:
         cap = _floor_div_wide(p // q, m ** -e)
     smax = _iroot_array(cap, lam)

@@ -1,6 +1,7 @@
 """Special functions and closed-form constants, against independent oracles."""
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -32,6 +33,7 @@ from hkcount.constants import (
     zetaP_numeric,
     zetaP_theta,
 )
+from hkcount.enumeration import _ball_count
 from hkcount.geometry import (
     CaseTag,
     HKVariety,
@@ -131,6 +133,26 @@ class TestProjectiveZeta:
             if n <= 40:
                 want[n] += 1
         assert _shell_counts(k, 40) == want
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_shell_counts_match_ball_counts(self, k):
+        # the lattice-ball kernel is independent code: its differences are
+        # the shells
+        want = [_ball_count(k, n) - _ball_count(k, n - 1) for n in range(41)]
+        assert _shell_counts(k, 40) == want
+
+    def test_theta_high_dimension(self):
+        # at s = 40 only the primitive vectors of norm^2 <= 4 matter: up to
+        # sign there are k, 2 C(k,2), 4 C(k,3) and 8 C(k,4) of them
+        # (norm^2 = 5 adds below 1e-10)
+        m, s = 10, 40.0
+        k = m + 1
+        want = sum(c * math.comb(k, j) * j ** (-s / 2)
+                   for j, c in ((1, 1), (2, 2), (3, 4), (4, 8)))
+        t0 = time.time()
+        got = zetaP_theta(m, s)
+        assert time.time() - t0 < 2.0
+        assert abs(got - want) < 1e-9
 
 
 class TestSchanuel:
