@@ -4,10 +4,11 @@ Counting on the good open subset U factors through the base: the fiber
 count over a base point Q depends only on Nq = H(Q)^2, so the driver
 builds a histogram of base norms and evaluates each distinct norm once.
 
-The histogram comes from one walk over canonical primitive vectors
-(`_primitive_norm_blocks`).  It runs depth-first over the leading
-coordinates and expands each coordinate for a whole batch of prefixes at
-once with numpy, so it yields int64 blocks of at most about _CHUNK
+The histogram of a large base comes from one walk over canonical
+primitive vectors (`_primitive_norm_blocks`); a small one comes from the
+per-vector `_canonical_vectors` stream.  The block walk runs depth-first
+over the leading coordinates and expands each coordinate for a whole
+batch of prefixes at once with numpy, so it yields int64 blocks of at most about _CHUNK
 norms^2 and never holds every prefix.  Each vector gets its own np.gcd
 test: the walk is a genuine enumeration, independent of the Mobius ball
 count it is checked against.  zetaP_numeric sums over the same blocks,
@@ -39,6 +40,12 @@ power-of-two seed); no floating point enters any count.
 
 numpy is imported inside the functions that use it, and the process
 pool only on the pooled branch, so importing this module costs neither.
+A count loads numpy only when an array step has enough work to repay
+the import (about 0.15 s).  A walk bounded by fewer than _NUMPY_WALK_MIN
+vectors takes the `_canonical_vectors` stream, and over such a base an
+r = 1 band with fewer than _NUMPY_ROWS_MIN y_0 rows is counted per norm
+in the calling process.  Both choices depend only on the input's size,
+and both sides give the same counts.  Bigness is checked before either.
 
 Counts on the subbundle F are always computed by reduction through
 restrict_to_F (so the restriction lemmas are exercised on every F count);
@@ -262,9 +269,29 @@ def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[np.ndarray]:
                       np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
 
 
+# Walks bounded by at least this many vectors build the histogram from the
+# numpy blocks, smaller ones from the `_canonical_vectors` stream.  The
+# bound isqrt(n2max)^(n+1) is 1 to 2.5 times below the walk's size for
+# n <= 3.  With numpy loaded (2-vCPU Xeon VM, Python 3.11, numpy 2.4), the
+# stream took 0.060 s for 115k vectors of P^1 and 0.055 s for 156k of P^2,
+# the blocks 0.011 and 0.004 s.  The import costs about 0.15 s, what the
+# stream spends on some 3 * 10^5 vectors; the bound sits lower because a
+# base of that size may still need numpy for its r = 1 rows.
+_NUMPY_WALK_MIN = 10 ** 5
+
+
+def _numpy_walk(n: int, n2max: int) -> bool:
+    return isqrt(n2max) ** (n + 1) >= _NUMPY_WALK_MIN
+
+
 def projective_norm_histogram(n: int, n2max: int) -> dict[int, int]:
     """Counts of canonical primitive vectors in Z^{n+1} grouped by norm^2
     (keys ascending)."""
+    if not _numpy_walk(n, n2max):
+        counts: dict[int, int] = {}
+        for _, m in _canonical_vectors(n + 1, n2max):
+            counts[m] = counts.get(m, 0) + 1
+        return dict(sorted(counts.items()))
     import numpy as np
 
     hist = np.zeros(n2max + 1, dtype=np.int64)
@@ -593,12 +620,13 @@ def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
 
 def _good_chunk_worker(args: tuple) -> tuple[int, int]:
     """Process-pool worker: count one chunk of base norms one by one with
-    unbounded integers; the chunk is given as int64 arrays of norms and
-    multiplicities."""
+    unbounded integers; the chunk is given as lists of Python ints (norms
+    and multiplicities), never as int64 arrays, whose elements wrap on
+    overflow."""
     weights, ar, lam, mu, p, q, norms, mults = args
     count = 0
     visited = 0
-    for m, mult in zip(norms.tolist(), mults.tolist()):
+    for m, mult in zip(norms, mults):
         params = _fiber_params(weights, ar, lam, mu, p, q, m)
         if params is None:
             continue
@@ -609,36 +637,68 @@ def _good_chunk_worker(args: tuple) -> tuple[int, int]:
     return count, visited
 
 
+# r = 1 bands over a small base with fewer y_0 rows than this are counted
+# per norm, which needs no numpy.  With numpy loaded (same machine), 11k
+# rows took 0.046 s per norm against 0.009 s batched, and 34k rows 0.20 s
+# against 0.029 s; with the import (about 0.15 s) added to the batched
+# side, the two meet near 3 * 10^4 rows.
+_NUMPY_ROWS_MIN = 2 * 10 ** 4
+
+
+def _few_rows_band(args: tuple, hist: dict[int, int]) -> Optional[tuple[int, int]]:
+    """The band [lo, hi] of `_r1_batch_band` if the r = 1 fibers of its
+    norms in hist have fewer than _NUMPY_ROWS_MIN y_0 rows in all, else
+    None.  A row count is isqrt(S_max // c_0), from `_fiber_params`."""
+    lo, hi = _r1_batch_band(*args)
+    rows = 0
+    for m in hist:
+        if rows >= _NUMPY_ROWS_MIN:
+            break
+        params = _fiber_params(*args, m) if lo <= m <= hi else None
+        if params is not None:
+            (c0, _), smax = params
+            rows += isqrt(smax // c0)
+    return (lo, hi) if rows < _NUMPY_ROWS_MIN else None
+
+
 def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
                      threads: int) -> tuple[int, int]:
-    import numpy as np
-
     if not is_big(L):
         raise NotBigError(f"bundle {L} is not big on {X}; the count is infinite")
     p, q = _squared_cap(B)
-    lam, mu = L.lam, L.mu
     # On U the fiber height is >= 1, so Nq^mu <= B^2 bounds the base.
-    n2max = iroot(p // q, mu)
+    n2max = iroot(p // q, L.mu)
+    args = (X.fiber_weights, X.a[-1], L.lam, L.mu, p, q)
     hist = projective_norm_histogram(X.t - 1, n2max)
-    norms = np.fromiter(hist, dtype=np.int64, count=len(hist))
-    mults = np.fromiter(hist.values(), dtype=np.int64, count=len(hist))
-    del hist  # the arrays replace it; freeing it lowers the peak memory
-    weights, ar = X.fiber_weights, X.a[-1]
-    # The batched step runs here: the pool's fixed cost (about 20 ms per
-    # call on 2 CPUs) exceeds what splitting it saves.  The pool takes the
-    # norms left to the per-norm path.
-    count, visited, done = _count_r1_batched(weights, ar, lam, mu, p, q,
-                                             norms, mults)
-    norms, mults = norms[~done], mults[~done]
+    # The norms of the r = 1 band are counted here: the pool's fixed cost
+    # (about 20 ms per call on 2 CPUs) exceeds what splitting them saves.
+    # The pool takes the norms left to the per-norm path, whichever way
+    # the band was counted.
+    band = None if _numpy_walk(X.t - 1, n2max) else _few_rows_band(args, hist)
+    if band is not None:
+        lo, hi = band
+        inside = [m for m in hist if lo <= m <= hi]
+        count, visited = _good_chunk_worker(
+            (*args, inside, [hist[m] for m in inside]))
+        norms = [m for m in hist if not lo <= m <= hi]
+        mults = [hist[m] for m in norms]
+    else:
+        import numpy as np
+
+        norm_arr = np.fromiter(hist, dtype=np.int64, count=len(hist))
+        mult_arr = np.fromiter(hist.values(), dtype=np.int64, count=len(hist))
+        del hist  # the arrays replace it; freeing it lowers the peak memory
+        count, visited, done = _count_r1_batched(*args, norm_arr, mult_arr)
+        norms, mults = norm_arr[~done].tolist(), mult_arr[~done].tolist()
     if threads == 1 or len(norms) < 4 * threads:
-        parts = [_good_chunk_worker((weights, ar, lam, mu, p, q, norms, mults))]
+        parts = [_good_chunk_worker((*args, norms, mults))]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [(weights, ar, lam, mu, p, q, norms[i::threads],
-                 mults[i::threads]) for i in range(threads)]
+        chunks = [(*args, norms[i::threads], mults[i::threads])
+                  for i in range(threads)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_good_chunk_worker, args))
+            parts = list(pool.map(_good_chunk_worker, chunks))
     return (count + sum(c for c, _ in parts),
             visited + sum(v for _, v in parts))
 

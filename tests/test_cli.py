@@ -242,7 +242,20 @@ class TestImportCost:
         # an F count reduces to the Mobius ball count on P^2
         ["count", "--variety", "1,3:1", "--bundle", "1,2", "--region", "f",
          "--B", "200", "--threads", "1"],
-    ], ids=["tables", "zeta", "count-f"])
+        # bigness is decided before any array code
+        ["count", "--variety", "1,3:1", "--bundle=-1,3", "--B", "3",
+         "--region", "u"],
+        # small bases and r = 1 bands stay below both size thresholds
+        ["count", "--variety", "1,2:1", "--B", "10", "--region", "x",
+         "--threads", "1"],
+        ["count", "--variety", "1,2:1", "--B", "10", "--region", "x",
+         "--threads", "2"],
+        # r = 2 fibers go to the pool, which gets lists of ints
+        ["count", "--variety", "2,2:1,1", "--region", "u", "--B", "1000",
+         "--threads", "2"],
+        ["sweep", "--variety", "1,2:1", "--grid", "5,10,20", "--threads", "1"],
+    ], ids=["tables", "zeta", "count-f", "count-infinite", "count-x-t1",
+            "count-x-t2", "count-pooled", "sweep"])
     def test_command_loads_no_numpy(self, argv):
         code = f"from hkcount.cli import main\nmain({argv!r})"
         assert "numpy" not in self.loaded(code)

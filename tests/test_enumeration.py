@@ -1,4 +1,5 @@
 """Exact counting: enumeration, sieve oracle, fibration counts, fits."""
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -39,7 +40,13 @@ from hkcount.geometry import (
     ProjectiveSpace,
     anticanonical,
 )
-from hkcount.heights import Region, height_le, region_of
+from hkcount.heights import (
+    HKRationalPoint,
+    ProjectivePoint,
+    Region,
+    height_le,
+    region_of,
+)
 
 
 class TestPrimitives:
@@ -78,15 +85,30 @@ class TestPrimitives:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_histogram_equals_python_walk(self, data):
-        # the numpy walk against the plain per-vector walk it replaced
+        # the numpy block walk against the plain per-vector walk; sizes this
+        # small build the histogram from the latter
         n = data.draw(st.integers(1, 3))
         n2max = data.draw(st.integers(0, {1: 3000, 2: 600, 3: 150}[n]))
         expected: dict[int, int] = {}
         for _, m in _canonical_vectors(n + 1, n2max):
             expected[m] = expected.get(m, 0) + 1
+        blocks: dict[int, int] = {}
+        for block in _primitive_norm_blocks(n + 1, n2max):
+            for m in block.tolist():
+                blocks[m] = blocks.get(m, 0) + 1
+        assert blocks == expected
         hist = projective_norm_histogram(n, n2max)
         assert hist == expected
         assert list(hist) == sorted(hist)
+
+    def test_histogram_sides_agree(self, monkeypatch):
+        # the same dict, keys ascending, from either side of the walk bound
+        for n, n2max in ((1, 400), (2, 90), (3, 30)):
+            monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 0)
+            blocks = projective_norm_histogram(n, n2max)
+            monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 10 ** 30)
+            stream = projective_norm_histogram(n, n2max)
+            assert list(blocks.items()) == list(stream.items())
 
     def test_walk_blocks_are_bounded(self):
         n2max = 2 ** 20
@@ -235,7 +257,8 @@ class TestBatchedFiberStep:
 
         def per_norm(sel):  # the per-norm path, with unbounded integers
             return enumeration._good_chunk_worker(
-                (weights, ar, lam, mu, p, q, norms[sel], mults[sel]))
+                (weights, ar, lam, mu, p, q, norms[sel].tolist(),
+                 mults[sel].tolist()))
 
         assert (count, rows) == per_norm(done)
         # the rest on the per-norm path, as _count_good_open does
@@ -257,7 +280,7 @@ class TestBatchedFiberStep:
         count, rows, done = _count_r1_batched(*args, norms, mults)
         assert done.all()
         assert (count, rows) == enumeration._good_chunk_worker(
-            (*args, norms, mults))
+            (*args, norms.tolist(), mults.tolist()))
 
     @pytest.mark.parametrize("B, per_norm", [(2 ** 31, 1), (2 ** 32, 4)])
     def test_two_limb_cap(self, B, per_norm):
@@ -302,11 +325,24 @@ class TestBatchedFiberStep:
     def test_rows_beyond_divisor_table_fall_back(self, monkeypatch):
         X = HKVariety(1, 2, (1,))
         L = anticanonical(X)
-        want = count_hk(CountRequest(X, L, Fraction(4096), Region.GOOD_OPEN))
+        req = CountRequest(X, L, Fraction(4096), Region.GOOD_OPEN)
+        want = count_hk(req)  # a base this small is counted per norm
+        monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 0)
         monkeypatch.setattr(enumeration, "_Y0_TABLE_MAX", 3)
-        got = count_hk(CountRequest(X, L, Fraction(4096), Region.GOOD_OPEN))
+        dones = []
+        batched = enumeration._count_r1_batched
+
+        def spy(*args):
+            out = batched(*args)
+            dones.append(out[2])
+            return out
+
+        monkeypatch.setattr(enumeration, "_count_r1_batched", spy)
+        got = count_hk(req)
         assert (got.count, got.points_visited) == (want.count,
                                                    want.points_visited)
+        # the batched step ran and left the norms with more than 3 rows
+        assert len(dones) == 1 and dones[0].any() and not dones[0].all()
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -348,6 +384,146 @@ class TestBatchedFiberStep:
                                         Region.GOOD_OPEN, threads))
             assert res.count == expected
             assert time.perf_counter() - t0 < 5.0
+
+
+def _box_points(X, L, B, region, budget):
+    """Every point of height <= B in the region, by a search over a box
+    decided point by point with `height_le`; None if the box holds more
+    than `budget` candidates.
+
+    On U (y_0 != 0) the fiber height is >= 1, so Nq^mu <= B^2; on F the
+    first nonzero y_j costs at least Nq^-b_j >= Nq^-a_r, so
+    Nq^(mu - lam a_r) <= B^2.  Over a base point, y_j^2 Nq^-b_j <= H_fib^2
+    <= (B^2 / Nq^mu)^(1/lam) bounds each fiber coordinate on its own.
+    """
+    p, q = _squared_cap(B)
+    lam, mu, ar = L.lam, L.mu, X.a[-1]
+    exps = []
+    if region is not Region.SUBBUNDLE_F:
+        exps.append(mu)
+    if region is not Region.GOOD_OPEN:
+        exps.append(mu - lam * ar)
+    nq_max = max(iroot(p // q, k) for k in exps)
+    top = isqrt(nq_max)
+    if top ** X.t > budget:  # about as many base points as that
+        return None
+    boxes = []
+    size = 0
+    for base in itertools.product(range(-top, top + 1), repeat=X.t):
+        nq = sum(x * x for x in base)
+        if not 1 <= nq <= nq_max or not _canonical(base):
+            continue
+        tops = [isqrt(iroot(p * nq ** (lam * b) // (q * nq ** mu), lam))
+                for b in X.fiber_weights]
+        size += math.prod(2 * k + 1 for k in tops)
+        if size > budget:
+            return None
+        boxes.append((ProjectivePoint(base), tops))
+    points = []
+    for base, tops in boxes:
+        for y in itertools.product(*(range(-k, k + 1) for k in tops)):
+            on_f = y[0] == 0
+            if not _canonical(y) or region is Region.GOOD_OPEN and on_f \
+                    or region is Region.SUBBUNDLE_F and not on_f:
+                continue
+            P = HKRationalPoint(base, ProjectivePoint(y))
+            if height_le(X, L, P, B):
+                points.append(P)
+    return points
+
+
+def _canonical(v):
+    g = 0
+    for x in v:
+        g = math.gcd(g, x)
+    return g == 1 and next(x for x in v if x) > 0
+
+
+class TestSizeSelection:
+    """count_hk on every side of the two size thresholds (numpy walk and
+    batched r = 1 step) against the point stream and a box search."""
+
+    SIDES = ((0, 0), (10 ** 30, 0), (10 ** 30, 10 ** 30))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_sides_equal_stream_and_box(self, data):
+        r = data.draw(st.integers(1, 3))
+        top = data.draw(st.sampled_from((3, 20)))
+        a = tuple(sorted(data.draw(st.integers(0, top)) for _ in range(r)))
+        X = HKVariety(r, data.draw(st.integers(2, 3)), a)
+        L = LineBundleClass(data.draw(st.integers(1, 6)),
+                            data.draw(st.integers(0, 6)))
+        region = data.draw(st.sampled_from(list(Region)))
+        threads = data.draw(st.integers(1, 2))
+        B = data.draw(st.fractions(1, 400, max_denominator=3))
+        infinite = L.mu <= 0 or (region is not Region.GOOD_OPEN
+                                 and L.mu - L.lam * a[-1] <= 0)
+        if infinite:
+            # a Whole or F count runs its finite good-open counts before it
+            # raises, and with a twist of 20 they are large even at B = 2
+            # (minutes); at B = 1 only base norm 1 and S_max = 1 are left
+            B, expected = Fraction(1), None
+            with pytest.raises(NotBigError):
+                next(iter(enum_hk_points(X, L, B, region)))
+        else:
+            while (points := _box_points(X, L, B, region, 5000)) is None:
+                B = B * 2 / 3
+            expected = len(points)
+            assert expected == sum(1 for _ in enum_hk_points(X, L, B, region))
+        for walk_min, rows_min in self.SIDES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(enumeration, "_NUMPY_WALK_MIN", walk_min)
+                mp.setattr(enumeration, "_NUMPY_ROWS_MIN", rows_min)
+                req = CountRequest(X, L, B, region, threads)
+                if infinite:
+                    with pytest.raises(NotBigError):
+                        count_hk(req)
+                else:
+                    assert count_hk(req).count == expected
+
+    def test_row_sum_is_the_fiber_rows(self, monkeypatch):
+        # the pre-pass sums exactly the y_0 rows the per-norm path visits;
+        # every norm of -K on X_2(1) at B = 300 is in the band
+        X = HKVariety(1, 2, (1,))
+        L = anticanonical(X)
+        p, q = _squared_cap(Fraction(300))
+        args = (X.fiber_weights, 1, L.lam, L.mu, p, q)
+        hist = projective_norm_histogram(1, iroot(p // q, L.mu))
+        rows = enumeration._good_chunk_worker(
+            (*args, list(hist), list(hist.values())))[1]
+        assert enumeration._r1_batch_band(*args)[0] == 1
+        monkeypatch.setattr(enumeration, "_NUMPY_ROWS_MIN", rows + 1)
+        assert enumeration._few_rows_band(args, hist) is not None
+        monkeypatch.setattr(enumeration, "_NUMPY_ROWS_MIN", rows)
+        assert enumeration._few_rows_band(args, hist) is None
+
+    def test_pool_gets_the_same_norms(self, monkeypatch):
+        # twist 20, bundle (6, 1): the r = 1 band holds only m = 1, and the
+        # per-norm path (the pool, with threads > 1) gets the rest, on
+        # either side of the row threshold
+        X = HKVariety(1, 2, (20,))
+        req = CountRequest(X, LineBundleClass(6, 1), Fraction(30),
+                           Region.GOOD_OPEN)
+        worker = enumeration._good_chunk_worker
+        calls: list = []
+
+        def spy(args):
+            calls.append(args[-2])
+            return worker(args)
+
+        monkeypatch.setattr(enumeration, "_good_chunk_worker", spy)
+        results = {}
+        for side in self.SIDES:
+            monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", side[0])
+            monkeypatch.setattr(enumeration, "_NUMPY_ROWS_MIN", side[1])
+            calls.clear()
+            res = count_hk(req)
+            results[side] = (res.count, res.points_visited, tuple(calls[-1]))
+            assert all(type(m) is int for m in calls[-1])
+        rest = results[self.SIDES[0]][2]
+        assert rest and 1 not in rest
+        assert len(set(results.values())) == 1, results
 
 
 class TestSweepAndFit:
