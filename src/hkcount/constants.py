@@ -232,7 +232,9 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
     `tol`.  Raises TooCloseToPoleError when the required X implies more
     points than the work budget allows.  The points come from the
     enumeration module's primitive-vector walk, one int64 block of
-    norms^2 at a time, and each block is summed in float64.
+    (norms^2, weights) at a time: a representative of each orbit under
+    signs and permutations, weighted by the number of points in it.  Each
+    block adds sum w * norm^(-s/2) in float64.
     """
     if m == -1:
         return 0.0
@@ -253,8 +255,8 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
             f"{kappa * (x + 1) ** k:.2e} points; over budget {_ZP_BUDGET}")
     n2max = int(math.floor(x * x))
     total = 0.0
-    for block in _primitive_norm_blocks(k, n2max):
-        total += float((block ** (-0.5 * s)).sum())
+    for norms, weights in _primitive_norm_blocks(k, n2max):
+        total += float((weights * norms ** (-0.5 * s)).sum())
     return total
 
 

@@ -6,13 +6,21 @@ builds a histogram of base norms and evaluates each distinct norm once.
 
 The histogram of a large base comes from one walk over canonical
 primitive vectors (`_primitive_norm_blocks`); a small one comes from the
-per-vector `_canonical_vectors` stream.  The block walk runs depth-first
-over the leading coordinates and expands each coordinate for a whole
-batch of prefixes at once with numpy, so it yields int64 blocks of at most about _CHUNK
-norms^2 and never holds every prefix.  Each vector gets its own np.gcd
-test: the walk is a genuine enumeration, independent of the Mobius ball
-count it is checked against.  zetaP_numeric sums over the same blocks,
-and count_enum_projective counts them.
+per-vector `_canonical_vectors` stream.  Norm^2 and gcd do not change
+under signs and permutations of the coordinates, so the block walk
+visits one representative per orbit, the nondecreasing vectors
+0 <= u_1 <= ... <= u_dim, and weights each by the number of canonical
+vectors in its orbit.  It runs depth-first over the leading coordinates
+and expands each coordinate for a whole batch of prefixes at once with
+numpy, so it yields int64 blocks of at most about _CHUNK
+(norms^2, weights) and never holds every prefix.  Each representative
+gets its own np.gcd test, and its weight is the closed-form size of its
+orbit: the walk still enumerates the primitive vectors themselves, and
+shares no code with the Mobius sieve over `_ball_count` it is checked
+against, which counts every lattice point of a ball and never tests a
+gcd.  zetaP_numeric sums w * norm^(-s/2) over the same blocks, and
+count_enum_projective sums the weights.  The unfolded stream stays the
+small-walk path and the reference the fold is tested against.
 
 Counts on P^n, and so every F count, come from the Mobius sieve over
 lattice balls (Schanuel 1979): twice N(P^n) is sum over d of
@@ -57,6 +65,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt, log
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
@@ -241,42 +250,69 @@ def enum_projective(n: int, B: Union[int, Fraction]) -> Iterator[ProjectivePoint
         yield ProjectivePoint(vec)
 
 
-def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[np.ndarray]:
-    """int64 blocks of the norms^2 of the canonical primitive vectors in Z^dim
-    with norm^2 <= n2max: the vectors `_canonical_vectors` yields, in blocks.
+def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """int64 blocks (norms^2, weights) that together count the canonical
+    primitive vectors in Z^dim with norm^2 <= n2max, the vectors
+    `_canonical_vectors` yields.
 
-    A prefix is (rem, g, lead): budget left, gcd so far, all zero so far.
-    Each level expands the next coordinate of a slice of prefixes in one
-    ragged arange and recurses slice by slice, so every level holds about
-    _CHUNK prefixes at a time.  The last coordinate gets the gcd test.
+    Norm^2 and gcd do not change under signs and permutations of the
+    coordinates, so the walk visits one representative per orbit, the
+    nondecreasing 0 <= u_1 <= ... <= u_dim, and weights it by the number of
+    canonical vectors in its orbit: 2^(nz - 1) dim! / prod m_j!, with nz
+    nonzero coordinates and runs of m_j equal values.  A prefix is
+    (rem, g, prev, run, w): budget left, gcd so far, last value, length of
+    its run, weight so far.  Level i (from 0) takes u from prev to
+    isqrt(rem // (dim - i)), since the dim - i coordinates left are all at
+    least u, and multiplies w by (i + 1) / run -- which builds the
+    multinomial -- and by 2 for every nonzero u after the first.  Each
+    level expands a slice of prefixes in one ragged arange and recurses
+    slice by slice, so every level holds about _CHUNK prefixes at a time.
+    Each representative gets the gcd test at the last coordinate.
+
+    A weight counts lattice points of the box [-k, k]^dim, k = isqrt(n2max),
+    and so does a histogram entry or the sum of a block's weights: all stay
+    below (2k + 1)^dim, every partial w too (each factor is >= 1), and
+    w * (i + 1) below dim times that.  Where this reaches 2^62 the blocks
+    come from the `_canonical_vectors` stream with weight 1 instead.
     """
     import numpy as np
 
-    def expand(depth, rem, g, lead):
-        top = _iroot_array(rem, 2)
-        lo = np.where(lead, 0, -top)
-        width = top - lo + 1
-        for a, b in _blocks(width):
-            row, y = _ragged_arange(lo[a:b], width[a:b])
-            row += a
-            if depth == dim - 1:
-                yield (n2max - rem[row] + y * y)[np.gcd(g[row], y) == 1]
-            else:
-                yield from expand(depth + 1, rem[row] - y * y,
-                                  np.gcd(g[row], y), lead[row] & (y == 0))
+    if (2 * isqrt(n2max) + 1) ** dim * dim >= _INT64_SAFE:
+        stream = (m for _, m in _canonical_vectors(dim, n2max))
+        while True:
+            norms = np.fromiter(islice(stream, _CHUNK), dtype=np.int64)
+            if not norms.size:
+                return
+            yield norms, np.ones_like(norms)
 
-    yield from expand(0, np.array([n2max], dtype=np.int64),
-                      np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))
+    def expand(depth, rem, g, prev, run, w):
+        top = _iroot_array(rem // (dim - depth), 2)
+        width = top - prev + 1
+        for a, b in _blocks(width):
+            row, u = _ragged_arange(prev[a:b], width[a:b])
+            row += a
+            r = np.where(u == prev[row], run[row] + 1, 1)
+            wu = (w[row] * (depth + 1) // r) << ((u > 0) & (prev[row] > 0))
+            gu = np.gcd(g[row], u)
+            if depth == dim - 1:
+                keep = gu == 1
+                yield n2max - rem[row][keep] + u[keep] * u[keep], wu[keep]
+            else:
+                yield from expand(depth + 1, rem[row] - u * u, gu, u, r, wu)
+
+    zero = np.zeros(1, dtype=np.int64)
+    yield from expand(0, zero + n2max, zero, zero, zero, zero + 1)
 
 
 # Walks bounded by at least this many vectors build the histogram from the
 # numpy blocks, smaller ones from the `_canonical_vectors` stream.  The
 # bound isqrt(n2max)^(n+1) is 1 to 2.5 times below the walk's size for
-# n <= 3.  With numpy loaded (2-vCPU Xeon VM, Python 3.11, numpy 2.4), the
-# stream took 0.060 s for 115k vectors of P^1 and 0.055 s for 156k of P^2,
-# the blocks 0.011 and 0.004 s.  The import costs about 0.15 s, what the
-# stream spends on some 3 * 10^5 vectors; the bound sits lower because a
-# base of that size may still need numpy for its r = 1 rows.
+# n <= 3.  With numpy loaded (2-vCPU Xeon VM, Python 3.11, numpy 2.4, best
+# of 3), the stream took 0.037 s for 115k vectors of P^1, 0.086 s for 272k
+# of P^2 and 0.11 s for 365k of P^3; the folded blocks took 0.003, 0.0014
+# and 0.0005 s.  The import costs about 0.15 s, what the stream spends on
+# some 4 * 10^5 vectors; the bound sits lower because a base of that size
+# may still need numpy for its r = 1 rows.
 _NUMPY_WALK_MIN = 10 ** 5
 
 
@@ -295,19 +331,21 @@ def projective_norm_histogram(n: int, n2max: int) -> dict[int, int]:
     import numpy as np
 
     hist = np.zeros(n2max + 1, dtype=np.int64)
-    for block in _primitive_norm_blocks(n + 1, n2max):
-        np.add.at(hist, block, 1)
+    for norms, weights in _primitive_norm_blocks(n + 1, n2max):
+        np.add.at(hist, norms, weights)
     norms = np.flatnonzero(hist)
     return dict(zip(norms.tolist(), hist[norms].tolist()))
 
 
 def count_enum_projective(n: int, B: Union[int, Fraction]) -> int:
-    """N(P^n, B) by direct enumeration (reference path): the size of the
-    primitive-vector walk, each vector gcd-tested."""
+    """N(P^n, B) by direct enumeration (reference path): the weights of the
+    primitive-vector walk summed, one gcd-tested representative per orbit
+    under signs and permutations."""
     if n < 1:
         raise ValueError("n must be >= 1")
     p, q = _squared_cap(B)
-    return sum(block.size for block in _primitive_norm_blocks(n + 1, p // q))
+    return sum(int(weights.sum())
+               for _, weights in _primitive_norm_blocks(n + 1, p // q))
 
 
 def _ball_count(k: int, m: int) -> int:
@@ -703,23 +741,42 @@ def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
             visited + sum(v for _, v in parts))
 
 
+def _require_big_chain(space: Union[HKVariety, ProjectiveSpace],
+                       bundle: Union[LineBundleClass, int]) -> None:
+    """Raise the NotBigError of the first non-big link of a Whole count,
+    before anything is counted.
+
+    A Whole count on (space, bundle) counts the good open subset of each
+    link of the restrict_to_F chain down to the base, where it ends in a
+    twisted projective count; each link needs its class big, the base a
+    positive twist.  The message is the one that link's count would raise.
+    """
+    while isinstance(space, HKVariety):
+        if not is_big(bundle):
+            raise NotBigError(f"bundle {bundle} is not big on {space}; the count is infinite")
+        space, bundle = restrict_to_F(space, bundle)
+    if int(bundle) <= 0:
+        raise NotBigError(f"twist O({int(bundle)}) on {space} is not big; the count is infinite")
+
+
 def count_hk(req: CountRequest) -> CountResult:
     """Exact N(region, H_L, B).
 
     GoodOpen loops over base norms; SubbundleF reduces through
     restrict_to_F (recursively for r >= 2, down to a twisted projective
-    count for r = 1); Whole is the exact sum of the two.  The result is
-    independent of the thread count: per-chunk integer subtotals are
-    summed, an associative and commutative reduction.
+    count for r = 1); Whole is the exact sum of the two, and checks that
+    every link of the chain is big before it counts any of them.  The
+    result is independent of the thread count: per-chunk integer
+    subtotals are summed, an associative and commutative reduction.
     """
     t0 = time.perf_counter()
     B = Fraction(req.bound)
     space, bundle = req.variety, req.bundle
+    if isinstance(space, ProjectiveSpace) or req.region is Region.WHOLE:
+        _require_big_chain(space, bundle)
 
     if isinstance(space, ProjectiveSpace):
         k = int(bundle)
-        if k <= 0:
-            raise NotBigError(f"twist O({k}) on {space} is not big; the count is infinite")
         p, q = _squared_cap(B)
         # Nq^k <= B^2  <=>  Nq <= iroot(floor(B^2), k)
         n2max = iroot(p // q, k)
@@ -794,10 +851,13 @@ def enum_hk_points(X: HKVariety, L: LineBundleClass, B: Union[int, Fraction],
             continue
         cs, smax = params
         Q = ProjectivePoint(vec)
-        for y in _canonical_qform_vectors(cs, smax):
+        if region is Region.SUBBUNDLE_F:
+            # the y_0 = 0 slice: a canonical (0, y') has y' canonical
+            fibers = ((0, *y) for y in _canonical_qform_vectors(cs[1:], smax))
+        else:
+            fibers = _canonical_qform_vectors(cs, smax)
+        for y in fibers:
             if region is Region.GOOD_OPEN and y[0] == 0:
-                continue
-            if region is Region.SUBBUNDLE_F and y[0] != 0:
                 continue
             yield HKRationalPoint(base=Q, fiber=ProjectivePoint(y))
 

@@ -210,6 +210,13 @@ class TestVerify:
         assert code == EXIT_OK and doc["ok"]
         assert all(c["ok"] for c in doc["suites"]["arakelov"])
 
+    @pytest.mark.parametrize("suite", ["oracle", "integral"])
+    def test_suite_prints_only_pass(self, capsys, suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines and all(ln.startswith("PASS") for ln in lines)
+
     def test_partition_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "partition")
         assert code == EXIT_OK

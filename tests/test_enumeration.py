@@ -85,17 +85,17 @@ class TestPrimitives:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_histogram_equals_python_walk(self, data):
-        # the numpy block walk against the plain per-vector walk; sizes this
-        # small build the histogram from the latter
+        # the folded numpy block walk against the plain per-vector walk;
+        # sizes this small build the histogram from the latter
         n = data.draw(st.integers(1, 3))
         n2max = data.draw(st.integers(0, {1: 3000, 2: 600, 3: 150}[n]))
         expected: dict[int, int] = {}
         for _, m in _canonical_vectors(n + 1, n2max):
             expected[m] = expected.get(m, 0) + 1
         blocks: dict[int, int] = {}
-        for block in _primitive_norm_blocks(n + 1, n2max):
-            for m in block.tolist():
-                blocks[m] = blocks.get(m, 0) + 1
+        for norms, weights in _primitive_norm_blocks(n + 1, n2max):
+            for m, w in zip(norms.tolist(), weights.tolist()):
+                blocks[m] = blocks.get(m, 0) + w
         assert blocks == expected
         hist = projective_norm_histogram(n, n2max)
         assert hist == expected
@@ -112,7 +112,9 @@ class TestPrimitives:
 
     def test_walk_blocks_are_bounded(self):
         n2max = 2 ** 20
-        sizes = [b.size for b in _primitive_norm_blocks(2, n2max)]
+        blocks = list(_primitive_norm_blocks(2, n2max))
+        assert all(norms.shape == weights.shape for norms, weights in blocks)
+        sizes = [norms.size for norms, _ in blocks]
         assert len(sizes) > 1
         assert max(sizes) <= enumeration._CHUNK + 2 * isqrt(n2max) + 1
 
@@ -136,6 +138,74 @@ class TestPrimitives:
         # the _canonical_vectors stream against the block walk's count
         for B in range(1, 13):
             assert len(list(enum_projective(n, B))) == count_enum_projective(n, B)
+
+
+def _stream_histogram(dim, n2max):
+    counts: dict[int, int] = {}
+    for _, m in _canonical_vectors(dim, n2max):
+        counts[m] = counts.get(m, 0) + 1
+    return counts
+
+
+def _fold_histogram(dim, n2max):
+    counts: dict[int, int] = {}
+    for norms, weights in _primitive_norm_blocks(dim, n2max):
+        assert norms.dtype == weights.dtype == np.int64
+        for m, w in zip(norms.tolist(), weights.tolist()):
+            counts[m] = counts.get(m, 0) + w
+    return counts
+
+
+class TestOrbitFold:
+    """The walk over one weighted representative per orbit under signs
+    and permutations, against the unfolded `_canonical_vectors` stream."""
+
+    TOP = {2: 2000, 3: 150, 4: 40, 5: 20, 6: 12}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equals_stream(self, data):
+        dim = data.draw(st.integers(2, 6), label="dim")
+        top = self.TOP[dim]
+        # n2max 0 or 1, a perfect square, j u^2 (plus 0-2: a run of j equal
+        # coordinates u on or just inside the cap), or anything
+        n2max = data.draw(st.one_of(
+            st.sampled_from([0, 1]),
+            st.integers(0, isqrt(top)).map(lambda u: u * u),
+            st.builds(lambda j, u, e: j * u * u + e, st.integers(2, dim),
+                      st.integers(1, isqrt(top // dim)), st.integers(0, 2)),
+            st.integers(0, top)), label="n2max")
+        assert _fold_histogram(dim, n2max) == _stream_histogram(dim, n2max)
+
+    def test_one_representative_per_orbit(self):
+        # Z^3, norm^2 <= 3: (0,0,1) stands for 3 canonical vectors,
+        # (0,1,1) for 3 positions times 2 sign classes, (1,1,1) for 4
+        blocks = list(_primitive_norm_blocks(3, 3))
+        norms = np.concatenate([n for n, _ in blocks]).tolist()
+        weights = np.concatenate([w for _, w in blocks]).tolist()
+        assert sorted(zip(norms, weights)) == [(1, 3), (2, 6), (3, 4)]
+
+    def test_box_over_int64_takes_the_stream(self, monkeypatch):
+        calls = []
+        stream = enumeration._canonical_vectors
+
+        def spy(dim, n2max):
+            calls.append((dim, n2max))
+            return stream(dim, n2max)
+
+        monkeypatch.setattr(enumeration, "_canonical_vectors", spy)
+        # a box of 3^40 >= 2^62 points; and 3^36, where w * (i + 1) can
+        # reach 36 times the box before the division
+        for dim in (40, 36):
+            assert 3 ** dim * dim >= 2 ** 62
+            assert _fold_histogram(dim, 1) == {1: dim}
+            assert calls.pop() == (dim, 1)
+        assert count_enum_projective(39, 1) == 40
+        assert calls.pop() == (40, 1)
+        # high dimension, small norm: the fold runs and equals the stream
+        for dim, n2max in ((35, 1), (30, 3)):
+            assert _fold_histogram(dim, n2max) == _stream_histogram(dim, n2max)
+        assert calls == []
 
 
 def _ball_count_recursive(k, m):
@@ -166,7 +236,7 @@ class TestBallCount:
     def test_equals_recursion_large(self, k, m):
         assert _ball_count(k, m) == _ball_count_recursive(k, m)
 
-    @pytest.mark.parametrize("n, B", [(1, 2000), (2, 150), (3, 40)])
+    @pytest.mark.parametrize("n, B", [(1, 2000), (2, 150), (3, 40), (4, 20)])
     def test_moebius_equals_enumeration(self, n, B):
         assert count_projective_moebius(n, B) == count_enum_projective(n, B)
 
@@ -231,6 +301,49 @@ class TestCountHK:
         with pytest.raises(NotBigError):
             count_hk(CountRequest(X, LineBundleClass(1, 1), Fraction(10),
                                   Region.SUBBUNDLE_F))
+
+    def test_infinite_chain_fails_before_counting(self, monkeypatch):
+        calls = []
+        good_open = enumeration._count_good_open
+        monkeypatch.setattr(enumeration, "_count_good_open",
+                            lambda *a: calls.append(a) or good_open(*a))
+        # the second link of X_4's chain is (3, 1 - 3 * (20 - 4)); its
+        # first link, big, is never counted
+        X = HKVariety(3, 3, (1, 4, 20))
+        for region in (Region.WHOLE, Region.SUBBUNDLE_F):
+            with pytest.raises(NotBigError) as exc:
+                count_hk(CountRequest(X, LineBundleClass(3, 1), Fraction(2),
+                                      region, 1))
+            assert str(exc.value) == ("bundle 3,-47 is not big on 2,3:1,4; "
+                                      "the count is infinite")
+        # the chain ends in the base P^1 with the twist 1 - 1
+        with pytest.raises(NotBigError) as exc:
+            count_hk(CountRequest(HKVariety(1, 2, (1,)), LineBundleClass(1, 1),
+                                  Fraction(3), Region.WHOLE))
+        assert str(exc.value) == "twist O(0) on P^1 is not big; the count is infinite"
+        assert calls == []
+
+    @pytest.mark.parametrize("X, L, B", [
+        (HKVariety(1, 2, (1,)), LineBundleClass(1, 3), 6),
+        (HKVariety(2, 3, (1, 2)), LineBundleClass(2, 5), 4),
+        (HKVariety(2, 2, (0, 1)), LineBundleClass(3, 4), 5),
+        (HKVariety(3, 2, (0, 1, 1)), LineBundleClass(1, 3), Fraction(7, 2)),
+    ], ids=["1,2:1", "2,3:1,2", "2,2:0,1", "3,2:0,1,1"])
+    def test_subbundle_stream_walks_the_slice(self, X, L, B):
+        # reference: walk every fiber vector, keep those with y_0 = 0
+        p, q = _squared_cap(B)
+        want = []
+        for vec, m in _canonical_vectors(X.t, iroot(p // q, L.mu - L.lam * X.a[-1])):
+            params = enumeration._fiber_params(X.fiber_weights, X.a[-1],
+                                               L.lam, L.mu, p, q, m)
+            if params is None:
+                continue
+            want += [HKRationalPoint(base=ProjectivePoint(vec),
+                                     fiber=ProjectivePoint(y))
+                     for y in enumeration._canonical_qform_vectors(*params)
+                     if y[0] == 0]
+        got = list(enum_hk_points(X, L, B, Region.SUBBUNDLE_F))
+        assert want and got == want
 
     def test_thread_determinism(self):
         X = HKVariety(1, 2, (1,))
