@@ -94,12 +94,13 @@ def phi(x: float) -> float:
     return _theta_excess(math.exp(-2.0 * x))
 
 
-def phi_oplus(scales: ScaledLatticeSum, x: float) -> float:
-    """phi of the direct sum +_i (Z, c_i e^{-x}).
+def phi_oplus_check(scales: ScaledLatticeSum, x: float) -> tuple[float, float]:
+    """(phi of the direct sum +_i (Z, c_i e^{-x}), relative gap of its two
+    forms).
 
-    Computed two ways -- the telescoped product prod_i (1 + phi_i) - 1 and
-    the expansion into elementary symmetric polynomials of the phi_i --
-    which must agree to 1e-12 (relative); disagreement raises.
+    The forms are the telescoped product prod_i (1 + phi_i) - 1, which is
+    the value, and the expansion into elementary symmetric polynomials of
+    the phi_i; the gap is |product - symmetric| / max(1, |product|).
     """
     if isinstance(scales, (tuple, list)):
         scales = ScaledLatticeSum(tuple(scales))
@@ -114,10 +115,16 @@ def phi_oplus(scales: ScaledLatticeSum, x: float) -> float:
         coeffs = [c + p * (coeffs[i - 1] if i else 0.0)
                   for i, c in enumerate(coeffs)] + [p * coeffs[-1]]
     symmetric = sum(coeffs[1:])
-    if abs(product - symmetric) > 1e-12 * max(1.0, abs(product)):
-        raise ArithmeticError(
-            f"direct-sum identity violated: {product} vs {symmetric}")
-    return product
+    return product, abs(product - symmetric) / max(1.0, abs(product))
+
+
+def phi_oplus(scales: ScaledLatticeSum, x: float) -> float:
+    """phi of the direct sum +_i (Z, c_i e^{-x}); raises ArithmeticError
+    unless its two forms (`phi_oplus_check`) agree to 1e-12 (relative)."""
+    value, gap = phi_oplus_check(scales, x)
+    if gap > 1e-12:
+        raise ArithmeticError(f"direct-sum identity violated: relative gap {gap:.3e}")
+    return value
 
 
 _X0 = 3.0  # quadrature cutoff; phi decays like e^{-pi e^{-2x}} beyond it

@@ -58,6 +58,23 @@ def _parse_bound(text: str) -> Fraction:
     return bound
 
 
+def _parse_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
+    return value
+
+
+def _parse_tol(text: str) -> float:
+    tol = _parse_finite(text)
+    if tol <= 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text!r}")
+    return tol
+
+
 def _parse_threads(text: str) -> int:
     try:
         threads = int(text)
@@ -109,7 +126,14 @@ def _default_threads(value: Optional[int]) -> int:
 
 
 def _field(args) -> FieldInvariants:
-    return load_invariants(args.field) if args.field else QQ
+    if not args.field:
+        return QQ
+    try:
+        return load_invariants(args.field)
+    except (OSError, ValueError) as exc:
+        # argparse's convention for a bad argument: one line, exit 2
+        print(f"hkcount: error: --field: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE) from None
 
 
 def _pred_record(p: AsymptoticPrediction) -> dict:
@@ -295,9 +319,9 @@ def _suite_arakelov() -> list[dict]:
                    "observed": worst, "tolerance": 1e-12,
                    "ok": worst <= 1e-12})
     scales = (1.0, 0.5, 2.0, 3.7)
-    val = arakelov.phi_oplus(scales, -0.3)  # raises if the two forms differ
+    _, gap = arakelov.phi_oplus_check(scales, -0.3)
     checks.append({"name": "direct-sum identity (product vs symmetric)",
-                   "observed": val, "tolerance": 1e-12, "ok": True})
+                   "observed": gap, "tolerance": 1e-12, "ok": gap <= 1e-12})
     grid = [-5.0 + 0.1 * k for k in range(51)]
     ok, beta = arakelov.geer_schoof_bound_check(grid)
     checks.append({"name": "double-exponential decay bound on phi",
@@ -445,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="zetaP")
     p.add_argument("--m", type=int, default=1,
                    help="projective-space dimension for zetaP")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--s", type=_parse_finite, required=True)
+    p.add_argument("--tol", type=_parse_tol, default=1e-8)
     p.add_argument("--numeric", action="store_true",
                    help="force direct point summation for zetaP")
     p.set_defaults(func=cmd_zeta)

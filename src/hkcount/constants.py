@@ -1,10 +1,10 @@
 """High-precision evaluation of the closed-form asymptotic constants.
 
 Special functions are evaluated in double precision with explicit error
-control: Riemann/Hurwitz zeta by Euler-Maclaurin summation, Gamma via the
-platform Lanczos implementation (validated in the tests against an
-independent high-precision oracle), the quadratic Dirichlet L-function
-L_{-4} through Hurwitz zeta, and the completed zeta xi_K.
+control: Riemann/Hurwitz zeta by Euler-Maclaurin summation, the quadratic
+Dirichlet L-function L_{-4} through Hurwitz zeta, and the completed zeta
+xi_K, whose Gamma factors are math.gamma (the platform implementation,
+validated in the tests against an independent high-precision oracle).
 
 The height zeta function of P^m over Q,
 
@@ -176,13 +176,6 @@ def zeta(s: float) -> float:
     return hurwitz_zeta(s, 1.0)
 
 
-def gamma(s: float) -> float:
-    """Gamma function (platform Lanczos; oracle-validated in the tests)."""
-    if s <= 0:
-        raise DomainError(f"gamma evaluator needs s > 0, got {s}")
-    return math.gamma(s)
-
-
 def L_minus4(s: float) -> float:
     """Dirichlet L-function of the nontrivial character mod 4.
 
@@ -200,9 +193,9 @@ def xi_K(s: float, inv: FieldInvariants = QQ) -> float:
     zk = inv.zeta_k(s) if inv.zeta_k is not None else zeta(s)
     val = zk
     if inv.r1:
-        val *= (0.5 * math.pi ** (-s / 2.0) * gamma(s / 2.0)) ** inv.r1
+        val *= (0.5 * math.pi ** (-s / 2.0) * math.gamma(s / 2.0)) ** inv.r1
     if inv.r2:
-        val *= ((2.0 * math.pi) ** (-s) * gamma(s)) ** inv.r2
+        val *= ((2.0 * math.pi) ** (-s) * math.gamma(s)) ** inv.r2
     return val
 
 

@@ -4,7 +4,12 @@ Counting on the good open subset U factors through the base: the fiber
 count over a base point Q depends only on Nq = H(Q)^2, so the driver
 builds a histogram of base norms and evaluates each distinct norm once.
 
-The histogram of a large base comes from one walk over canonical
+One walk, `_canonical_walk`, streams the canonical primitive vectors of
+a diagonal form sum c_i y_i^2 <= S: with unit weights
+(`_canonical_vectors`) the base points of P^(t-1), with the fiber
+weights the fiber points of the `enum_hk_points` stream.
+
+The histogram of a large base comes from the folded walk over canonical
 primitive vectors (`_primitive_norm_blocks`); a small one comes from the
 per-vector `_canonical_vectors` stream.  Norm^2 and gcd do not change
 under signs and permutations of the coordinates, so the block walk
@@ -214,30 +219,38 @@ def _blocks(width: np.ndarray) -> Iterator[tuple[int, int]]:
 # projective space P^n
 # ---------------------------------------------------------------------------
 
-def _canonical_vectors(dim: int, n2max: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Canonical primitive integer vectors of length dim with norm^2 <= n2max.
+def _canonical_walk(cs: Sequence[int], smax: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Canonical primitive integer vectors y with sum c_i y_i^2 <= smax, for
+    positive integer weights c_i.
 
     Canonical means: gcd 1 and first nonzero coordinate positive.  Yields
-    (vector, norm^2) in deterministic lexicographic order.
+    (y, sum c_i y_i^2) in deterministic lexicographic order.
     """
-    coords = [0] * dim
+    last = len(cs) - 1
+    coords = [0] * len(cs)
 
     def rec(i: int, rem: int, g: int, leading_zero: bool) -> Iterator[tuple[tuple[int, ...], int]]:
-        if i == dim - 1:
-            top = isqrt(rem)
-            lo = 0 if leading_zero else -top
+        ci = cs[i]
+        top = isqrt(rem // ci)
+        lo = 0 if leading_zero else -top
+        if i == last:
+            done = smax - rem
             for y in range(lo, top + 1):
                 if gcd(g, y) == 1:
                     coords[i] = y
-                    yield tuple(coords), n2max - rem + y * y
+                    yield tuple(coords), done + ci * y * y
             return
-        top = isqrt(rem)
-        lo = 0 if leading_zero else -top
         for y in range(lo, top + 1):
             coords[i] = y
-            yield from rec(i + 1, rem - y * y, gcd(g, y), leading_zero and y == 0)
+            yield from rec(i + 1, rem - ci * y * y, gcd(g, y), leading_zero and y == 0)
 
-    yield from rec(0, n2max, 0, True)
+    yield from rec(0, smax, 0, True)
+
+
+def _canonical_vectors(dim: int, n2max: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """`_canonical_walk` with unit weights: canonical primitive vectors of
+    Z^dim with norm^2 <= n2max, as (vector, norm^2)."""
+    return _canonical_walk((1,) * dim, n2max)
 
 
 def enum_projective(n: int, B: Union[int, Fraction]) -> Iterator[ProjectivePoint]:
@@ -804,25 +817,6 @@ def count_hk(req: CountRequest) -> CountResult:
 # streaming / direct oracles (slow paths)
 # ---------------------------------------------------------------------------
 
-def _canonical_qform_vectors(cs: Sequence[int], smax: int) -> Iterator[tuple[int, ...]]:
-    """Canonical primitive y with sum c_i y_i^2 <= smax (all coordinates free)."""
-    dim = len(cs)
-    coords = [0] * dim
-
-    def rec(i: int, rem: int, g: int, leading_zero: bool) -> Iterator[tuple[int, ...]]:
-        if i == dim:
-            if g == 1:
-                yield tuple(coords)
-            return
-        top = isqrt(rem // cs[i])
-        lo = 0 if leading_zero else -top
-        for y in range(lo, top + 1):
-            coords[i] = y
-            yield from rec(i + 1, rem - cs[i] * y * y, gcd(g, y), leading_zero and y == 0)
-
-    yield from rec(0, smax, 0, True)
-
-
 def enum_hk_points(X: HKVariety, L: LineBundleClass, B: Union[int, Fraction],
                    region: Region = Region.WHOLE) -> Iterator[HKRationalPoint]:
     """Stream points of height <= B (slow reference path, used by --stream).
@@ -845,19 +839,18 @@ def enum_hk_points(X: HKVariety, L: LineBundleClass, B: Union[int, Fraction],
             raise NotBigError(f"restriction of {L} to F is not big on {X}")
         base_cap = iroot(p // q, kf) if region is Region.SUBBUNDLE_F else \
             max(iroot(p // q, mu), iroot(p // q, kf))
+    # F walks the y_0 = 0 slice: a canonical (0, y') has y' canonical
+    slice_f = region is Region.SUBBUNDLE_F
     for vec, m in _canonical_vectors(X.t, base_cap):
         params = _fiber_params(weights, ar, lam, mu, p, q, m)
         if params is None:
             continue
         cs, smax = params
         Q = ProjectivePoint(vec)
-        if region is Region.SUBBUNDLE_F:
-            # the y_0 = 0 slice: a canonical (0, y') has y' canonical
-            fibers = ((0, *y) for y in _canonical_qform_vectors(cs[1:], smax))
-        else:
-            fibers = _canonical_qform_vectors(cs, smax)
-        for y in fibers:
-            if region is Region.GOOD_OPEN and y[0] == 0:
+        for y, _ in _canonical_walk(cs[1:] if slice_f else cs, smax):
+            if slice_f:
+                y = (0, *y)
+            elif region is Region.GOOD_OPEN and y[0] == 0:
                 continue
             yield HKRationalPoint(base=Q, fiber=ProjectivePoint(y))
 

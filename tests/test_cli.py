@@ -92,9 +92,18 @@ class TestInputErrors:
         ["count", "--variety", "1,2:1", "--B", "5", "--threads", "0"],
         ["count", "--variety", "1,2:1", "--B", "5", "--threads=-2"],
         ["verify", "--suite", "residue", "--threads", "0"],
+        ["zeta", "--what", "zetaP", "--m", "1", "--s", "6", "--numeric",
+         "--tol", "0"],
+        ["zeta", "--what", "zetaP", "--m", "1", "--s", "6", "--numeric",
+         "--tol=-1"],
+        ["zeta", "--what", "zeta", "--s", "3", "--tol", "inf"],
+        ["zeta", "--what", "zeta", "--s", "nan"],
+        ["zeta", "--what", "zeta", "--s", "inf"],
+        ["zeta", "--what", "xi", "--s=-inf"],
     ], ids=["B-zero", "B-zero-fraction", "B-negative", "grid-zero",
             "grid-negative", "threads-zero", "threads-negative",
-            "verify-threads-zero"])
+            "verify-threads-zero", "tol-zero", "tol-negative", "tol-inf",
+            "s-nan", "s-inf", "s-minus-inf"])
     def test_bad_argument(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -114,6 +123,26 @@ class TestInputErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("hkcount: error: HKCOUNT_THREADS")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--variety", "1,2:1"],
+        ["tables"],
+        ["sweep", "--variety", "1,2:1", "--grid", "2,3", "--threads", "1"],
+        ["zeta", "--what", "xi", "--s", "2"],
+    ], ids=["predict", "tables", "sweep", "zeta"])
+    @pytest.mark.parametrize("content", [None, "r1=1\nno equals sign\n",
+                                         "r1=one\n"],
+                             ids=["missing", "malformed", "bad-value"])
+    def test_bad_field_file(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "field.txt"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--field", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("hkcount: error: --field")
         assert len(err.splitlines()) == 1
 
 
@@ -210,6 +239,20 @@ class TestVerify:
         assert code == EXIT_OK and doc["ok"]
         assert all(c["ok"] for c in doc["suites"]["arakelov"])
 
+    def test_direct_sum_reports_the_gap(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "verify", "--suite", "arakelov",
+                           "--format", "json")
+        direct = json.loads(out)["suites"]["arakelov"][1]
+        assert code == EXIT_OK and direct["name"].startswith("direct-sum")
+        assert 0 <= direct["observed"] <= 1e-12 and direct["ok"]
+        # a mismatch of the two forms is a FAIL line and exit 4
+        monkeypatch.setattr(hkcount.arakelov, "phi_oplus_check",
+                            lambda scales, x: (0.5, 1e-9))
+        code, out, _ = run(capsys, "verify", "--suite", "arakelov")
+        assert code == EXIT_VERIFY
+        assert "FAIL  [arakelov] direct-sum identity" in out
+        assert "observed 1.000e-09" in out
+
     @pytest.mark.parametrize("suite", ["oracle", "integral"])
     def test_suite_prints_only_pass(self, capsys, suite):
         code, out, _ = run(capsys, "verify", "--suite", suite)
@@ -266,3 +309,45 @@ class TestImportCost:
     def test_command_loads_no_numpy(self, argv):
         code = f"from hkcount.cli import main\nmain({argv!r})"
         assert "numpy" not in self.loaded(code)
+
+
+class TestBenchHooks:
+    """The benchmark's tracer wraps module attributes by name; each run
+    here is a fresh interpreter, so a renamed or re-signed hook fails."""
+
+    RUNS = {
+        "oracle": ["verify", "--suite", "oracle"],
+        "count": ["count", "--variety", "1,2:1", "--B", "50", "--region", "x",
+                  "--threads", "1"],
+        "stream": ["count", "--variety", "1,2:1", "--B", "30", "--region", "f",
+                   "--stream"],
+    }
+
+    def trace(self, tmp_path, argv):
+        root = Path(hkcount.__file__).resolve().parents[2]
+        out = tmp_path / "spans.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(root / "src")
+        env.pop("HKCOUNT_THREADS", None)
+        done = subprocess.run(
+            [sys.executable, str(root / "bench" / "tracer.py"), str(out), "--"]
+            + argv, env=env, cwd=root, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(out.read_text())
+        assert doc["rc"] == 0
+        return doc["spans"]
+
+    def test_tracer_records_every_layer(self, tmp_path):
+        spans = {name: self.trace(tmp_path, argv)
+                 for name, argv in self.RUNS.items()}
+        names = {s[0] for run in spans.values() for s in run}
+        assert {"verify.oracle", "enumeration.histogram", "enumeration.moebius",
+                "enumeration.good_open", "heights.stream"} <= names
+        walks = [w for run in spans.values() for s in run
+                 for w in s[4].get("walks", [])]
+        assert walks and all(
+            len(w) == 2 and all(type(v) is int for v in w) for w in walks)
+        # the F stream walks its base once (kf = 1, so norm^2 <= 900);
+        # fibers do not go through the traced base walk
+        assert [w for s in spans["stream"] for w in s[4].get("walks", [])] \
+            == [[2, 900]]

@@ -16,6 +16,7 @@ from hkcount.enumeration import (
     DegenerateFitError,
     _ball_count,
     _canonical_vectors,
+    _canonical_walk,
     _count_r1_batched,
     _floor_div_wide,
     _iroot_array,
@@ -208,6 +209,61 @@ class TestOrbitFold:
         assert calls == []
 
 
+def _canonical_qform_recursive(cs, smax):
+    """Canonical primitive y with sum c_i y_i^2 <= smax, one frame per
+    coordinate and the gcd tested at the end: the fiber walk the weighted
+    `_canonical_walk` replaced."""
+    dim = len(cs)
+    coords = [0] * dim
+
+    def rec(i, rem, g, leading_zero):
+        if i == dim:
+            if g == 1:
+                yield tuple(coords)
+            return
+        top = isqrt(rem // cs[i])
+        lo = 0 if leading_zero else -top
+        for y in range(lo, top + 1):
+            coords[i] = y
+            yield from rec(i + 1, rem - cs[i] * y * y, math.gcd(g, y),
+                           leading_zero and y == 0)
+
+    yield from rec(0, smax, 0, True)
+
+
+def _box_walk(cs, smax):
+    """(y, sum c_i y_i^2) over the box |y_i| <= isqrt(smax // c_i), kept
+    when within smax, gcd 1 and first nonzero coordinate positive."""
+    ranges = [range(-isqrt(smax // c), isqrt(smax // c) + 1) for c in cs]
+    for y in itertools.product(*ranges):
+        s = sum(c * v * v for c, v in zip(cs, y))
+        if s <= smax and _canonical(y):
+            yield y, s
+
+
+class TestCanonicalWalk:
+    """The one canonical walk, weighted for fibers and unit for bases."""
+
+    TOP = {1: 3000, 2: 3000, 3: 300, 4: 40}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equals_recursion_and_box(self, data):
+        cs = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4),
+                       label="cs")
+        smax = data.draw(st.integers(0, self.TOP[len(cs)]), label="smax")
+        got = list(_canonical_walk(cs, smax))
+        assert [y for y, _ in got] == list(_canonical_qform_recursive(cs, smax))
+        assert got == list(_box_walk(cs, smax))
+
+    @pytest.mark.parametrize("dim, n2max", [(1, 5), (2, 0), (2, 1), (2, 500),
+                                            (3, 200), (4, 30), (5, 6)])
+    def test_unit_weights_are_the_base_walk(self, dim, n2max):
+        got = list(_canonical_vectors(dim, n2max))
+        assert got == list(_canonical_walk((1,) * dim, n2max))
+        assert got == list(_box_walk((1,) * dim, n2max))
+
+
 def _ball_count_recursive(k, m):
     """#{v in Z^k : |v|^2 <= m}, one frame per coordinate value: the plain
     recursion the folded kernel replaced."""
@@ -340,7 +396,7 @@ class TestCountHK:
                 continue
             want += [HKRationalPoint(base=ProjectivePoint(vec),
                                      fiber=ProjectivePoint(y))
-                     for y in enumeration._canonical_qform_vectors(*params)
+                     for y in _canonical_qform_recursive(*params)
                      if y[0] == 0]
         got = list(enum_hk_points(X, L, B, Region.SUBBUNDLE_F))
         assert want and got == want
