@@ -296,7 +296,7 @@ def cmd_zeta(args) -> int:
             val = xi_K(args.s, inv)
         else:
             val = L_minus4(args.s)
-    except (ValueError, TooCloseToPoleError) as exc:
+    except (ValueError, OverflowError, TooCloseToPoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     payload = {"what": args.what, "m": args.m, "s": args.s, "value": val}

@@ -164,6 +164,8 @@ def hurwitz_zeta(s: float, a: float = 1.0) -> float:
     fact = 1.0
     xpow = x ** (-s - 1.0)
     for j, b in enumerate(_BERNOULLI, start=1):
+        if xpow == 0.0:
+            break  # x^(-s-2j+1) underflowed, and so does every later term
         fact *= (2 * j - 1) * (2 * j) if j > 1 else 2
         total += float(b) * poch / fact * xpow
         poch *= (s + 2 * j - 1) * (s + 2 * j)
@@ -179,10 +181,15 @@ def zeta(s: float) -> float:
 def L_minus4(s: float) -> float:
     """Dirichlet L-function of the nontrivial character mod 4.
 
-    L_{-4}(s) = 4^{-s} (zeta(s, 1/4) - zeta(s, 3/4)); the two Hurwitz
-    poles at s = 1 cancel, so values just above 1 remain accurate.
+    L_{-4}(s) = 4^{-s} (zeta(s, 1/4) - zeta(s, 3/4))
+              = 1 - 3^{-s} + 4^{-s} (zeta(s, 5/4) - zeta(s, 7/4));
+    the two Hurwitz poles at s = 1 cancel, so values just above 1 remain
+    accurate.  The second form takes the terms 1 and 3^{-s} out of the
+    sums, so no Hurwitz value overflows for large s (zeta(s, 1/4) passes
+    4^s), and L_{-4}(s) tends to 1.
     """
-    return 4.0 ** (-s) * (hurwitz_zeta(s, 0.25) - hurwitz_zeta(s, 0.75))
+    return 1.0 - 3.0 ** (-s) + 4.0 ** (-s) * (hurwitz_zeta(s, 1.25)
+                                             - hurwitz_zeta(s, 1.75))
 
 
 def xi_K(s: float, inv: FieldInvariants = QQ) -> float:
@@ -192,10 +199,14 @@ def xi_K(s: float, inv: FieldInvariants = QQ) -> float:
         raise DomainError(f"xi_K needs s > 1, got {s}")
     zk = inv.zeta_k(s) if inv.zeta_k is not None else zeta(s)
     val = zk
-    if inv.r1:
-        val *= (0.5 * math.pi ** (-s / 2.0) * math.gamma(s / 2.0)) ** inv.r1
-    if inv.r2:
-        val *= ((2.0 * math.pi) ** (-s) * math.gamma(s)) ** inv.r2
+    try:
+        if inv.r1:
+            val *= (0.5 * math.pi ** (-s / 2.0) * math.gamma(s / 2.0)) ** inv.r1
+        if inv.r2:
+            val *= ((2.0 * math.pi) ** (-s) * math.gamma(s)) ** inv.r2
+    except OverflowError as exc:
+        raise OverflowError(
+            f"xi_K({s}) needs a Gamma factor beyond double range") from exc
     return val
 
 
@@ -240,12 +251,17 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
     k = m + 1
     kappa = _kappa_bound(k)
     excess = s - k  # > 0
-    x = (kappa * s / (excess * tol)) ** (1.0 / excess)
-    x = max(x, 2.0)
-    if kappa * (x + 1.0) ** k > _ZP_BUDGET:
+    # x = (kappa s / (excess tol))^(1/excess) and the point count
+    # kappa (x + 1)^k overflow near the pole, so both are logarithms until
+    # the count is known to be within budget
+    log_x = max((math.log(kappa) + math.log(s) - math.log(excess)
+                 - math.log(tol)) / excess, math.log(2.0))
+    log_points = math.log(kappa) + k * (log_x + math.log1p(math.exp(-log_x)))
+    if log_points > math.log(_ZP_BUDGET):
         raise TooCloseToPoleError(
             f"direct summation of Z_(P^{m})({s}) to tol {tol} needs ~"
-            f"{kappa * (x + 1) ** k:.2e} points; over budget {_ZP_BUDGET}")
+            f"10^{log_points / math.log(10):.1f} points; over budget {_ZP_BUDGET}")
+    x = math.exp(log_x)
     n2max = int(math.floor(x * x))
     total = 0.0
     for norms, weights in _primitive_norm_blocks(k, n2max):

@@ -40,16 +40,18 @@ quadratic form sum c_i y_i^2 <= S_max (largest coefficient first), with
 the innermost coordinate resolved by a Mobius/inclusion-exclusion
 coprimality count instead of a per-point gcd.  For r = 1 the fibers of
 all base norms are counted in one batched step (`_count_r1_batched`):
-the parameters (c_0, S_max) are computed in int64 arrays (c_1 = 1), the y_0
-rows of all norms are flattened into blocks of _CHUNK rows, and the
-coprime count of the last coordinate is read off a numpy table of
-squarefree divisors.  The batched step takes only the norms for which
-an int64 guard (`_r1_batch_band`) proves that every intermediate value
-stays below 2^62 (a cap p // q / m^k comes from a two-limb division,
+the parameters (c_0, S_max) are computed in int64 arrays (c_1 = 1), the
+y_0 = 1 rows of all norms are counted in one vector pass (every y_1 is
+coprime to 1), the rows y_0 >= 2 are flattened into blocks of _CHUNK
+rows, and their coprime count of the last coordinate is read off a numpy
+table of squarefree divisors.  The batched step takes only the norms for
+which an int64 guard (`_r1_batch_band`) proves that every intermediate
+value stays below 2^62 (a cap p // q / m^k comes from a two-limb division,
 so p // q may pass 2^62); every other norm, and every r >= 2 count, goes
 through the per-norm Python path with unbounded integers.  All bound
-comparisons are integer-exact, integer roots included (Newton from a
-power-of-two seed); no floating point enters any count.
+comparisons are integer-exact, integer roots included (Newton from above,
+seeded for square roots from a table of isqrt over 16-bit integers and
+otherwise from a power of two); no floating point enters any count.
 
 numpy is imported inside the functions that use it, and the process
 pool only on the pooled branch, so importing this module costs neither.
@@ -163,23 +165,41 @@ _CHUNK = 1 << 14
 _INT64_SAFE = 1 << 62  # every int64 intermediate stays below this
 
 
+@lru_cache(maxsize=None)
+def _root_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(2^0 .. 2^62, isqrt(0 .. 2^16 - 1)) as read-only int64 arrays, built
+    on first use so that importing this module loads no numpy."""
+    import numpy as np
+
+    powers = np.left_shift(1, np.arange(63, dtype=np.int64))
+    r = np.arange(1 << 8, dtype=np.int64)
+    roots = np.repeat(r, 2 * r + 1)  # r repeats over r^2 .. (r + 1)^2 - 1
+    powers.flags.writeable = roots.flags.writeable = False
+    return powers, roots
+
+
 def _iroot_array(n: np.ndarray, k: int) -> np.ndarray:
     """Elementwise floor(n ** (1/k)) of an int64 array with 0 <= n < 2^62.
 
-    Integer Newton from 2^ceil(bits/k), as in `iroot`; x^(k-1) is never
-    formed (n is divided by x k-1 times), so nothing can overflow.
+    Integer Newton from a seed at or above the root, as in `iroot`; x^(k-1)
+    is never formed (n is divided by x k-1 times), so nothing can
+    overflow.  The bit length of n is one search over the powers of two.
+    A square root starts from (isqrt(n >> 2s) + 1) << s, s = max(0,
+    bits - 15) // 2, with isqrt of the top 15 or 16 bits of n read off a
+    table: the seed is above sqrt(n), since n < ((n >> 2s) + 1) 4^s, and
+    within about 2^-7 of it, so Newton takes about 3 rounds instead of 6.
+    Other roots start from 2^ceil(bits/k).
     """
     import numpy as np
 
+    powers, roots = _root_tables()
     n = np.asarray(n, dtype=np.int64)
-    bits = np.zeros_like(n)
-    v = n.copy()
-    for step in (32, 16, 8, 4, 2, 1):
-        big = (v >> step) > 0
-        bits += big * step
-        v = np.where(big, v >> step, v)
-    bits += v > 0
-    x = np.left_shift(1, (bits + k - 1) // k)
+    bits = np.searchsorted(powers, n, side="right")
+    if k == 2:
+        s = np.maximum(bits - 15, 0) // 2
+        x = (roots[n >> 2 * s] + 1) << s
+    else:
+        x = np.left_shift(1, (bits + k - 1) // k)
     m = np.maximum(n, 1)
     while True:
         quot = m
@@ -211,7 +231,9 @@ def _blocks(width: np.ndarray) -> Iterator[tuple[int, int]]:
     if ends.size == 0:
         return
     cuts = np.searchsorted(ends, np.arange(_CHUNK, int(ends[-1]), _CHUNK)) + 1
-    bounds = np.unique(np.concatenate(([0], cuts, [width.size])))
+    bounds = np.concatenate(([0], cuts, [width.size]))
+    # sorted already: drop repeats without np.unique, which imports numpy.ma
+    bounds = bounds[np.diff(bounds, prepend=-1) > 0]
     yield from zip(bounds[:-1].tolist(), bounds[1:].tolist())
 
 
@@ -619,13 +641,16 @@ def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
     """`_fiber_params` and `_count_fiber_good` for r = 1, over int64 arrays.
 
     Counts the norms in `_r1_batch_band` whose fibers have at most
-    _Y0_TABLE_MAX rows.  The y_0 rows of all of them are flattened into
-    blocks; a row's last coordinate runs over |y_1| <= M with
-    M = isqrt(S_max - m^ar y_0^2), and its coprime count is
-    sum over squarefree d | y_0 of mu(d) floor(M/d), read off
-    `_divisor_table`.  Returns (sum of mult * fiber count, rows, done),
-    where done marks the norms counted here; rows is the number of y_0
-    rows, which `_count_fiber_good` reports as rows_visited.
+    _Y0_TABLE_MAX rows.  A row's last coordinate runs over |y_1| <= M with
+    M = isqrt(S_max - m^ar y_0^2).  The y_0 = 1 rows of all norms are one
+    vector pass: every y_1 is coprime to 1, y_1 = 0 included, so such a
+    row counts 2 M + 1 and needs no divisors.  The rows y_0 >= 2 of the
+    norms that have them are flattened into blocks; a row counts y_1 and
+    -y_1 for each 1 <= y_1 <= M coprime to y_0, sum over squarefree
+    d | y_0 of mu(d) floor(M/d), read off `_divisor_table`.  Returns
+    (sum of mult * fiber count, rows, done), where done marks the norms
+    counted here; rows is the number of y_0 rows, both passes together,
+    which `_count_fiber_good` reports as rows_visited.
     """
     import numpy as np
 
@@ -647,24 +672,29 @@ def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
     live = fits & (top0 > 0)
     smax, c0, top0, mult = (a[live] for a in (smax, c0, top0, mult))
     rows = int(top0.sum())
-    if rows == 0:
-        return 0, 0, done
-    start, div, sign = _divisor_table(int(top0.max()))
-    ends = np.cumsum(top0)
-    count = 0
-    for r0 in range(0, rows, _CHUNK):
-        flat = np.arange(r0, min(r0 + _CHUNK, rows), dtype=np.int64)
+    # y0 = 1: every y1 is coprime to it, y1 = 0 included; Python ints,
+    # since mult * count may pass 2^63
+    ones = 2 * _iroot_array(smax - c0, 2) + 1
+    count = sum(map(mul, mult.tolist(), ones.tolist()))
+    more = top0 > 1
+    if not more.any():
+        return count, rows, done
+    smax, c0, mult = smax[more], c0[more], mult[more]
+    width = top0[more] - 1  # the rows y0 = 2 .. top0
+    start, div, sign = _divisor_table(int(width.max()) + 1)
+    ends = np.cumsum(width)
+    nrows = int(ends[-1])
+    for r0 in range(0, nrows, _CHUNK):
+        flat = np.arange(r0, min(r0 + _CHUNK, nrows), dtype=np.int64)
         row = np.searchsorted(ends, flat, side="right")
-        y0 = flat - (ends[row] - top0[row]) + 1
+        y0 = flat - (ends[row] - width[row]) + 2
         last = _iroot_array(smax[row] - c0[row] * y0 * y0, 2)
         ndiv = start[y0 + 1] - start[y0]
         term, j = _ragged_arange(start[y0], ndiv)
         coprime = np.add.reduceat(sign[j] * (last[term] // div[j]),
                                   np.cumsum(ndiv) - ndiv)
-        per_row = 2 * coprime + (y0 == 1)  # y0 = 1 also admits y1 = 0
         heads = np.flatnonzero(np.diff(row, prepend=-1))
-        per_norm = np.add.reduceat(per_row, heads)
-        # Python ints: mult * count may pass 2^63
+        per_norm = 2 * np.add.reduceat(coprime, heads)
         count += sum(map(mul, mult[row[heads]].tolist(), per_norm.tolist()))
     return count, rows, done
 
@@ -689,10 +719,12 @@ def _good_chunk_worker(args: tuple) -> tuple[int, int]:
 
 
 # r = 1 bands over a small base with fewer y_0 rows than this are counted
-# per norm, which needs no numpy.  With numpy loaded (same machine), 11k
-# rows took 0.046 s per norm against 0.009 s batched, and 34k rows 0.20 s
-# against 0.029 s; with the import (about 0.15 s) added to the batched
-# side, the two meet near 3 * 10^4 rows.
+# per norm, which needs no numpy.  With numpy loaded (2-vCPU VM, Python
+# 3.11, numpy 2.4, best of 5; -K twisted to (1, 6) on X_2(1)), 11k rows
+# took 0.031 s per norm against 0.006 s batched, 23k rows 0.069 s against
+# 0.011 s and 30k rows 0.093 s against 0.015 s; with the import (about
+# 0.065 s there) added to the batched side, the two meet near 2.5 * 10^4
+# rows.
 _NUMPY_ROWS_MIN = 2 * 10 ** 4
 
 

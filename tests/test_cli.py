@@ -219,6 +219,32 @@ class TestZeta:
         code, out, _ = run(capsys, "zeta", "--what", "xi", "--s", "2")
         assert float(out.strip()) == pytest.approx(math.pi / 12)
 
+    @pytest.mark.parametrize("argv, value", [
+        (["--what", "zeta", "--s", "1e308"], 1.0),
+        (["--what", "L4", "--s", "1e308"], 1.0),
+        (["--what", "L4", "--s", "1000"], 1.0),
+        (["--what", "zetaP", "--m", "1", "--s", "1e6"], 2.0),
+        (["--what", "zetaP", "--m", "1", "--s", "1e308", "--numeric"], 2.0),
+    ], ids=["zeta", "L4", "L4-1000", "zetaP-closed", "zetaP-numeric"])
+    def test_large_s_gives_the_limit(self, capsys, argv, value):
+        # zeta and L_{-4} round to 1.0 once 2^-s and 3^-s are below half
+        # an ulp of 1; Z_(P^1) keeps its two height-1 points
+        code, out, err = run(capsys, "zeta", *argv)
+        assert (code, float(out), err) == (EXIT_OK, value, "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--what", "xi", "--s", "1e6"], "beyond double range"),
+        (["--what", "xi", "--s", "400"], "beyond double range"),
+        (["--what", "zetaP", "--m", "1", "--s", "2.0000001", "--numeric"],
+         "over budget"),
+        (["--what", "zetaP", "--m", "5", "--s", "6.00001", "--numeric"],
+         "over budget"),
+    ], ids=["xi-1e6", "xi-400", "zetaP-near-pole", "zetaP5-near-pole"])
+    def test_unreachable_value_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "zeta", *argv)
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1 and message in err
+
     def test_pole_is_reported(self, capsys):
         code, _, err = run(capsys, "zeta", "--what", "zetaP", "--m", "1",
                            "--s", "1.5")

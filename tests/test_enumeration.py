@@ -1,9 +1,13 @@
 """Exact counting: enumeration, sieve oracle, fibration counts, fits."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +73,32 @@ class TestPrimitives:
     def test_iroot_array_matches_iroot(self, ns, k):
         got = _iroot_array(np.array(ns, dtype=np.int64), k)
         assert got.tolist() == [iroot(n, k) for n in ns]
+
+    def test_iroot_array_square_roots(self):
+        # the table seed on every 20-bit n, and on the edges of its bit
+        # lengths and of the squares of the int64 roots the r = 1 step
+        # meets (isqrt(2^63 - 1) = 3037000499), up to the top of int64
+        n = np.arange(1 << 20, dtype=np.int64)
+        assert _iroot_array(n, 2).tolist() == [isqrt(v) for v in range(1 << 20)]
+        edges = sorted(
+            v for v in {(1 << j) + d for j in range(64) for d in (-1, 0, 1)}
+            | {r * r + d for r in (2 ** 30, 2 ** 31 - 1, 2 ** 31, 3037000499)
+               for d in (-1, 0, 1)}
+            if v < 2 ** 63)
+        got = _iroot_array(np.array(edges, dtype=np.int64), 2)
+        assert got.tolist() == [isqrt(v) for v in edges]
+
+    def test_blocks_drop_repeated_cuts(self):
+        # a row wider than several blocks puts repeated cuts at one index
+        c = enumeration._CHUNK
+        for width in ([0, 3 * c, 1], [3 * c], [c, c, 0, 0, c + 1], [5, 7], []):
+            slices = list(enumeration._blocks(np.array(width, dtype=np.int64)))
+            if not width:
+                assert slices == []
+                continue
+            starts, stops = zip(*slices)
+            assert starts == (0, *stops[:-1]) and stops[-1] == len(width)
+            assert all(a < b and sum(width[a:b - 1]) <= c for a, b in slices)
 
     def test_mobius_sieve(self):
         # mu(1..12) [DERIVED: textbook values]
@@ -401,12 +431,49 @@ class TestCountHK:
         got = list(enum_hk_points(X, L, B, Region.SUBBUNDLE_F))
         assert want and got == want
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_surface_pin(self, threads):
+        # the count-surface workload of the benchmark: -K on X_2(1), region
+        # U, B = 2^30; the count is the bench/pins.json value
+        X = HKVariety(1, 2, (1,))
+        res = count_hk(CountRequest(X, anticanonical(X), Fraction(2 ** 30),
+                                    Region.GOOD_OPEN, threads))
+        assert (res.count, res.points_visited) == (15435482828, 600987)
+
     def test_thread_determinism(self):
         X = HKVariety(1, 2, (1,))
         L = LineBundleClass(1, 1)
         counts = {count_hk(CountRequest(X, L, Fraction(40), Region.GOOD_OPEN,
                                         threads=k)).count for k in (1, 2, 4)}
         assert len(counts) == 1
+
+
+class TestNumpyImports:
+    def test_numpy_walk_loads_no_numpy_ma(self):
+        # np.unique imports numpy.ma (10-15 ms); a count on the numpy walk
+        # and the batched r = 1 step must not need it
+        code = ("import sys\n"
+                "from fractions import Fraction\n"
+                "from hkcount import enumeration as E\n"
+                "from hkcount.geometry import HKVariety, anticanonical\n"
+                "from hkcount.heights import Region\n"
+                "X = HKVariety(1, 2, (1,))\n"
+                "req = E.CountRequest(X, anticanonical(X), Fraction(2 ** 26),"
+                " Region.GOOD_OPEN, 1)\n"
+                "assert E._numpy_walk(1, E.iroot(2 ** 52, 3))\n"
+                "print(E.count_hk(req).count, 'numpy' in sys.modules,"
+                " 'numpy.ma' in sys.modules)")
+        src = str(Path(enumeration.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        count, numpy, numpy_ma = done.stdout.split()
+        X = HKVariety(1, 2, (1,))
+        assert int(count) == count_hk(CountRequest(
+            X, anticanonical(X), Fraction(2 ** 26), Region.GOOD_OPEN)).count
+        assert (numpy, numpy_ma) == ("True", "False")
 
 
 class TestBatchedFiberStep:
@@ -490,6 +557,37 @@ class TestBatchedFiberStep:
         assert got.tolist() == [P // d for d in ds]
         for d in ds:  # exact multiples: a partial remainder reaches d itself
             assert _floor_div_wide(P // d * d, np.array([d])).tolist() == [P // d]
+
+    def test_every_norm_has_one_row(self):
+        # -K on X_2(1) at B = 2^30: S_max = isqrt(2^60 // m) and c_0 = m, so
+        # m^3 <= 2^60 < 16 m^3 leaves each fiber the one row y_0 = 1, which
+        # the vector pass counts without the divisor table
+        X = HKVariety(1, 2, (1,))
+        L = anticanonical(X)
+        args = (X.fiber_weights, 1, L.lam, L.mu, *_squared_cap(2 ** 30))
+        norms = np.arange(420000, 2 ** 20, 997, dtype=np.int64)
+        for m in norms.tolist():
+            (c0, _), smax = enumeration._fiber_params(*args, m)
+            assert isqrt(smax // c0) == 1
+        self.batched_equals_per_norm(args, norms)
+
+    def test_rows_up_to_the_divisor_table(self):
+        # bundle (1, 1) on X_2(1): the norm m = 1 has S_max = B^2 and
+        # c_0 = 1, so B = 2^17 gives it exactly _Y0_TABLE_MAX rows, and one
+        # more row leaves it to the per-norm path.  Its fiber points are
+        # the canonical primitive vectors of Z^2 with norm^2 <= B^2 other
+        # than (0, 1), counted here by the Mobius sieve.
+        X = HKVariety(1, 2, (1,))
+        top = enumeration._Y0_TABLE_MAX
+        assert top == 1 << 17
+        norm = np.array([1], dtype=np.int64)
+        args = (X.fiber_weights, 1, 1, 1, *_squared_cap(top))
+        count, rows, done = _count_r1_batched(*args, norm, norm + 2)
+        assert done.tolist() == [True] and rows == top
+        assert count == 3 * (enumeration._count_projective_n2(1, top * top) - 1)
+        args = (X.fiber_weights, 1, 1, 1, *_squared_cap(top + 1))
+        count, rows, done = _count_r1_batched(*args, norm, norm)
+        assert (count, rows, done.tolist()) == (0, 0, [False])
 
     def test_rows_beyond_divisor_table_fall_back(self, monkeypatch):
         X = HKVariety(1, 2, (1,))
