@@ -19,6 +19,7 @@ from . import arakelov
 from .constants import (
     QQ,
     AsymptoticPrediction,
+    DomainError,
     FieldInvariants,
     L_minus4,
     TooCloseToPoleError,
@@ -136,6 +137,14 @@ def _field(args) -> FieldInvariants:
         raise SystemExit(EXIT_PARSE) from None
 
 
+def _field_gap(exc: DomainError) -> int:
+    """A value the command needs that the --field file does not supply (a
+    zeta_K sample, or a height zeta over a field other than Q): one line,
+    exit 2, as for a bad file."""
+    print(f"hkcount: error: --field: {exc}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def _pred_record(p: AsymptoticPrediction) -> dict:
     return {
         "a": str(p.a_l),
@@ -161,12 +170,15 @@ def cmd_predict(args) -> int:
     inv = _field(args)
     try:
         main = predict(X, L, inv)
+        strata = stratum_predictions(X, L, inv)
     except NotBigError as exc:
         print(f"infinite: {exc} (the count is infinite on that stratum)",
               file=sys.stderr)
         return EXIT_INFINITE
+    except DomainError as exc:
+        return _field_gap(exc)
     chain = []
-    for sp in stratum_predictions(X, L, inv):
+    for sp in strata:
         entry = {
             "space": str(sp.stratum.space),
             "bundle": str(sp.stratum.bundle),
@@ -228,6 +240,8 @@ def cmd_sweep(args) -> int:
                       else region_prediction(X, L, region, inv))
     except (NotBigError, TooCloseToPoleError):
         prediction = None
+    except DomainError as exc:
+        return _field_gap(exc)
     try:
         rows = sweep(CountRequest(X, L, args.grid[0], region=region,
                                   threads=threads), args.grid, prediction)
@@ -252,8 +266,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_tables(args) -> int:
     inv = _field(args)
-    hz = hirzebruch_table(inv)
-    intro = threefold_intro(inv)
+    try:
+        hz = hirzebruch_table(inv)
+        intro = threefold_intro(inv)
+    except DomainError as exc:
+        return _field_gap(exc)
     cases = threefold_cases()
     payload = {
         "hirzebruch": [{**row, "a_l": str(row["a_l"])} for row in hz],

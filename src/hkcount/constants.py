@@ -21,7 +21,8 @@ has three independent evaluation routes:
   * zetaP_theta -- for any m, the incomplete-gamma (theta/Poisson
     summation) representation of the Epstein zeta function of Z^{m+1},
     divided by 2 zeta(s); fast and accurate to ~1e-12 for every s above
-    the pole.
+    the pole, and the limit m + 1 once the points of height > 1 provably
+    cannot move it.
 """
 from __future__ import annotations
 
@@ -297,6 +298,23 @@ def _shell_counts(k: int, nmax: int) -> list[int]:
     return shells
 
 
+def _height_one_dominates(m: int, s: float) -> bool:
+    """Whether the points of height > 1 provably add less than half an ulp
+    of m + 1 to Z_{P^m}(s), so that the sum rounds to its m + 1 points of
+    height 1.
+
+    With k = m + 1, the heights in [sqrt 2, 2] belong to at most
+    N(P^m, 2) <= kappa 2^k points (`_kappa_bound`), each adding at most
+    2^(-s/2); the heights above 2 add at most kappa s / (s - k) 2^(k - s),
+    the tail bound of `zetaP_numeric` at X = 2.  The test runs in
+    logarithms, so it holds up to the largest double s.
+    """
+    k = m + 1
+    log_tail = (math.log(_kappa_bound(k)) + (k - s / 2) * math.log(2.0)
+                + math.log1p(s / (s - k) * 2.0 ** (-s / 2)))
+    return log_tail < math.log(math.ulp(m + 1.0) / 2)
+
+
 def zetaP_theta(m: int, s: float) -> float:
     """Z_{P^m}(s) through the theta/incomplete-gamma form of the Epstein zeta.
 
@@ -309,6 +327,9 @@ def zetaP_theta(m: int, s: float) -> float:
     with w = s/2, E(w) = sum_{v != 0} (||v||^2)^{-w} and
     G(a, z) = z^{-a} Gamma(a, z).  Terms decay like e^{-pi n}; truncating
     at n = 40 leaves an error below 1e-50.  Then Z = E(s/2) / (2 zeta(s)).
+    Where the points of height > 1 cannot move the double m + 1, that is
+    the value; the 30-digit w - k/2 would round to a pole of Gamma from
+    about s = 1e50 on.
     """
     if m == -1:
         return 0.0
@@ -316,6 +337,8 @@ def zetaP_theta(m: int, s: float) -> float:
         return 1.0
     if s <= m + 1:
         raise DomainError(f"Z_(P^{m}) diverges for s <= {m + 1}")
+    if _height_one_dominates(m, s):
+        return float(m + 1)
     import mpmath as mp
 
     k = m + 1

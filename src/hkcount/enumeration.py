@@ -46,12 +46,13 @@ coprime to 1), the rows y_0 >= 2 are flattened into blocks of _CHUNK
 rows, and their coprime count of the last coordinate is read off a numpy
 table of squarefree divisors.  The batched step takes only the norms for
 which an int64 guard (`_r1_batch_band`) proves that every intermediate
-value stays below 2^62 (a cap p // q / m^k comes from a two-limb division,
-so p // q may pass 2^62); every other norm, and every r >= 2 count, goes
-through the per-norm Python path with unbounded integers.  All bound
-comparisons are integer-exact, integer roots included (Newton from above,
-seeded for square roots from a table of isqrt over 16-bit integers and
-otherwise from a power of two); no floating point enters any count.
+value stays below 2^62 (a cap p // q // m^k with p // q >= 2^62 is divided
+in Python ints and only its quotient enters int64); every other norm, and
+every r >= 2 count, goes through the per-norm Python path with unbounded
+integers.  All bound comparisons are integer-exact, integer roots included
+(Newton from above, seeded for square roots from a table of isqrt over
+16-bit integers and otherwise from a power of two); no floating point
+enters any count.
 
 numpy is imported inside the functions that use it, and the process
 pool only on the pooled branch, so importing this module costs neither.
@@ -571,13 +572,13 @@ def _r1_batch_band(weights: tuple[int, ...], ar: int, lam: int, mu: int,
     and last-coordinate tops are at most the cap, a row counts at most
     2 sqrt(cap) + 1 < 2^32 points, and a block sums at most _CHUNK rows.
     For e < 0 the cap stays below 2^62 from m^-e > P // 2^62 on, which
-    gives the band its lower end; P itself may reach 2^93, the range of
-    `_floor_div_wide`.  lam <= 62 keeps the Newton terms of `_iroot_array`
-    small.  The band is empty (lo > hi) when no norm qualifies.
+    gives the band its lower end; P itself may be any size.  lam <= 62
+    keeps the Newton terms of `_iroot_array` small.  The band is empty
+    (lo > hi) when no norm qualifies.
     """
     top = _INT64_SAFE - 1
     e = lam * ar - mu
-    if len(weights) != 2 or lam > 62 or (q if e >= 0 else p // q >> 31) > top:
+    if len(weights) != 2 or lam > 62 or (e >= 0 and q > top):
         return 1, 0
 
     def largest(base: int, k: int) -> int:
@@ -591,33 +592,6 @@ def _r1_batch_band(weights: tuple[int, ...], ar: int, lam: int, mu: int,
     # smallest m with m^-e > P // 2^62
     lo = iroot(p // q // _INT64_SAFE, -e) + 1
     return lo, min(largest(1, -e), largest(1, ar))
-
-
-def _floor_div_wide(P: int, d: np.ndarray) -> np.ndarray:
-    """P // d for an int P < 2^93 and an int64 array 1 <= d < 2^62 whose
-    quotients are below 2^62, in int64.
-
-    P = hi 2^31 + lo; hi // d and its remainder r < d are int64, and
-    (r 2^31 + lo) // d, which is below 2^31, is one more division where
-    r < 2^31 and a bit-by-bit long division elsewhere.  P < 2^62 gives
-    hi < 2^31, so such a P always takes the two divisions.
-    """
-    import numpy as np
-
-    hi, lo = divmod(P, 1 << 31)
-    quot, r = np.divmod(hi, d)
-    low = np.empty_like(d)
-    narrow = r < 1 << 31
-    low[narrow] = ((r[narrow] << 31) + lo) // d[narrow]
-    r, dw = r[~narrow], d[~narrow]
-    bits = np.zeros_like(dw)
-    for b in range(30, -1, -1):
-        r = (r << 1) | ((lo >> b) & 1)  # r < 2d < 2^63
-        ge = r >= dw
-        r -= dw * ge
-        bits |= ge.astype(np.int64) << b
-    low[~narrow] = bits
-    return (quot << 31) + low
 
 
 def _divisor_table(ymax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -660,10 +634,13 @@ def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
         return 0, 0, done
     m, mult = norms[done], mults[done]
     e = lam * ar - mu
+    P = p // q
     if e >= 0:
         cap = (p * m ** e) // q
-    else:
-        cap = _floor_div_wide(p // q, m ** -e)
+    elif P < _INT64_SAFE:
+        cap = P // m ** -e
+    else:  # the band's lower end keeps these quotients below 2^62
+        cap = np.array([P // d for d in (m ** -e).tolist()], dtype=np.int64)
     smax = _iroot_array(cap, lam)
     c0 = m ** ar
     top0 = _iroot_array(smax // c0, 2)

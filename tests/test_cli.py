@@ -1,4 +1,6 @@
 """CLI contract: subcommands, formats, exit codes, round-trips."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hkcount
 from hkcount.cli import EXIT_INFINITE, EXIT_OK, EXIT_VERIFY, main
@@ -145,6 +149,34 @@ class TestInputErrors:
         assert err.startswith("hkcount: error: --field")
         assert len(err.splitlines()) == 1
 
+    # the example file of README.md: Q(sqrt 5) with the one sample zeta_K(2)
+    README_FIELD = ("# real quadratic field Q(sqrt 5)\nr1=2\nr2=0\nw=2\n"
+                    "absDisc=5\nregulator=0.4812118\nclassNumber=1\n"
+                    "zetaK.2=1.8266976\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["tables"], "no zetaK sample provided for s = 3.0"),
+        (["predict", "--variety", "1,2:1", "--bundle", "1,3"], "zeta_proj"),
+        (["sweep", "--variety", "1,2:1", "--bundle", "1,3", "--grid", "2,4",
+          "--threads", "1"], "zeta_proj"),
+    ], ids=["tables", "predict", "sweep"])
+    def test_field_lacks_a_needed_value(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "field.txt"
+        path.write_text(self.README_FIELD)
+        code, out, err = run(capsys, *argv, "--field", str(path))
+        assert (code, out) == (2, "")
+        err = err.strip()
+        assert err.startswith("hkcount: error: --field:") and message in err
+        assert len(err.splitlines()) == 1
+
+    def test_field_sample_is_used(self, capsys, tmp_path):
+        # the anticanonical surface needs only xi_K(2), which the file has
+        path = tmp_path / "field.txt"
+        path.write_text(self.README_FIELD)
+        code, out, err = run(capsys, "predict", "--variety", "1,2:1",
+                             "--field", str(path))
+        assert (code, err) == (EXIT_OK, "") and "C = " in out
+
 
 class TestSweep:
     def test_csv_header_and_ratio(self, capsys):
@@ -225,10 +257,13 @@ class TestZeta:
         (["--what", "L4", "--s", "1000"], 1.0),
         (["--what", "zetaP", "--m", "1", "--s", "1e6"], 2.0),
         (["--what", "zetaP", "--m", "1", "--s", "1e308", "--numeric"], 2.0),
-    ], ids=["zeta", "L4", "L4-1000", "zetaP-closed", "zetaP-numeric"])
+        (["--what", "zetaP", "--m", "2", "--s", "1e308"], 3.0),
+        (["--what", "zetaP", "--m", "4", "--s", "1e308"], 5.0),
+    ], ids=["zeta", "L4", "L4-1000", "zetaP-closed", "zetaP-numeric",
+            "zetaP2-theta", "zetaP4-theta"])
     def test_large_s_gives_the_limit(self, capsys, argv, value):
         # zeta and L_{-4} round to 1.0 once 2^-s and 3^-s are below half
-        # an ulp of 1; Z_(P^1) keeps its two height-1 points
+        # an ulp of 1; Z_(P^m) keeps its m + 1 height-1 points
         code, out, err = run(capsys, "zeta", *argv)
         assert (code, float(out), err) == (EXIT_OK, value, "")
 
@@ -244,6 +279,28 @@ class TestZeta:
         code, out, err = run(capsys, "zeta", *argv)
         assert (code, out) == (2, "")
         assert len(err.strip().splitlines()) == 1 and message in err
+
+    # the reasons README.md gives for an exit 2 of zeta
+    REASONS = ("diverges", "over budget", "beyond double range")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.floats(0, 1))
+    def test_zetap_exit_contract(self, m, u):
+        # s log-uniform from just above the pole to 1e308: the value counts
+        # the m + 1 points of height 1, or a documented reason exits 2
+        lo = m + 1 + 1e-6
+        s = max(lo * (1e308 / lo) ** u, lo)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["zeta", "--what", "zetaP", "--m", str(m),
+                         "--s", repr(s)])
+        if code == EXIT_OK:
+            value = float(out.getvalue())
+            assert math.isfinite(value) and value >= m + 1
+        else:
+            lines = err.getvalue().splitlines()
+            assert (code, out.getvalue(), len(lines)) == (2, "", 1)
+            assert any(reason in lines[0] for reason in self.REASONS)
 
     def test_pole_is_reported(self, capsys):
         code, _, err = run(capsys, "zeta", "--what", "zetaP", "--m", "1",

@@ -22,7 +22,6 @@ from hkcount.enumeration import (
     _canonical_vectors,
     _canonical_walk,
     _count_r1_batched,
-    _floor_div_wide,
     _iroot_array,
     _mobius_sieve,
     _primitive_norm_blocks,
@@ -518,10 +517,26 @@ class TestBatchedFiberStep:
         assert (count, rows) == enumeration._good_chunk_worker(
             (*args, norms.tolist(), mults.tolist()))
 
+    @pytest.mark.parametrize("B, lo", [(Fraction(3 * 2 ** 31 - 1, 3), 1),
+                                       (2 ** 31, 2)],
+                             ids=["int64", "python-int"])
+    def test_cap_on_both_sides_of_int64(self, B, lo):
+        # -K on X_2(1): the cap is P // m, P = p // q.  B = (3 2^31 - 1)/3
+        # (q = 9) leaves P just below 2^62, one int64 division for every
+        # norm; B = 2^31 gives P = 2^62, divided in Python ints from m = 2
+        X = HKVariety(1, 2, (1,))
+        L = anticanonical(X)
+        p, q = _squared_cap(B)
+        assert (p // q < 2 ** 62, q) == ((True, 9) if lo == 1 else (False, 1))
+        args = (X.fiber_weights, 1, L.lam, L.mu, p, q)
+        assert enumeration._r1_batch_band(*args)[0] == lo
+        self.batched_equals_per_norm(args, np.concatenate(
+            [np.arange(lo, lo + 6), np.arange(10 ** 6, 2 ** 21, 9973)]))
+
     @pytest.mark.parametrize("B, per_norm", [(2 ** 31, 1), (2 ** 32, 4)])
-    def test_two_limb_cap(self, B, per_norm):
+    def test_cap_beyond_int64(self, B, per_norm):
         # B^2 >= 2^62: the cap P // m of -K on X_2(1) (P = B^2) is divided
-        # in two limbs; it reaches 2^62 for m <= P // 2^62, which is left
+        # in Python ints; it reaches 2^62 for m <= P // 2^62, which is left
         # to the per-norm path
         X = HKVariety(1, 2, (1,))
         L = anticanonical(X)
@@ -531,32 +546,28 @@ class TestBatchedFiberStep:
         assert done.tolist() == [False] * per_norm + [True] * (10 - per_norm)
         self.batched_equals_per_norm(args, np.arange(1000, 1100))
 
-    def test_two_limb_cap_wide_divisor(self):
-        # bundle (1, 3): the cap is P // m^2, and m^2 passes 2^31 at
-        # m = 46341, where the second limb is divided bit by bit
+    def test_cap_beyond_int64_square_divisor(self):
+        # bundle (1, 3): the cap is P // m^2 with P = 2^64, divided in
+        # Python ints, here with divisors m^2 of 31 bits and more
         X = HKVariety(1, 2, (1,))
         args = (X.fiber_weights, 1, 1, 3, *_squared_cap(2 ** 32))
         assert enumeration._r1_batch_band(*args)[0] == 3  # 2^64 // 2^62 < 3^2
         self.batched_equals_per_norm(args, np.arange(46000, 47000, 10))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_floor_div_wide(self, data):
-        def bits(lo, hi):  # an integer of a drawn bit length in [lo, hi]
-            return st.integers(lo, hi).flatmap(
-                lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
-
-        # P < 2^62 included: the batched r = 1 step divides every cap here
-        P = data.draw(bits(1, 93))
-        # every d > P // 2^62 keeps the quotient below 2^62; the sizes run
-        # on both sides of 2^31, so for P >= 2^62 both the one-step and the
-        # bitwise division of the second limb run
-        ds = data.draw(st.lists(bits(1, 62), min_size=1, max_size=20))
-        ds = [d for d in ds if P // d < 2 ** 62] or [2 ** 62 - 1]
-        got = _floor_div_wide(P, np.array(ds, dtype=np.int64))
-        assert got.tolist() == [P // d for d in ds]
-        for d in ds:  # exact multiples: a partial remainder reaches d itself
-            assert _floor_div_wide(P // d * d, np.array([d])).tolist() == [P // d]
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 120).flatmap(
+               lambda b: st.integers(1 << (b - 1), (1 << b) - 1)),
+           st.integers(-3, -1), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 10), st.data())
+    def test_band_keeps_caps_below_int64(self, P, e, lam, ar, q, data):
+        # for e < 0 the band starts at the first m with P // m^-e < 2^62,
+        # so the quotients the batched step turns into int64 are exact
+        p = P * q + data.draw(st.integers(0, q - 1))
+        weights = HKVariety(1, 2, (ar,)).fiber_weights
+        lo = enumeration._r1_batch_band(weights, ar, lam, lam * ar - e,
+                                        p, q)[0]
+        assert P // lo ** -e < 2 ** 62
+        assert lo == 1 or P // (lo - 1) ** -e >= 2 ** 62
 
     def test_every_norm_has_one_row(self):
         # -K on X_2(1) at B = 2^30: S_max = isqrt(2^60 // m) and c_0 = m, so
