@@ -177,6 +177,9 @@ def cmd_predict(args) -> int:
         return EXIT_INFINITE
     except DomainError as exc:
         return _field_gap(exc)
+    except OverflowError as exc:  # a xi_K beyond double range, as in zeta
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     chain = []
     for sp in strata:
         entry = {
@@ -238,7 +241,7 @@ def cmd_sweep(args) -> int:
     try:
         prediction = (None if args.no_predict
                       else region_prediction(X, L, region, inv))
-    except (NotBigError, TooCloseToPoleError):
+    except (NotBigError, TooCloseToPoleError, OverflowError):
         prediction = None
     except DomainError as exc:
         return _field_gap(exc)

@@ -44,7 +44,7 @@ from .geometry import (
     exponents,
     restrict_to_F,
 )
-from .heights import Region
+from .heights import Region, region_strata
 
 
 class DomainError(ValueError):
@@ -218,15 +218,16 @@ def xi_K(s: float, inv: FieldInvariants = QQ) -> float:
 _ZP_BUDGET = 20_000_000  # max points the direct summation may enumerate
 
 
-def _kappa_bound(k: int) -> float:
-    """Safe over-estimate kappa with N(P^{k-1}, H) <= kappa H^k for H >= 2.
+def _log_kappa(k: int) -> float:
+    """log kappa, kappa a safe over-estimate with N(P^{k-1}, H) <= kappa H^k
+    for H >= 2, finite for every k.
 
     Each lattice point owns a unit cube inside the ball of radius
     H + sqrt(k)/2, so the count of nonzero lattice vectors is at most
     V_k (H + sqrt(k)/2)^k; canonical primitive points are at most half.
     """
-    vk = math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
-    return vk * (1.0 + math.sqrt(k) / 4.0) ** k / 2.0
+    return (k / 2.0 * math.log(math.pi) - math.lgamma(k / 2.0 + 1.0)
+            + k * math.log1p(math.sqrt(k) / 4.0) - math.log(2.0))
 
 
 def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
@@ -250,14 +251,14 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
     if s <= m + 1:
         raise DomainError(f"Z_(P^{m}) diverges for s <= {m + 1}")
     k = m + 1
-    kappa = _kappa_bound(k)
+    log_kappa = _log_kappa(k)
     excess = s - k  # > 0
     # x = (kappa s / (excess tol))^(1/excess) and the point count
     # kappa (x + 1)^k overflow near the pole, so both are logarithms until
     # the count is known to be within budget
-    log_x = max((math.log(kappa) + math.log(s) - math.log(excess)
+    log_x = max((log_kappa + math.log(s) - math.log(excess)
                  - math.log(tol)) / excess, math.log(2.0))
-    log_points = math.log(kappa) + k * (log_x + math.log1p(math.exp(-log_x)))
+    log_points = log_kappa + k * (log_x + math.log1p(math.exp(-log_x)))
     if log_points > math.log(_ZP_BUDGET):
         raise TooCloseToPoleError(
             f"direct summation of Z_(P^{m})({s}) to tol {tol} needs ~"
@@ -304,13 +305,13 @@ def _height_one_dominates(m: int, s: float) -> bool:
     height 1.
 
     With k = m + 1, the heights in [sqrt 2, 2] belong to at most
-    N(P^m, 2) <= kappa 2^k points (`_kappa_bound`), each adding at most
+    N(P^m, 2) <= kappa 2^k points (`_log_kappa`), each adding at most
     2^(-s/2); the heights above 2 add at most kappa s / (s - k) 2^(k - s),
     the tail bound of `zetaP_numeric` at X = 2.  The test runs in
     logarithms, so it holds up to the largest double s.
     """
     k = m + 1
-    log_tail = (math.log(_kappa_bound(k)) + (k - s / 2) * math.log(2.0)
+    log_tail = (_log_kappa(k) + (k - s / 2) * math.log(2.0)
                 + math.log1p(s / (s - k) * 2.0 ** (-s / 2)))
     return log_tail < math.log(math.ulp(m + 1.0) / 2)
 
@@ -562,13 +563,8 @@ def region_prediction(X: HKVariety, L: LineBundleClass, region: Region,
     strata, those with the largest (a, log exponent), whose constants add.
     None when a stratum of the region is infinite or none has a prediction.
     """
-    chain = decompose(X, L)
-    if region is Region.GOOD_OPEN:
-        chain = chain[:1]
-    elif region is Region.SUBBUNDLE_F:
-        chain = chain[1:]
     preds = []
-    for st in chain:
+    for st in region_strata(X, L, region):
         sp = _stratum_prediction(st, inv)
         if sp.note == "infinite":
             return None
@@ -621,9 +617,9 @@ def threefold_intro(inv: FieldInvariants = QQ) -> dict:
 def threefold_cases() -> list[dict]:
     """Bigness/comparison verdicts for X_3(a1,a2) at -K over parameter regions.
 
-    Each row takes a representative (a1, a2), restricts -K down the chain
-    and reports which strata are infinite and how the finite growth orders
-    compare.
+    Each row takes a representative (a1, a2), reads the big flags of the
+    two later strata of -K's chain (L' on the middle stratum, the twist on
+    the terminal P^1) and reports how the finite growth orders compare.
     """
     regions = [
         ("(a1,a2)=(0,0)", (0, 0)),
@@ -635,19 +631,11 @@ def threefold_cases() -> list[dict]:
     rows = []
     for label, (a1, a2) in regions:
         X = HKVariety(2, 2, (a1, a2))
-        L = anticanonical(X)
-        Xp, Lp = restrict_to_F(X, L)
-        Pn, twist = restrict_to_F(Xp, Lp)
-        l_big = Lp.lam > 0 and Lp.mu > 0
-        m_big = twist > 0
-        growths = []
-        for name, pred in zip(("U", "U'", "F'"), stratum_predictions(X, L)):
-            if pred.prediction is None:
-                growths.append((name, pred.note))
-            else:
-                p = pred.prediction
-                g = f"B^{p.a_l}" + (" log B" * p.log_exponent)
-                growths.append((name, g))
-        rows.append({"case": label, "rep": (a1, a2), "L_big": l_big,
-                     "M_big": m_big, "growth": growths})
+        preds = stratum_predictions(X, anticanonical(X))
+        growths = [(name, sp.note if sp.prediction is None else
+                    f"B^{sp.prediction.a_l}" + " log B" * sp.prediction.log_exponent)
+                   for name, sp in zip(("U", "U'", "F'"), preds)]
+        rows.append({"case": label, "rep": (a1, a2),
+                     "L_big": preds[1].stratum.big,
+                     "M_big": preds[2].stratum.big, "growth": growths})
     return rows

@@ -63,9 +63,9 @@ r = 1 band with fewer than _NUMPY_ROWS_MIN y_0 rows is counted per norm
 in the calling process.  Both choices depend only on the input's size,
 and both sides give the same counts.  Bigness is checked before either.
 
-Counts on the subbundle F are always computed by reduction through
-restrict_to_F (so the restriction lemmas are exercised on every F count);
-the direct F enumeration below exists solely as a test oracle.
+A count sums the strata of its region (`region_strata`), so every F
+count runs on the restricted classes and exercises the restriction
+lemmas; the `enum_hk_points` stream walks F directly, as a test oracle.
 """
 from __future__ import annotations
 
@@ -81,15 +81,8 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 if TYPE_CHECKING:
     import numpy as np
 
-from .geometry import (
-    HKVariety,
-    LineBundleClass,
-    NotBigError,
-    ProjectiveSpace,
-    is_big,
-    restrict_to_F,
-)
-from .heights import HKRationalPoint, ProjectivePoint, Region
+from .geometry import HKVariety, LineBundleClass, NotBigError, ProjectiveSpace, Stratum
+from .heights import HKRationalPoint, ProjectivePoint, Region, height_L_sq, region_strata
 
 
 class DegenerateFitError(ValueError):
@@ -723,8 +716,6 @@ def _few_rows_band(args: tuple, hist: dict[int, int]) -> Optional[tuple[int, int
 
 def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
                      threads: int) -> tuple[int, int]:
-    if not is_big(L):
-        raise NotBigError(f"bundle {L} is not big on {X}; the count is infinite")
     p, q = _squared_cap(B)
     # On U the fiber height is >= 1, so Nq^mu <= B^2 bounds the base.
     n2max = iroot(p // q, L.mu)
@@ -763,63 +754,41 @@ def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
             visited + sum(v for _, v in parts))
 
 
-def _require_big_chain(space: Union[HKVariety, ProjectiveSpace],
-                       bundle: Union[LineBundleClass, int]) -> None:
-    """Raise the NotBigError of the first non-big link of a Whole count,
-    before anything is counted.
-
-    A Whole count on (space, bundle) counts the good open subset of each
-    link of the restrict_to_F chain down to the base, where it ends in a
-    twisted projective count; each link needs its class big, the base a
-    positive twist.  The message is the one that link's count would raise.
-    """
-    while isinstance(space, HKVariety):
-        if not is_big(bundle):
-            raise NotBigError(f"bundle {bundle} is not big on {space}; the count is infinite")
-        space, bundle = restrict_to_F(space, bundle)
-    if int(bundle) <= 0:
-        raise NotBigError(f"twist O({int(bundle)}) on {space} is not big; the count is infinite")
+def _finite_strata(space: Union[HKVariety, ProjectiveSpace],
+                   bundle: Union[LineBundleClass, int],
+                   region: Region) -> tuple[Stratum, ...]:
+    """`region_strata`, after raising the NotBigError of the first stratum
+    that is not big: it has infinitely many points of bounded height."""
+    strata = region_strata(space, bundle, region)
+    for st in strata:
+        if not st.big:
+            raise NotBigError((f"twist O({int(st.bundle)}) on {st.space} is not big"
+                               if isinstance(st.space, ProjectiveSpace) else
+                               f"bundle {st.bundle} is not big on {st.space}")
+                              + "; the count is infinite")
+    return strata
 
 
 def count_hk(req: CountRequest) -> CountResult:
-    """Exact N(region, H_L, B).
-
-    GoodOpen loops over base norms; SubbundleF reduces through
-    restrict_to_F (recursively for r >= 2, down to a twisted projective
-    count for r = 1); Whole is the exact sum of the two, and checks that
-    every link of the chain is big before it counts any of them.  The
-    result is independent of the thread count: per-chunk integer
-    subtotals are summed, an associative and commutative reduction.
+    """Exact N(region, H_L, B), summed over the strata of the region, all
+    checked big first: an open stratum loops over base norms, the terminal
+    twisted P^n is the Mobius sieve.  The result is independent of the
+    thread count: per-chunk integer subtotals are summed, an associative
+    and commutative reduction.
     """
     t0 = time.perf_counter()
     B = Fraction(req.bound)
-    space, bundle = req.variety, req.bundle
-    if isinstance(space, ProjectiveSpace) or req.region is Region.WHOLE:
-        _require_big_chain(space, bundle)
-
-    if isinstance(space, ProjectiveSpace):
-        k = int(bundle)
-        p, q = _squared_cap(B)
-        # Nq^k <= B^2  <=>  Nq <= iroot(floor(B^2), k)
-        n2max = iroot(p // q, k)
-        c = _count_projective_n2(space.n, n2max)
-        return CountResult(c, time.perf_counter() - t0, c)
-
-    assert isinstance(space, HKVariety) and isinstance(bundle, LineBundleClass)
-    if req.region is Region.GOOD_OPEN:
-        c, v = _count_good_open(space, bundle, B, req.threads)
-        return CountResult(c, time.perf_counter() - t0, v)
-    if req.region is Region.SUBBUNDLE_F:
-        sub_space, sub_bundle = restrict_to_F(space, bundle)
-        sub = count_hk(CountRequest(sub_space, sub_bundle, B,
-                                    Region.WHOLE, req.threads))
-        return CountResult(sub.count, time.perf_counter() - t0, sub.points_visited)
-    # Whole = GoodOpen + SubbundleF, exact partition
-    good, visited = _count_good_open(space, bundle, B, req.threads)
-    sub_space, sub_bundle = restrict_to_F(space, bundle)
-    sub = count_hk(CountRequest(sub_space, sub_bundle, B, Region.WHOLE, req.threads))
-    return CountResult(good + sub.count, time.perf_counter() - t0,
-                       visited + sub.points_visited)
+    count = visited = 0
+    for st in _finite_strata(req.variety, req.bundle, req.region):
+        if st.open_part:
+            c, v = _count_good_open(st.space, st.bundle, B, req.threads)
+        else:
+            p, q = _squared_cap(B)
+            # Nq^k <= B^2  <=>  Nq <= iroot(floor(B^2), k)
+            c = v = _count_projective_n2(st.space.n, iroot(p // q, int(st.bundle)))
+        count += c
+        visited += v
+    return CountResult(count, time.perf_counter() - t0, visited)
 
 
 # ---------------------------------------------------------------------------
@@ -830,12 +799,11 @@ def enum_hk_points(X: HKVariety, L: LineBundleClass, B: Union[int, Fraction],
                    region: Region = Region.WHOLE) -> Iterator[HKRationalPoint]:
     """Stream points of height <= B (slow reference path, used by --stream).
 
-    For region Whole / SubbundleF the bigness of the restricted bundle is
-    required, otherwise the stream would be infinite.
+    The region's strata must be big, as for `count_hk`, otherwise the
+    stream would be infinite; F is walked as the y_0 = 0 slice.
     """
+    _finite_strata(X, L, region)
     B = Fraction(B)
-    if region in (Region.GOOD_OPEN, Region.WHOLE) and not is_big(L):
-        raise NotBigError(f"bundle {L} is not big on {X}")
     p, q = _squared_cap(B)
     lam, mu = L.lam, L.mu
     ar = X.a[-1]
@@ -844,18 +812,23 @@ def enum_hk_points(X: HKVariety, L: LineBundleClass, B: Union[int, Fraction],
         base_cap = iroot(p // q, mu)
     else:
         kf = mu - lam * ar  # height exponent of the smallest-weight F direction
-        if kf <= 0:
-            raise NotBigError(f"restriction of {L} to F is not big on {X}")
         base_cap = iroot(p // q, kf) if region is Region.SUBBUNDLE_F else \
             max(iroot(p // q, mu), iroot(p // q, kf))
     # F walks the y_0 = 0 slice: a canonical (0, y') has y' canonical
     slice_f = region is Region.SUBBUNDLE_F
     for vec, m in _canonical_vectors(X.t, base_cap):
+        Q = ProjectivePoint(vec)
+        if lam <= 0:
+            # only F of r = 1 is finite here: its slice is the one point
+            # (0 : 1), and S^lam cannot be cleared, so test it exactly
+            P = HKRationalPoint(base=Q, fiber=ProjectivePoint((0, 1)))
+            if height_L_sq(X, L, P) <= B * B:
+                yield P
+            continue
         params = _fiber_params(weights, ar, lam, mu, p, q, m)
         if params is None:
             continue
         cs, smax = params
-        Q = ProjectivePoint(vec)
         for y, _ in _canonical_walk(cs[1:] if slice_f else cs, smax):
             if slice_f:
                 y = (0, *y)

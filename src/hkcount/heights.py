@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Union
 
-from .geometry import HKVariety, LineBundleClass
+from .geometry import HKVariety, LineBundleClass, ProjectiveSpace, Stratum, decompose
 
 
 class AllZeroError(ValueError):
@@ -153,6 +153,21 @@ def height_le(X: HKVariety, L: LineBundleClass, P: HKRationalPoint,
 def region_of(P: HKRationalPoint) -> Region:
     """GoodOpen iff the distinguished fiber coordinate y_0 is nonzero."""
     return Region.GOOD_OPEN if P.fiber.coords[0] != 0 else Region.SUBBUNDLE_F
+
+
+def region_strata(space: Union[HKVariety, ProjectiveSpace],
+                  bundle: Union[LineBundleClass, int],
+                  region: Region) -> tuple[Stratum, ...]:
+    """The strata of `decompose` whose disjoint union is `region`: GoodOpen
+    the first, SubbundleF the later ones, Whole all; P^n is its own one."""
+    if isinstance(space, ProjectiveSpace):
+        return (Stratum(space, bundle, open_part=False, big=int(bundle) > 0),)
+    chain = decompose(space, bundle)
+    if region is Region.GOOD_OPEN:
+        return chain[:1]
+    if region is Region.SUBBUNDLE_F:
+        return chain[1:]
+    return chain
 
 
 _POINT_RE = re.compile(r"\s*\[([^\]]*)\]\s*;\s*\[([^\]]*)\]\s*")

@@ -52,6 +52,14 @@ class TestPredict:
             main(["predict", "--variety", "nonsense", "--bundle", "1,1"])
         assert exc.value.code == 2
 
+    def test_xi_beyond_double_range_exits_2(self, capsys):
+        # a = 3 (1 + 400) / 1 puts xi_K(1199) in the constant
+        code, out, err = run(capsys, "predict", "--variety", "1,2:1",
+                             "--bundle", "400,1")
+        assert (code, out) == (2, "")
+        assert err == ("error: xi_K(1199.0) needs a Gamma factor beyond "
+                       "double range\n")
+
 
 class TestCount:
     def test_good_open_at_height_one(self, capsys):
@@ -82,6 +90,33 @@ class TestCount:
         lines = [ln for ln in out.splitlines() if ln]
         assert len(lines) == 2
         assert all(";" in ln for ln in lines)
+
+    def test_stream_f_without_a_relative_class(self, capsys):
+        # lam = 0: F of 1,2:1 is P^1 with the twist 5, each base point
+        # carries the one F point (0 : 1), of height Nq^(5/2) <= 30
+        code, out, _ = run(capsys, "count", "--variety", "1,2:1",
+                           "--bundle=0,5", "--B", "30", "--region", "f",
+                           "--format", "json")
+        assert (code, json.loads(out)["count"]) == (EXIT_OK, 4)
+        code, out, err = run(capsys, "count", "--variety", "1,2:1",
+                             "--bundle=0,5", "--B", "30", "--region", "f",
+                             "--stream")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == ["[0:1];[0:1]", "[1:-1];[0:1]",
+                                    "[1:0];[0:1]", "[1:1];[0:1]"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--variety", "2,2:0,1", "--bundle=0,5", "--B", "3", "--region", "f"],
+        ["--variety", "1,2:1", "--bundle", "2,0", "--B", "3", "--region", "f"],
+        ["--variety", "1,2:1", "--bundle", "0,5", "--B", "3", "--region", "u"],
+        ["--variety", "2,2:0,3", "--bundle", "2,5", "--B", "3", "--region", "x"],
+    ], ids=["F-lam-0", "F-twist", "U", "whole-middle"])
+    def test_stream_infinite_message_is_counts(self, capsys, argv):
+        code, out, err = run(capsys, "count", *argv)
+        assert (code, out) == (EXIT_INFINITE, "")
+        assert err.startswith("infinite: ") and err.endswith(
+            "the count is infinite\n")
+        assert run(capsys, "count", *argv, "--stream") == (code, out, err)
 
 
 class TestInputErrors:
@@ -213,6 +248,13 @@ class TestSweep:
         assert float(last[2]) == pytest.approx(3 / math.pi * 100 ** 2)
         assert abs(float(last[3]) - 1.0) < 0.01
 
+    def test_xi_beyond_double_range_leaves_predictions_empty(self, capsys):
+        code, out, err = run(capsys, "sweep", "--variety", "1,2:1",
+                             "--bundle", "400,1", "--grid", "2,3",
+                             "--region", "u", "--threads", "1")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == ["B,count,predicted,ratio", "2,4,,", "3,8,,"]
+
     def test_rejects_bad_grid(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--variety", "1,2:1", "--bundle", "1,1",
@@ -259,8 +301,12 @@ class TestZeta:
         (["--what", "zetaP", "--m", "1", "--s", "1e308", "--numeric"], 2.0),
         (["--what", "zetaP", "--m", "2", "--s", "1e308"], 3.0),
         (["--what", "zetaP", "--m", "4", "--s", "1e308"], 5.0),
+        (["--what", "zetaP", "--m", "400", "--s", "600"], 401.0),
+        (["--what", "zetaP", "--m", "400", "--s", "1e308"], 401.0),
+        (["--what", "zetaP", "--m", "2000", "--s", "3000"], 2001.0),
     ], ids=["zeta", "L4", "L4-1000", "zetaP-closed", "zetaP-numeric",
-            "zetaP2-theta", "zetaP4-theta"])
+            "zetaP2-theta", "zetaP4-theta", "zetaP400-theta",
+            "zetaP400-limit", "zetaP2000-theta"])
     def test_large_s_gives_the_limit(self, capsys, argv, value):
         # zeta and L_{-4} round to 1.0 once 2^-s and 3^-s are below half
         # an ulp of 1; Z_(P^m) keeps its m + 1 height-1 points
@@ -274,7 +320,10 @@ class TestZeta:
          "over budget"),
         (["--what", "zetaP", "--m", "5", "--s", "6.00001", "--numeric"],
          "over budget"),
-    ], ids=["xi-1e6", "xi-400", "zetaP-near-pole", "zetaP5-near-pole"])
+        (["--what", "zetaP", "--m", "400", "--s", "600", "--numeric"],
+         "over budget"),
+    ], ids=["xi-1e6", "xi-400", "zetaP-near-pole", "zetaP5-near-pole",
+            "zetaP400-numeric"])
     def test_unreachable_value_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, "zeta", *argv)
         assert (code, out) == (2, "")

@@ -16,6 +16,7 @@ from hkcount.constants import (
     L_minus4,
     SourceFormula,
     TooCloseToPoleError,
+    _log_kappa,
     _shell_counts,
     hirzebruch_table,
     hurwitz_zeta,
@@ -114,6 +115,18 @@ class TestProjectiveZeta:
     def test_pole_budget(self):
         with pytest.raises(TooCloseToPoleError):
             zetaP_numeric(2, 4.0, 1e-5)
+
+    def test_log_kappa_equals_the_float_bound(self):
+        # reference: the bound in doubles, V_k (1 + sqrt(k)/4)^k / 2, which
+        # overflows from about k = 340 on
+        def kappa_bound(k):
+            vk = math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
+            return vk * (1.0 + math.sqrt(k) / 4.0) ** k / 2.0
+
+        for k in range(1, 301):
+            assert _log_kappa(k) == pytest.approx(math.log(kappa_bound(k)),
+                                                  rel=1e-12, abs=1e-12)
+        assert math.isfinite(_log_kappa(10 ** 6))
 
     def test_domain(self):
         with pytest.raises(DomainError):

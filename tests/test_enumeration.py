@@ -430,6 +430,36 @@ class TestCountHK:
         got = list(enum_hk_points(X, L, B, Region.SUBBUNDLE_F))
         assert want and got == want
 
+    def test_count_agrees_with_stream_on_a_grid(self):
+        # every request of a small grid, lam <= 0 and mu <= 0 included:
+        # count_hk and the stream raise the same NotBigError, or the
+        # stream yields as many points as count_hk counts
+        varieties = [HKVariety(1, t, (a,)) for t in (2, 3) for a in range(3)]
+        varieties += [HKVariety(2, t, a) for t in (2, 3) for a in
+                      itertools.combinations_with_replacement(range(3), 2)]
+        bounds = (Fraction(1, 2), Fraction(1), Fraction(5, 2), Fraction(4))
+
+        def outcome(run):
+            try:
+                return run()
+            except ValueError as exc:  # NotBigError and any other
+                return f"{type(exc).__name__}: {exc}"
+
+        requests = list(itertools.product(varieties, range(-1, 4), range(-1, 6),
+                                          bounds, Region))
+        assert len(requests) == 7560
+        wrong = []
+        for X, lam, mu, B, region in requests:
+            L = LineBundleClass(lam, mu)
+            count = outcome(lambda: count_hk(
+                CountRequest(X, L, B, region, 1)).count)
+            stream = outcome(lambda: sum(
+                1 for _ in enum_hk_points(X, L, B, region)))
+            if count != stream or (isinstance(count, str)
+                                   and not count.startswith("NotBigError")):
+                wrong.append((str(X), str(L), str(B), region.value, count, stream))
+        assert wrong == []
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_surface_pin(self, threads):
         # the count-surface workload of the benchmark: -K on X_2(1), region
