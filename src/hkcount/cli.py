@@ -1,7 +1,8 @@
 """Command-line frontend: predictions, exact counts, sweeps, reference
 tables, special-function evaluation, and verification suites.
 
-Exit codes: 0 success; 2 argument/parse error (argparse convention);
+Exit codes: 0 success; 2 argument/parse error (argparse convention), or
+a value beyond reach (a zeta next to its pole or past the double range);
 3 requested count is infinite (non-big bundle on the requested region);
 4 a verification suite reported a failure.
 """
@@ -172,12 +173,11 @@ def cmd_predict(args) -> int:
         main = predict(X, L, inv)
         strata = stratum_predictions(X, L, inv)
     except NotBigError as exc:
-        print(f"infinite: {exc} (the count is infinite on that stratum)",
-              file=sys.stderr)
+        print(f"infinite: {exc}", file=sys.stderr)
         return EXIT_INFINITE
     except DomainError as exc:
         return _field_gap(exc)
-    except OverflowError as exc:  # a xi_K beyond double range, as in zeta
+    except (OverflowError, TooCloseToPoleError) as exc:  # one line, as zeta
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     chain = []
@@ -199,8 +199,7 @@ def cmd_predict(args) -> int:
     for entry in chain:
         verdict = entry["note"] or (
             f"C = {entry['prediction']['C']:.8f}  a = {entry['prediction']['a']}"
-            f"  log = {entry['prediction']['logExponent']}"
-            if entry["prediction"] else "big")
+            f"  log = {entry['prediction']['logExponent']}")
         kind = "open" if entry["openPart"] else "whole"
         lines.append(f"  stratum {entry['space']} | {entry['bundle']} "
                      f"({kind}): {verdict}")
@@ -241,7 +240,7 @@ def cmd_sweep(args) -> int:
     try:
         prediction = (None if args.no_predict
                       else region_prediction(X, L, region, inv))
-    except (NotBigError, TooCloseToPoleError, OverflowError):
+    except (TooCloseToPoleError, OverflowError):
         prediction = None
     except DomainError as exc:
         return _field_gap(exc)
@@ -377,14 +376,15 @@ def _suite_partition(threads: int) -> list[dict]:
     L = anticanonical(X)
     ok_sum = ok_dir = True
     for b in range(1, 31):
-        whole = count_hk(CountRequest(X, L, Fraction(b), Region.WHOLE,
-                                      threads)).count
-        u = count_hk(CountRequest(X, L, Fraction(b), Region.GOOD_OPEN,
-                                  threads)).count
-        f = count_hk(CountRequest(X, L, Fraction(b), Region.SUBBUNDLE_F,
-                                  threads)).count
-        ok_sum = ok_sum and (whole == u + f)
-        ok_dir = ok_dir and (f == count_subbundle_direct(X, L, Fraction(b)))
+        B = Fraction(b)
+        whole = count_hk(CountRequest(X, L, B, Region.WHOLE, threads)).count
+        f = count_hk(CountRequest(X, L, B, Region.SUBBUNDLE_F, threads)).count
+        # the count sums its strata, so compare it with the streamed U
+        # points plus the directly enumerated F points
+        u = sum(1 for _ in enum_hk_points(X, L, B, Region.GOOD_OPEN))
+        f_direct = count_subbundle_direct(X, L, B)
+        ok_sum = ok_sum and (whole == u + f_direct)
+        ok_dir = ok_dir and (f == f_direct)
     return [
         {"name": "partition N(X) = N(U) + N(F), B = 1..30",
          "observed": 0 if ok_sum else 1, "tolerance": 0, "ok": ok_sum},

@@ -23,6 +23,12 @@ has three independent evaluation routes:
     divided by 2 zeta(s); fast and accurate to ~1e-12 for every s above
     the pole, and the limit m + 1 once the points of height > 1 provably
     cannot move it.
+
+Per-stratum predictions follow the chain of `geometry.decompose`: a
+stratum that is not big is "infinite", any other gets `predict` or
+Schanuel's constant, and the good open part of a product stratum
+P^{t-1} x P^r subtracts its subbundle's constant when the growth orders
+tie (the subbundle is big there and never grows faster).
 """
 from __future__ import annotations
 
@@ -36,8 +42,6 @@ from .geometry import (
     CaseTag,
     HKVariety,
     LineBundleClass,
-    NotBigError,
-    ProjectiveSpace,
     Stratum,
     anticanonical,
     decompose,
@@ -479,78 +483,56 @@ def predict(X: HKVariety, L: LineBundleClass, inv: FieldInvariants = QQ,
                                 region=region)
 
 
-def _whole_prediction(space, bundle, inv: FieldInvariants,
+def _space_prediction(space, bundle, inv: FieldInvariants,
                       zeta_proj=None) -> AsymptoticPrediction:
-    """Whole-space prediction for a terminal or product stratum."""
-    if isinstance(space, ProjectiveSpace):
-        k = int(bundle)
-        if k <= 0:
-            raise NotBigError(f"twist O({k}) on {space} is not big")
-        base = schanuel_constant(space.n, inv)
-        # N(P^n, H_{O(k)} <= B) = N(P^n, B^{1/k}) ~ C B^{(n+1)/k}
-        return AsymptoticPrediction(a_l=Fraction(space.n + 1, k), log_exponent=0,
-                                    constant=base.constant, case=None,
-                                    source=SourceFormula.SCHANUEL,
-                                    region=Region.WHOLE)
-    assert space.a[-1] == 0, "whole-space prediction only for trivial fibrations"
-    return predict(space, bundle, inv, zeta_proj)
+    """`predict` on an HK space; Schanuel's constant on a twisted P^n."""
+    if isinstance(space, HKVariety):
+        return predict(space, bundle, inv, zeta_proj)
+    # N(P^n, H_{O(k)} <= B) = N(P^n, B^{1/k}) ~ C B^{(n+1)/k}
+    return replace(schanuel_constant(space.n, inv),
+                   a_l=Fraction(space.n + 1, int(bundle)))
 
 
 @dataclass(frozen=True)
 class StratumPrediction:
     stratum: Stratum
     prediction: Optional[AsymptoticPrediction]
-    note: str  # "", "infinite", or "dominated-by-F"
+    note: str  # "", or "infinite" when the stratum is not big
 
 
 def _stratum_prediction(st: Stratum, inv: FieldInvariants,
                         zeta_proj=None) -> StratumPrediction:
     if not st.big:
         return StratumPrediction(st, None, "infinite")
-    if not st.open_part:
-        return StratumPrediction(
-            st, _whole_prediction(st.space, st.bundle, inv, zeta_proj), "")
-    space = st.space
-    assert isinstance(space, HKVariety)
-    if space.a[-1] > 0:
-        return StratumPrediction(st, predict(space, st.bundle, inv, zeta_proj),
-                                 "")
-    # good open subset of a trivial fibration: U = X minus F
-    whole = _whole_prediction(space, st.bundle, inv, zeta_proj)
-    f_space, f_bundle = restrict_to_F(space, st.bundle)
-    try:
-        f_pred = _whole_prediction(f_space, f_bundle, inv, zeta_proj)
-    except NotBigError:
-        return StratumPrediction(st, None, "infinite")
-    key_w = (whole.a_l, whole.log_exponent)
-    key_f = (f_pred.a_l, f_pred.log_exponent)
-    if key_w > key_f:
-        return StratumPrediction(st, whole, "")
-    if key_w == key_f:
-        c = whole.constant - f_pred.constant
-        assert c > 0, "subbundle constant exceeds whole-space constant"
-        return StratumPrediction(
-            st, AsymptoticPrediction(whole.a_l, whole.log_exponent, c,
-                                     whole.case, whole.source,
-                                     Region.GOOD_OPEN), "")
-    return StratumPrediction(st, None, "dominated-by-F")
+    pred = _space_prediction(st.space, st.bundle, inv, zeta_proj)
+    if st.open_part and st.space.a[-1] == 0:
+        # good open subset of a product stratum P^{t-1} x P^r: U = X minus
+        # F, where F is big and grows no faster than X
+        f_pred = _space_prediction(*restrict_to_F(st.space, st.bundle), inv,
+                                   zeta_proj)
+        key, key_f = ((p.a_l, p.log_exponent) for p in (pred, f_pred))
+        assert key_f <= key, "subbundle outgrows its product stratum"
+        if key_f == key:
+            c = pred.constant - f_pred.constant
+            assert c > 0, "subbundle constant exceeds whole-space constant"
+            pred = replace(pred, constant=c, region=Region.GOOD_OPEN)
+    return StratumPrediction(st, pred, "")
 
 
 def stratum_predictions(X: HKVariety, L: Optional[LineBundleClass] = None,
-                        inv: FieldInvariants = QQ, variant: bool = False,
+                        inv: FieldInvariants = QQ,
                         zeta_proj=None) -> list[StratumPrediction]:
     """Per-stratum growth predictions along the stratification chain.
 
     Good-open strata of twisted pieces use the fibration formulas; a
-    good-open stratum of a trivial fibration (all remaining twists zero)
-    is predicted as whole-space minus subbundle when the two growth
-    orders match, as the whole-space order when it dominates, and is
-    flagged "dominated-by-F" otherwise.  Non-big strata get "infinite".
+    good-open stratum of a product P^{t-1} x P^r (all remaining twists
+    zero) is predicted as the whole product when it outgrows the
+    subbundle, and as whole minus subbundle when the two growth orders
+    tie.  Non-big strata get "infinite".
     """
     if L is None:
         L = anticanonical(X)
-    return [_stratum_prediction(st, inv, zeta_proj)
-            for st in decompose(X, L, variant=variant)]
+    return [_stratum_prediction(st, inv, zeta_proj) for st in decompose(X, L)]
 
 
 def region_prediction(X: HKVariety, L: LineBundleClass, region: Region,
@@ -561,17 +543,14 @@ def region_prediction(X: HKVariety, L: LineBundleClass, region: Region,
     U is the chain's first stratum, F the union of the later ones and the
     whole space the union of all of them.  A union grows like its dominant
     strata, those with the largest (a, log exponent), whose constants add.
-    None when a stratum of the region is infinite or none has a prediction.
+    None when a stratum of the region is infinite.
     """
     preds = []
     for st in region_strata(X, L, region):
-        sp = _stratum_prediction(st, inv)
-        if sp.note == "infinite":
+        pred = _stratum_prediction(st, inv).prediction
+        if pred is None:
             return None
-        if sp.prediction is not None:
-            preds.append(sp.prediction)
-    if not preds:
-        return None
+        preds.append(pred)
     top = max((p.a_l, p.log_exponent) for p in preds)
     lead = [p for p in preds if (p.a_l, p.log_exponent) == top]
     return replace(lead[0], constant=sum(p.constant for p in lead),

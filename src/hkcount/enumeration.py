@@ -81,7 +81,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 if TYPE_CHECKING:
     import numpy as np
 
-from .geometry import HKVariety, LineBundleClass, NotBigError, ProjectiveSpace, Stratum
+from .geometry import HKVariety, LineBundleClass, ProjectiveSpace, Stratum, require_big
 from .heights import HKRationalPoint, ProjectivePoint, Region, height_L_sq, region_strata
 
 
@@ -499,8 +499,6 @@ def _count_fiber_good(cs: Sequence[int], smax: int) -> tuple[int, int]:
     symmetry of the form.
     """
     r = len(cs) - 1
-    if r == 0:
-        return (1 if cs[0] <= smax else 0), 1
     clast = cs[-1]
     visited = 0
 
@@ -524,23 +522,20 @@ def _count_fiber_good(cs: Sequence[int], smax: int) -> tuple[int, int]:
 
     count = 0
     c0 = cs[0]
-    top0 = isqrt(smax // c0) if c0 <= smax else 0
-    for y0 in range(1, top0 + 1):
+    for y0 in range(1, isqrt(smax // c0) + 1):
         count += rec(1, smax - c0 * y0 * y0, y0)
     return count, visited
 
 
 def _fiber_params(X_weights: tuple[int, ...], ar: int, lam: int, mu: int,
-                  p: int, q: int, m: int) -> Optional[tuple[tuple[int, ...], int]]:
+                  p: int, q: int, m: int) -> tuple[tuple[int, ...], int]:
     """Weights and cap of the fiber form over a base point of norm^2 = m.
 
     The exact height condition S^lam * q * m^mu <= p * m^{lam*ar} becomes
-    S <= iroot(floor(p * m^{lam*ar} / (q * m^mu)), lam).
+    S <= iroot(floor(p * m^{lam*ar} / (q * m^mu)), lam); a cap of 0 is an
+    empty fiber.
     """
-    cap = (p * m ** (lam * ar)) // (q * m ** mu)
-    if cap < 1:
-        return None
-    smax = iroot(cap, lam)
+    smax = iroot((p * m ** (lam * ar)) // (q * m ** mu), lam)
     cs = tuple(m ** (ar - bi) for bi in X_weights)
     return cs, smax
 
@@ -678,11 +673,7 @@ def _good_chunk_worker(args: tuple) -> tuple[int, int]:
     count = 0
     visited = 0
     for m, mult in zip(norms, mults):
-        params = _fiber_params(weights, ar, lam, mu, p, q, m)
-        if params is None:
-            continue
-        cs, smax = params
-        c, v = _count_fiber_good(cs, smax)
+        c, v = _count_fiber_good(*_fiber_params(weights, ar, lam, mu, p, q, m))
         count += mult * c
         visited += v
     return count, visited
@@ -707,9 +698,8 @@ def _few_rows_band(args: tuple, hist: dict[int, int]) -> Optional[tuple[int, int
     for m in hist:
         if rows >= _NUMPY_ROWS_MIN:
             break
-        params = _fiber_params(*args, m) if lo <= m <= hi else None
-        if params is not None:
-            (c0, _), smax = params
+        if lo <= m <= hi:
+            (c0, _), smax = _fiber_params(*args, m)
             rows += isqrt(smax // c0)
     return (lo, hi) if rows < _NUMPY_ROWS_MIN else None
 
@@ -761,11 +751,7 @@ def _finite_strata(space: Union[HKVariety, ProjectiveSpace],
     that is not big: it has infinitely many points of bounded height."""
     strata = region_strata(space, bundle, region)
     for st in strata:
-        if not st.big:
-            raise NotBigError((f"twist O({int(st.bundle)}) on {st.space} is not big"
-                               if isinstance(st.space, ProjectiveSpace) else
-                               f"bundle {st.bundle} is not big on {st.space}")
-                              + "; the count is infinite")
+        require_big(st.space, st.bundle)
     return strata
 
 
@@ -825,10 +811,7 @@ def enum_hk_points(X: HKVariety, L: LineBundleClass, B: Union[int, Fraction],
             if height_L_sq(X, L, P) <= B * B:
                 yield P
             continue
-        params = _fiber_params(weights, ar, lam, mu, p, q, m)
-        if params is None:
-            continue
-        cs, smax = params
+        cs, smax = _fiber_params(weights, ar, lam, mu, p, q, m)
         for y, _ in _canonical_walk(cs[1:] if slice_f else cs, smax):
             if slice_f:
                 y = (0, *y)

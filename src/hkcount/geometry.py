@@ -8,6 +8,7 @@ over P^{t-1}, of dimension d = r + t - 1.  Everything in this module is
 exact integer/rational arithmetic: the fan, the Picard basis {h, f}, the
 anticanonical class, bigness, restriction to the projective subbundle F,
 the alpha-constant, growth-exponent data and the stratification chain.
+`require_big` is the one place that raises NotBigError.
 """
 from __future__ import annotations
 
@@ -289,8 +290,7 @@ def exponents(X: HKVariety, L: LineBundleClass) -> ExponentData:
     mu_l = ((r+1) a_r + t - |a|)/mu; the count grows like
     B^{max} (log B)^{[lambda_l == mu_l]}.
     """
-    if not is_big(L):
-        raise NotBigError(f"bundle {L} is not big on {X}")
+    require_big(X, L)
     lam_l = Fraction(X.r + 1, L.lam)
     mu_l = Fraction((X.r + 1) * X.a[-1] + X.t - X.abs_a, L.mu)
     if lam_l == mu_l:
@@ -315,8 +315,19 @@ def _bundle_is_big(space: Union[HKVariety, ProjectiveSpace],
     return is_big(bundle)
 
 
+def require_big(space: Union[HKVariety, ProjectiveSpace],
+                bundle: Union[LineBundleClass, int]) -> None:
+    """Raise NotBigError unless the class is big: a class that is not big
+    has infinitely many points of bounded height."""
+    if not _bundle_is_big(space, bundle):
+        raise NotBigError((f"twist O({int(bundle)}) on {space} is not big"
+                           if isinstance(space, ProjectiveSpace) else
+                           f"bundle {bundle} is not big on {space}")
+                          + "; the count is infinite")
+
+
 def decompose(
-    X: HKVariety,
+    X: Union[HKVariety, ProjectiveSpace],
     L: Optional[LineBundleClass] = None,
     variant: bool = False,
 ) -> tuple[Stratum, ...]:
@@ -328,7 +339,8 @@ def decompose(
     Variant mode stops early with a whole product stratum
     P^{t-1} x P^j as soon as the remaining twists are all zero (which
     happens exactly when a_1 = ... = a_j = 0 < a_{j+1}).  L defaults to
-    the anticanonical class of X.
+    the anticanonical class of X.  A twisted P^n, with L the twist, is its
+    own one whole stratum.
     """
     if L is None:
         L = anticanonical(X)

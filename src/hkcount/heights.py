@@ -160,14 +160,12 @@ def region_strata(space: Union[HKVariety, ProjectiveSpace],
                   region: Region) -> tuple[Stratum, ...]:
     """The strata of `decompose` whose disjoint union is `region`: GoodOpen
     the first, SubbundleF the later ones, Whole all; P^n is its own one."""
-    if isinstance(space, ProjectiveSpace):
-        return (Stratum(space, bundle, open_part=False, big=int(bundle) > 0),)
     chain = decompose(space, bundle)
+    if isinstance(space, ProjectiveSpace) or region is Region.WHOLE:
+        return chain
     if region is Region.GOOD_OPEN:
         return chain[:1]
-    if region is Region.SUBBUNDLE_F:
-        return chain[1:]
-    return chain
+    return chain[1:]
 
 
 _POINT_RE = re.compile(r"\s*\[([^\]]*)\]\s*;\s*\[([^\]]*)\]\s*")

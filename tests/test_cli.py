@@ -60,6 +60,25 @@ class TestPredict:
         assert err == ("error: xi_K(1199.0) needs a Gamma factor beyond "
                        "double range\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--variety", "1,3:0", "--bundle", "669,1003"],
+         "Z_(P^1) argument 2007/1003 too close to its pole 2"),
+        (["--variety", "1,2:1", "--bundle", "669,1003"],
+         "xi/Z argument 1004/1003 too close to a pole"),
+    ], ids=["product", "twisted"])
+    def test_next_to_a_pole_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "predict", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_infinite_message_is_counts(self, capsys):
+        code, out, err = run(capsys, "predict", "--variety", "1,2:1",
+                             "--bundle=0,5")
+        assert (code, out) == (EXIT_INFINITE, "")
+        assert err == ("infinite: bundle 0,5 is not big on 1,2:1; "
+                       "the count is infinite\n")
+        assert run(capsys, "count", "--variety", "1,2:1", "--bundle=0,5",
+                   "--B", "3", "--region", "u") == (EXIT_INFINITE, "", err)
+
 
 class TestCount:
     def test_good_open_at_height_one(self, capsys):
@@ -248,6 +267,16 @@ class TestSweep:
         assert float(last[2]) == pytest.approx(3 / math.pi * 100 ** 2)
         assert abs(float(last[3]) - 1.0) < 0.01
 
+    def test_subbundle_text_format(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--variety", "1,2:1",
+                           "--grid", "50,100", "--region", "f",
+                           "--threads", "1", "--format", "text")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("B=50  count=2388  predicted=")
+        assert lines[1].startswith("B=100  count=9544  predicted=")
+
     def test_xi_beyond_double_range_leaves_predictions_empty(self, capsys):
         code, out, err = run(capsys, "sweep", "--variety", "1,2:1",
                              "--bundle", "400,1", "--grid", "2,3",
@@ -288,6 +317,13 @@ class TestZeta:
         assert code == EXIT_OK
         assert float(out.strip()) == pytest.approx(
             945 * 1.2020569031595943 / (16 * math.pi ** 3), rel=1e-10)
+
+    def test_numeric_with_tolerance(self, capsys):
+        code, out, err = run(capsys, "zeta", "--what", "zetaP", "--m", "1",
+                             "--s", "6", "--numeric", "--tol", "1e-6")
+        assert (code, err) == (EXIT_OK, "")
+        assert abs(float(out) - 945 * 1.2020569031595943
+                   / (16 * math.pi ** 3)) <= 1e-6
 
     def test_xi(self, capsys):
         code, out, _ = run(capsys, "zeta", "--what", "xi", "--s", "2")
@@ -396,6 +432,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "partition")
         assert code == EXIT_OK
         assert "FAIL" not in out
+
+    def test_partition_catches_a_wrong_open_count(self, capsys, monkeypatch):
+        # one point too many on U of X_3(0,1): the Whole count is then off
+        # by one against the U stream plus the directly enumerated F
+        good_open = hkcount.enumeration._count_good_open
+
+        def off_by_one(X, L, B, threads):
+            count, visited = good_open(X, L, B, threads)
+            return count + (str(X) == "2,2:0,1"), visited
+        monkeypatch.setattr(hkcount.enumeration, "_count_good_open",
+                            off_by_one)
+        code, out, _ = run(capsys, "verify", "--suite", "partition",
+                           "--threads", "1")
+        assert code == EXIT_VERIFY
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL  [partition] partition")
+        assert lines[1].startswith("PASS  [partition] subbundle")
 
 
 class TestImportCost:

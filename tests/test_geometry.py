@@ -183,3 +183,29 @@ class TestAccumulation:
         assert strongly_accumulates(X, LineBundleClass(1, 3)) is False
         # restriction of h+f to F is O(0): not big, not applicable
         assert strongly_accumulates(X, LineBundleClass(1, 1)) is None
+
+
+class TestProductStratum:
+    def test_subbundle_is_big_and_grows_no_faster(self):
+        # on a big class of P^{t-1} x P^r (all twists zero) the subbundle F
+        # carries (lam, mu), or the twist mu on P^{t-1}: it is big, and its
+        # growth key (a, log exponent) never exceeds the product's
+        ties = 0
+        for r in range(1, 5):
+            for t in range(2, 6):
+                X = HKVariety(r, t, (0,) * r)
+                for lam in range(1, 13):
+                    for mu in range(1, 13):
+                        L = LineBundleClass(lam, mu)
+                        e = exponents(X, L)
+                        space, bundle = restrict_to_F(X, L)
+                        if isinstance(space, ProjectiveSpace):
+                            assert bundle > 0
+                            key_f = (Fraction(space.n + 1, bundle), 0)
+                        else:
+                            assert is_big(bundle)
+                            ef = exponents(space, bundle)
+                            key_f = (ef.a_l, ef.log_exponent)
+                        assert key_f <= (e.a_l, e.log_exponent)
+                        ties += key_f == (e.a_l, e.log_exponent)
+        assert ties == 1109
