@@ -25,7 +25,12 @@ shares no code with the Mobius sieve over `_ball_count` it is checked
 against, which counts every lattice point of a ball and never tests a
 gcd.  zetaP_numeric sums w * norm^(-s/2) over the same blocks, and
 count_enum_projective sums the weights.  The unfolded stream stays the
-small-walk path and the reference the fold is tested against.
+small-walk path and the reference the fold is tested against.  A count
+takes the histogram as a pair (norms, mults) from `_norm_histogram`:
+int64 arrays gathered from the blocks' np.add.at histogram reach the
+fiber step without a dict, and a small walk gives the same pair as lists
+of Python ints.  `projective_norm_histogram` is the dict of that pair,
+for the oracles and the tests.
 
 Counts on P^n, and so every F count, come from the Mobius sieve over
 lattice balls (Schanuel 1979): twice N(P^n) is sum over d of
@@ -44,7 +49,14 @@ the parameters (c_0, S_max) are computed in int64 arrays (c_1 = 1), the
 y_0 = 1 rows of all norms are counted in one vector pass (every y_1 is
 coprime to 1), the rows y_0 >= 2 are flattened into blocks of _CHUNK
 rows, and their coprime count of the last coordinate is read off a numpy
-table of squarefree divisors.  The batched step takes only the norms for
+table of squarefree divisors; both passes add into one int64 fiber count
+per norm, and the multiplicities weight those counts in one int64 dot
+product where a bound proves it exact, in one Python-int sum otherwise.
+The table (`_divisor_table`, int32 divisors with int8 signs) takes mu
+from a vectorised integer sieve, `_mobius_array`: each prime
+p <= sqrt(ymax) flips the sign of its multiples, zeroes the multiples of
+p^2 and is divided out of a remainder, and a remainder above 1 is one
+more prime.  The batched step takes only the norms for
 which an int64 guard (`_r1_batch_band`) proves that every intermediate
 value stays below 2^62 (a cap p // q // m^k with p // q >= 2^62 is divided
 in Python ints and only its quotient enters int64); every other norm, and
@@ -57,7 +69,7 @@ enters any count.
 numpy is imported inside the functions that use it, and the process
 pool only on the pooled branch, so importing this module costs neither.
 A count loads numpy only when an array step has enough work to repay
-the import (about 0.15 s).  A walk bounded by fewer than _NUMPY_WALK_MIN
+the import (about 0.1 s).  A walk bounded by fewer than _NUMPY_WALK_MIN
 vectors takes the `_canonical_vectors` stream, and over such a base an
 r = 1 band with fewer than _NUMPY_ROWS_MIN y_0 rows is counted per norm
 in the calling process.  Both choices depend only on the input's size,
@@ -73,7 +85,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, isqrt, log
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
@@ -337,11 +349,12 @@ def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[tuple[np.ndarray, n
 # numpy blocks, smaller ones from the `_canonical_vectors` stream.  The
 # bound isqrt(n2max)^(n+1) is 1 to 2.5 times below the walk's size for
 # n <= 3.  With numpy loaded (2-vCPU Xeon VM, Python 3.11, numpy 2.4, best
-# of 3), the stream took 0.037 s for 115k vectors of P^1, 0.086 s for 272k
-# of P^2 and 0.11 s for 365k of P^3; the folded blocks took 0.003, 0.0014
-# and 0.0005 s.  The import costs about 0.15 s, what the stream spends on
-# some 4 * 10^5 vectors; the bound sits lower because a base of that size
-# may still need numpy for its r = 1 rows.
+# of 3), `_norm_histogram` from the stream took 0.045 s for 115k vectors
+# of P^1, 0.080 s for 272k of P^2 and 0.113 s for 365k of P^3; as arrays
+# from the folded blocks it took 0.0035, 0.0007 and 0.0004 s.  The import
+# costs about 0.10 s, what the stream spends on some 3 * 10^5 vectors; the
+# bound sits lower because a base of that size may still need numpy for
+# its r = 1 rows.
 _NUMPY_WALK_MIN = 10 ** 5
 
 
@@ -349,21 +362,33 @@ def _numpy_walk(n: int, n2max: int) -> bool:
     return isqrt(n2max) ** (n + 1) >= _NUMPY_WALK_MIN
 
 
-def projective_norm_histogram(n: int, n2max: int) -> dict[int, int]:
-    """Counts of canonical primitive vectors in Z^{n+1} grouped by norm^2
-    (keys ascending)."""
+def _norm_histogram(n: int, n2max: int) -> tuple[Sequence[int], Sequence[int]]:
+    """(norms, mults): the distinct norm^2, ascending, of the canonical
+    primitive vectors in Z^{n+1} with norm^2 <= n2max, and how many
+    vectors have each.  int64 arrays from the numpy walk, lists of Python
+    ints from the small one."""
     if not _numpy_walk(n, n2max):
         counts: dict[int, int] = {}
         for _, m in _canonical_vectors(n + 1, n2max):
             counts[m] = counts.get(m, 0) + 1
-        return dict(sorted(counts.items()))
+        norms = sorted(counts)
+        return norms, [counts[m] for m in norms]
     import numpy as np
 
     hist = np.zeros(n2max + 1, dtype=np.int64)
     for norms, weights in _primitive_norm_blocks(n + 1, n2max):
         np.add.at(hist, norms, weights)
     norms = np.flatnonzero(hist)
-    return dict(zip(norms.tolist(), hist[norms].tolist()))
+    return norms, hist[norms]
+
+
+def projective_norm_histogram(n: int, n2max: int) -> dict[int, int]:
+    """Counts of canonical primitive vectors in Z^{n+1} grouped by norm^2
+    (keys ascending)."""
+    norms, mults = _norm_histogram(n, n2max)
+    if isinstance(norms, list):
+        return dict(zip(norms, mults))
+    return dict(zip(norms.tolist(), mults.tolist()))
 
 
 def count_enum_projective(n: int, B: Union[int, Fraction]) -> int:
@@ -542,8 +567,8 @@ def _fiber_params(X_weights: tuple[int, ...], ar: int, lam: int, mu: int,
 
 # Largest y_0 the batched r = 1 step tabulates squarefree divisors for.  A
 # norm whose fiber has more y_0 rows goes through the per-norm path.  At
-# 2^17 the table holds 1.04M entries (16 MB); B = 2^30 on X_2(1) with -K
-# needs 2^15.
+# 2^17 the table holds 1.04M entries (5.7 MB with int32 divisors and
+# int8 signs); B = 2^30 on X_2(1) with -K needs 2^15.
 _Y0_TABLE_MAX = 1 << 17
 
 
@@ -582,19 +607,46 @@ def _r1_batch_band(weights: tuple[int, ...], ar: int, lam: int, mu: int,
     return lo, min(largest(1, -e), largest(1, ar))
 
 
-def _divisor_table(ymax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(start, div, sign): the squarefree divisors d of y and their Mobius
-    signs mu(d) are div[start[y]:start[y + 1]] and sign[...], y = 1..ymax."""
+def _mobius_array(n: int) -> np.ndarray:
+    """mu(y) for y = 1..n at index y of an int8 array (index 0 unused).
+
+    Each prime p <= sqrt(n) flips the sign of its multiples, zeroes the
+    multiples of p^2 and is divided once out of a remainder that starts as
+    y; p is prime when no smaller prime has divided its remainder.  For a
+    squarefree y what is left is 1 or the one prime factor above sqrt(n),
+    which flips the sign once more.  Integers only."""
     import numpy as np
 
-    mob = np.array(_mobius_sieve(ymax), dtype=np.int64)
-    d = np.flatnonzero(mob[1:]) + 1
-    row, k = _ragged_arange(np.ones_like(d), ymax // d)
-    y = d[row] * k
-    order = np.argsort(y, kind="stable")
-    div = d[row][order]
-    start = np.searchsorted(y[order], np.arange(ymax + 2))
-    return start, div, mob[div]
+    rest = np.arange(n + 1, dtype=np.int32)
+    mu = np.ones(n + 1, dtype=np.int8)
+    for p in range(2, isqrt(n) + 1):
+        if rest[p] == p:
+            mu[p::p] *= -1
+            mu[p * p::p * p] = 0
+            rest[p::p] //= p
+    mu[rest > 1] *= -1
+    return mu
+
+
+def _divisor_table(ymax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start, div, sign): the squarefree divisors d of y and their Mobius
+    signs mu(d) are div[start[y]:start[y + 1]] and sign[...], y = 1..ymax.
+
+    int32 divisors and offsets, int8 signs: y <= _Y0_TABLE_MAX keeps every
+    entry far below 2^31, and the table is the batched step's largest
+    allocation."""
+    import numpy as np
+
+    mob = _mobius_array(ymax)
+    d = np.flatnonzero(mob[1:]).astype(np.int32) + 1
+    per = ymax // d  # the multiples d, 2d, .., per * d of each d
+    div = np.repeat(d, per)
+    first = np.repeat(np.cumsum(per, dtype=np.int32) - per, per)
+    y = div * (np.arange(1, div.size + 1, dtype=np.int32) - first)
+    order = np.argsort(y)  # the order of a y's divisors does not matter
+    div = div[order]
+    start = np.searchsorted(y[order], np.arange(ymax + 2, dtype=np.int32))
+    return start.astype(np.int32), div, mob[div]
 
 
 def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
@@ -609,10 +661,18 @@ def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
     row counts 2 M + 1 and needs no divisors.  The rows y_0 >= 2 of the
     norms that have them are flattened into blocks; a row counts y_1 and
     -y_1 for each 1 <= y_1 <= M coprime to y_0, sum over squarefree
-    d | y_0 of mu(d) floor(M/d), read off `_divisor_table`.  Returns
-    (sum of mult * fiber count, rows, done), where done marks the norms
-    counted here; rows is the number of y_0 rows, both passes together,
-    which `_count_fiber_good` reports as rows_visited.
+    d | y_0 of mu(d) floor(M/d), read off `_divisor_table`.  Both passes
+    add into one int64 fiber count per norm, which cannot overflow: a norm
+    has at most _Y0_TABLE_MAX = 2^17 rows and each row counts fewer than
+    2^32 points (see `_r1_batch_band`), so a total stays below 2^49.  The
+    sum of mult * fiber count is one int64 dot product when the sum of
+    the multiplicities times the largest total is below 2^62, which
+    bounds every partial sum, and one Python-int sum otherwise (the
+    multiplicities are histogram counts, whose sum, the number of base
+    vectors, is below 2^62 by the bound of `_primitive_norm_blocks`).
+    Returns (that sum, rows, done), where done marks the norms counted
+    here; rows is the number of y_0 rows, both passes together, which
+    `_count_fiber_good` reports as rows_visited.
     """
     import numpy as np
 
@@ -637,31 +697,30 @@ def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
     live = fits & (top0 > 0)
     smax, c0, top0, mult = (a[live] for a in (smax, c0, top0, mult))
     rows = int(top0.sum())
-    # y0 = 1: every y1 is coprime to it, y1 = 0 included; Python ints,
-    # since mult * count may pass 2^63
-    ones = 2 * _iroot_array(smax - c0, 2) + 1
-    count = sum(map(mul, mult.tolist(), ones.tolist()))
-    more = top0 > 1
-    if not more.any():
-        return count, rows, done
-    smax, c0, mult = smax[more], c0[more], mult[more]
-    width = top0[more] - 1  # the rows y0 = 2 .. top0
-    start, div, sign = _divisor_table(int(width.max()) + 1)
-    ends = np.cumsum(width)
-    nrows = int(ends[-1])
-    for r0 in range(0, nrows, _CHUNK):
-        flat = np.arange(r0, min(r0 + _CHUNK, nrows), dtype=np.int64)
-        row = np.searchsorted(ends, flat, side="right")
-        y0 = flat - (ends[row] - width[row]) + 2
-        last = _iroot_array(smax[row] - c0[row] * y0 * y0, 2)
-        ndiv = start[y0 + 1] - start[y0]
-        term, j = _ragged_arange(start[y0], ndiv)
-        coprime = np.add.reduceat(sign[j] * (last[term] // div[j]),
-                                  np.cumsum(ndiv) - ndiv)
-        heads = np.flatnonzero(np.diff(row, prepend=-1))
-        per_norm = 2 * np.add.reduceat(coprime, heads)
-        count += sum(map(mul, mult[row[heads]].tolist(), per_norm.tolist()))
-    return count, rows, done
+    # y0 = 1: every y1 is coprime to it, y1 = 0 included
+    fiber = 2 * _iroot_array(smax - c0, 2) + 1
+    more = np.flatnonzero(top0 > 1)
+    if more.size:
+        smax, c0 = smax[more], c0[more]
+        width = top0[more] - 1  # the rows y0 = 2 .. top0
+        start, div, sign = _divisor_table(int(width.max()) + 1)
+        ends = np.cumsum(width)
+        nrows = int(ends[-1])
+        for r0 in range(0, nrows, _CHUNK):
+            flat = np.arange(r0, min(r0 + _CHUNK, nrows), dtype=np.int64)
+            row = np.searchsorted(ends, flat, side="right")
+            y0 = flat - (ends[row] - width[row]) + 2
+            last = _iroot_array(smax[row] - c0[row] * y0 * y0, 2)
+            ndiv = start[y0 + 1] - start[y0]
+            term, j = _ragged_arange(start[y0], ndiv)
+            coprime = np.add.reduceat(sign[j] * (last[term] // div[j]),
+                                      np.cumsum(ndiv) - ndiv)
+            heads = np.flatnonzero(np.diff(row, prepend=-1))
+            # row is sorted, so a chunk names each norm at most once
+            fiber[more[row[heads]]] += 2 * np.add.reduceat(coprime, heads)
+    if int(mult.sum()) * int(fiber.max(initial=0)) < _INT64_SAFE:
+        return int(mult @ fiber), rows, done
+    return sum(map(mul, mult.tolist(), fiber.tolist())), rows, done
 
 
 def _good_chunk_worker(args: tuple) -> tuple[int, int]:
@@ -689,13 +748,13 @@ def _good_chunk_worker(args: tuple) -> tuple[int, int]:
 _NUMPY_ROWS_MIN = 2 * 10 ** 4
 
 
-def _few_rows_band(args: tuple, hist: dict[int, int]) -> Optional[tuple[int, int]]:
+def _few_rows_band(args: tuple, norms: Sequence[int]) -> Optional[tuple[int, int]]:
     """The band [lo, hi] of `_r1_batch_band` if the r = 1 fibers of its
-    norms in hist have fewer than _NUMPY_ROWS_MIN y_0 rows in all, else
-    None.  A row count is isqrt(S_max // c_0), from `_fiber_params`."""
+    norms have fewer than _NUMPY_ROWS_MIN y_0 rows in all, else None.  A
+    row count is isqrt(S_max // c_0), from `_fiber_params`."""
     lo, hi = _r1_batch_band(*args)
     rows = 0
-    for m in hist:
+    for m in norms:
         if rows >= _NUMPY_ROWS_MIN:
             break
         if lo <= m <= hi:
@@ -710,25 +769,24 @@ def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
     # On U the fiber height is >= 1, so Nq^mu <= B^2 bounds the base.
     n2max = iroot(p // q, L.mu)
     args = (X.fiber_weights, X.a[-1], L.lam, L.mu, p, q)
-    hist = projective_norm_histogram(X.t - 1, n2max)
+    norms, mults = _norm_histogram(X.t - 1, n2max)
     # The norms of the r = 1 band are counted here: the pool's fixed cost
     # (about 20 ms per call on 2 CPUs) exceeds what splitting them saves.
     # The pool takes the norms left to the per-norm path, whichever way
     # the band was counted.
-    band = None if _numpy_walk(X.t - 1, n2max) else _few_rows_band(args, hist)
+    band = None if _numpy_walk(X.t - 1, n2max) else _few_rows_band(args, norms)
     if band is not None:
         lo, hi = band
-        inside = [m for m in hist if lo <= m <= hi]
+        inside = [lo <= m <= hi for m in norms]
         count, visited = _good_chunk_worker(
-            (*args, inside, [hist[m] for m in inside]))
-        norms = [m for m in hist if not lo <= m <= hi]
-        mults = [hist[m] for m in norms]
+            (*args, *(list(compress(a, inside)) for a in (norms, mults))))
+        outside = [not i for i in inside]
+        norms, mults = (list(compress(a, outside)) for a in (norms, mults))
     else:
         import numpy as np
 
-        norm_arr = np.fromiter(hist, dtype=np.int64, count=len(hist))
-        mult_arr = np.fromiter(hist.values(), dtype=np.int64, count=len(hist))
-        del hist  # the arrays replace it; freeing it lowers the peak memory
+        norm_arr = np.asarray(norms, dtype=np.int64)
+        mult_arr = np.asarray(mults, dtype=np.int64)
         count, visited, done = _count_r1_batched(*args, norm_arr, mult_arr)
         norms, mults = norm_arr[~done].tolist(), mult_arr[~done].tolist()
     if threads == 1 or len(norms) < 4 * threads:

@@ -506,6 +506,10 @@ class TestBenchHooks:
                   "--threads", "1"],
         "stream": ["count", "--variety", "1,2:1", "--B", "30", "--region", "f",
                    "--stream"],
+        # X_2(1) -K at B = 2^25: a base above _NUMPY_WALK_MIN, whose
+        # histogram reaches the fiber step as arrays
+        "arrays": ["count", "--variety", "1,2:1", "--B", "33554432",
+                   "--region", "u", "--threads", "1"],
     }
 
     def trace(self, tmp_path, argv):
@@ -536,3 +540,6 @@ class TestBenchHooks:
         # fibers do not go through the traced base walk
         assert [w for s in spans["stream"] for w in s[4].get("walks", [])] \
             == [[2, 900]]
+        good = [s[4] for s in spans["arrays"]
+                if s[0] == "enumeration.good_open"]
+        assert [(g["count"], g["rows"]) for g in good] == [(411668916, 66844)]

@@ -103,6 +103,30 @@ class TestPrimitives:
         # mu(1..12) [DERIVED: textbook values]
         assert _mobius_sieve(12)[1:] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
 
+    def test_mobius_array_equals_sieve(self):
+        # the vectorised sieve of the divisor table against the linear one,
+        # up to the table's largest y_0
+        for n in (*range(65), enumeration._Y0_TABLE_MAX):
+            mu = enumeration._mobius_array(n)
+            assert mu.dtype == np.int8
+            assert mu[1:].tolist() == _mobius_sieve(n)[1:], n
+
+    @pytest.mark.parametrize("ymax", [1, 2, 3, 30, 210])
+    def test_divisor_table_equals_trial_division(self, ymax):
+        start, div, sign = enumeration._divisor_table(ymax)
+        assert (start.dtype, div.dtype, sign.dtype) == (np.int32, np.int32,
+                                                         np.int8)
+        assert len(start) == ymax + 2 and start[-1] == len(div) == len(sign)
+        for y in range(1, ymax + 1):
+            want = []
+            for d in range(1, y + 1):
+                primes = [p for p in range(2, d + 1)
+                          if d % p == 0 and all(p % k for k in range(2, p))]
+                if y % d == 0 and all(d % (p * p) for p in primes):
+                    want.append((d, (-1) ** len(primes)))
+            a, b = start[y], start[y + 1]
+            assert sorted(zip(div[a:b].tolist(), sign[a:b].tolist())) == want
+
     def test_projective_line_small(self):
         # H <= 2 keeps [1:0],[0:1],[1:1],[1:-1]; H <= 3 adds [1:+-2],[2:+-1]
         assert count_enum_projective(1, 2) == 4
@@ -132,13 +156,21 @@ class TestPrimitives:
         assert list(hist) == sorted(hist)
 
     def test_histogram_sides_agree(self, monkeypatch):
-        # the same dict, keys ascending, from either side of the walk bound
+        # the same dict, keys ascending, from either side of the walk bound,
+        # and the same (norms, mults) pair the count takes: int64 arrays
+        # from the blocks, Python ints from the stream
         for n, n2max in ((1, 400), (2, 90), (3, 30)):
             monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 0)
             blocks = projective_norm_histogram(n, n2max)
+            arrays = enumeration._norm_histogram(n, n2max)
             monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 10 ** 30)
             stream = projective_norm_histogram(n, n2max)
+            lists = enumeration._norm_histogram(n, n2max)
             assert list(blocks.items()) == list(stream.items())
+            assert all(a.dtype == np.int64 for a in arrays)
+            assert all(type(v) is int for a in lists for v in a)
+            pair = (list(stream), list(stream.values()))
+            assert tuple(a.tolist() for a in arrays) == tuple(lists) == pair
 
     def test_walk_blocks_are_bounded(self):
         n2max = 2 ** 20
@@ -623,9 +655,12 @@ class TestBatchedFiberStep:
         assert top == 1 << 17
         norm = np.array([1], dtype=np.int64)
         args = (X.fiber_weights, 1, 1, 1, *_squared_cap(top))
-        count, rows, done = _count_r1_batched(*args, norm, norm + 2)
-        assert done.tolist() == [True] and rows == top
-        assert count == 3 * (enumeration._count_projective_n2(1, top * top) - 1)
+        fiber = enumeration._count_projective_n2(1, top * top) - 1
+        # a multiplicity of 2^45 puts the sum past 2^63, into Python ints
+        for mult in (3, 1 << 45):
+            count, rows, done = _count_r1_batched(*args, norm, norm * mult)
+            assert done.tolist() == [True] and rows == top
+            assert count == mult * fiber
         args = (X.fiber_weights, 1, 1, 1, *_squared_cap(top + 1))
         count, rows, done = _count_r1_batched(*args, norm, norm)
         assert (count, rows, done.tolist()) == (0, 0, [False])
@@ -797,14 +832,13 @@ class TestSizeSelection:
         L = anticanonical(X)
         p, q = _squared_cap(Fraction(300))
         args = (X.fiber_weights, 1, L.lam, L.mu, p, q)
-        hist = projective_norm_histogram(1, iroot(p // q, L.mu))
-        rows = enumeration._good_chunk_worker(
-            (*args, list(hist), list(hist.values())))[1]
+        norms, mults = enumeration._norm_histogram(1, iroot(p // q, L.mu))
+        rows = enumeration._good_chunk_worker((*args, norms, mults))[1]
         assert enumeration._r1_batch_band(*args)[0] == 1
         monkeypatch.setattr(enumeration, "_NUMPY_ROWS_MIN", rows + 1)
-        assert enumeration._few_rows_band(args, hist) is not None
+        assert enumeration._few_rows_band(args, norms) is not None
         monkeypatch.setattr(enumeration, "_NUMPY_ROWS_MIN", rows)
-        assert enumeration._few_rows_band(args, hist) is None
+        assert enumeration._few_rows_band(args, norms) is None
 
     def test_pool_gets_the_same_norms(self, monkeypatch):
         # twist 20, bundle (6, 1): the r = 1 band holds only m = 1, and the
