@@ -81,6 +81,7 @@ lemmas; the `enum_hk_points` stream walks F directly, as a test oracle.
 """
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,6 +151,16 @@ def iroot(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
+
+
+def _table_length(n: int) -> int:
+    """n + 1, the length of a table indexed 0..n, if its 8-byte entries
+    (list slots or int64) fit in sys.maxsize bytes.  A longer one raises
+    MemoryError before any memory is touched; a shorter one may still be
+    refused by the allocator, with a MemoryError of its own."""
+    if 8 * (n + 1) > sys.maxsize:
+        raise MemoryError(f"a table of {n + 1} entries cannot be allocated")
+    return n + 1
 
 
 def _squared_cap(B: Union[int, Fraction]) -> tuple[int, int]:
@@ -375,7 +386,7 @@ def _norm_histogram(n: int, n2max: int) -> tuple[Sequence[int], Sequence[int]]:
         return norms, [counts[m] for m in norms]
     import numpy as np
 
-    hist = np.zeros(n2max + 1, dtype=np.int64)
+    hist = np.zeros(_table_length(n2max), dtype=np.int64)
     for norms, weights in _primitive_norm_blocks(n + 1, n2max):
         np.add.at(hist, norms, weights)
     norms = np.flatnonzero(hist)
@@ -445,9 +456,10 @@ def _ball_count(k: int, m: int) -> int:
 
 
 def _mobius_sieve(n: int) -> list[int]:
-    mu = [1] * (n + 1)
+    size = _table_length(n)
+    mu = [1] * size
     primes: list[int] = []
-    is_comp = [False] * (n + 1)
+    is_comp = [False] * size
     for i in range(2, n + 1):
         if not is_comp[i]:
             primes.append(i)

@@ -41,6 +41,7 @@ from hkcount.arakelov import (
     prop5_identity_check,
     xi_integral,
 )
+from hkcount.cli import _suite_oracle, _suite_partition
 from hkcount.constants import (
     hirzebruch_table,
     threefold_intro,
@@ -53,11 +54,7 @@ from hkcount.enumeration import (
     CountRequest,
     count_enum_projective,
     count_hk,
-    count_projective_moebius,
-    count_subbundle_direct,
-    enum_hk_points,
     estimate_exponent,
-    projective_norm_histogram,
 )
 from hkcount.geometry import (
     CaseTag,
@@ -168,36 +165,22 @@ def test_criterion_5_double_pole_fit():
 
 
 def test_criterion_6_partition_identity():
-    X = HKVariety(2, 2, (0, 1))
-    L = anticanonical(X)
-    ok = True
-    for b in range(1, 31):
-        whole = count_hk(CountRequest(X, L, Fraction(b), Region.WHOLE)).count
-        f = count_hk(CountRequest(X, L, Fraction(b), Region.SUBBUNDLE_F)).count
-        # a count sums its strata, so whole == U + F by construction; the
-        # streamed U points and the directly enumerated F points are not
-        u = sum(1 for _ in enum_hk_points(X, L, Fraction(b), Region.GOOD_OPEN))
-        f_direct = count_subbundle_direct(X, L, Fraction(b))
-        ok = ok and whole == u + f_direct and f == f_direct
+    # the partition suite: at every B = 1..30 the Whole count equals the
+    # streamed U points plus the directly enumerated F points, and the F
+    # count equals the direct F points
+    checks = _suite_partition(1)
+    ok = len(checks) == 2 and all(c["ok"] for c in checks)
     _report(6, "exact partition identity", ok)
-    assert ok
+    assert ok, checks
 
 
 def test_criterion_7_oracle_equivalence():
-    ok = True
-    for n in (1, 2, 3):
-        hist = projective_norm_histogram(n, 50 * 50)
-        norms = sorted(hist)
-        cumulative, idx, covered = 0, 0, {}
-        for b in range(1, 51):
-            while idx < len(norms) and norms[idx] <= b * b:
-                cumulative += hist[norms[idx]]
-                idx += 1
-            covered[b] = cumulative
-        for b in range(1, 51):
-            ok = ok and covered[b] == count_projective_moebius(n, b)
+    # the oracle suite: the P^n walk against the Moebius sieve, n <= 3,
+    # at every B = 1..50
+    checks = _suite_oracle()
+    ok = len(checks) == 1 and all(c["ok"] for c in checks)
     _report(7, "enumeration vs sieve oracle", ok)
-    assert ok
+    assert ok, checks
 
 
 def test_criterion_8_thread_determinism():

@@ -13,7 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hkcount
-from hkcount.cli import EXIT_INFINITE, EXIT_OK, EXIT_VERIFY, main
+from hkcount.cli import EXIT_INFINITE, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, \
+    _direct_counts, main
+from hkcount.enumeration import enum_hk_points
+from hkcount.geometry import HKVariety, LineBundleClass, anticanonical
+from hkcount.heights import Region, height_L_sq, parse_point
 
 
 def run(capsys, *argv):
@@ -168,6 +172,26 @@ class TestInputErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    # Each table here fails before any memory is touched: past sys.maxsize
+    # bytes, or more than a 64-bit address space holds.
+    @pytest.mark.parametrize("argv", [
+        # F of X_2(1) -K: a P^1 sieve of 10^20 + 1 entries
+        ["count", "--variety", "1,2:1", "--B", "100000000000000000000",
+         "--region", "f"],
+        # U: a base histogram of 2.15 * 10^13 int64 entries, 157 TiB
+        ["count", "--variety", "1,2:1", "--B", "100000000000000000000",
+         "--region", "u"],
+        # U of X_3(1,1) -K: a base histogram of 10^20 + 1 entries
+        ["count", "--variety", "2,2:1,1", "--B", "1e30", "--region", "u"],
+        ["sweep", "--variety", "1,2:1", "--grid", "10,1e30", "--region", "f"],
+    ], ids=["count-sieve", "count-histogram-tib", "count-histogram-r2",
+            "sweep-sieve"])
+    def test_bound_beyond_reach(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--threads", "1")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("error: bound beyond reach: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     @pytest.mark.parametrize("argv", [
@@ -447,8 +471,76 @@ class TestVerify:
                            "--threads", "1")
         assert code == EXIT_VERIFY
         lines = out.splitlines()
+        # off by one at every bound: observed counts the 30 bounds
         assert lines[0].startswith("FAIL  [partition] partition")
+        assert "(observed 3.000e+01, tol 0.000e+00)" in lines[0]
         assert lines[1].startswith("PASS  [partition] subbundle")
+
+    def test_partition_catches_a_wrong_subbundle_count(self, capsys,
+                                                       monkeypatch):
+        # one point too many from the P^n sieve that ends every F count
+        # (and the Whole count) against the directly enumerated F points
+        sieve = hkcount.enumeration._count_projective_n2
+        monkeypatch.setattr(hkcount.enumeration, "_count_projective_n2",
+                            lambda n, n2max: sieve(n, n2max) + 1)
+        code, out, _ = run(capsys, "verify", "--suite", "partition",
+                           "--threads", "1")
+        assert code == EXIT_VERIFY
+        lines = out.splitlines()
+        assert lines[1].startswith("FAIL  [partition] subbundle")
+        assert "(observed 3.000e+01, tol 0.000e+00)" in lines[1]
+
+    def test_partition_catches_a_point_above_the_bound(self, capsys,
+                                                       monkeypatch):
+        # an F stream that emits a point of height 962^(3/2) > 30 fails
+        # both checks at the top bound only
+        stream = hkcount.cli.enum_hk_points
+        stray = parse_point("[1:0];[0:31:1]")
+
+        def with_stray(X, L, B, region=Region.WHOLE):
+            yield from stream(X, L, B, region)
+            if region is Region.SUBBUNDLE_F:
+                yield stray
+        monkeypatch.setattr(hkcount.cli, "enum_hk_points", with_stray)
+        code, out, _ = run(capsys, "verify", "--suite", "partition",
+                           "--threads", "1")
+        assert code == EXIT_VERIFY
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert all(ln.startswith("FAIL") and "(observed 1.000e+00," in ln
+                   for ln in lines)
+
+
+class TestDirectCounts:
+    """The partition suite's one-pass counts: one stream at the top bound,
+    bucketed by the least integer bound of each point's exact height."""
+
+    @pytest.mark.parametrize("variety, bundle", [
+        ("1,2:1", None), ("1,2:1", "1,3"), ("2,2:0,1", None),
+        ("2,2:1,1", "2,3")])
+    @pytest.mark.parametrize("region", [Region.GOOD_OPEN,
+                                        Region.SUBBUNDLE_F])
+    def test_equal_a_stream_per_bound(self, variety, bundle, region):
+        X = HKVariety.parse(variety)
+        L = LineBundleClass.parse(bundle) if bundle else anticanonical(X)
+        counts, above = _direct_counts(X, L, 12, region)
+        assert above == 0
+        assert counts == [sum(1 for _ in enum_hk_points(X, L, b, region))
+                          for b in range(1, 13)]
+
+    @pytest.mark.parametrize("region", [Region.GOOD_OPEN,
+                                        Region.SUBBUNDLE_F])
+    def test_first_case_has_integer_heights(self, region):
+        # -K = (2, 3) on X_2(1): over the base point [1:0] the height of
+        # (y_0 : y_1) is y_0^2 + y_1^2, and over [3:4] the F point has
+        # height 5, so the boundary H = b is covered above
+        X = HKVariety.parse("1,2:1")
+        L = anticanonical(X)
+        heights = [height_L_sq(X, L, P)
+                   for P in enum_hk_points(X, L, 12, region)]
+        assert any(h.denominator == 1 and h.numerator >= 4
+                   and math.isqrt(h.numerator) ** 2 == h.numerator
+                   for h in heights)
 
 
 class TestImportCost:
@@ -489,11 +581,18 @@ class TestImportCost:
         ["count", "--variety", "2,2:1,1", "--region", "u", "--B", "1000",
          "--threads", "2"],
         ["sweep", "--variety", "1,2:1", "--grid", "5,10,20", "--threads", "1"],
+        # two streams and 60 small counts, none with enough norms to pool
+        ["verify", "--suite", "partition", "--threads", "2"],
     ], ids=["tables", "zeta", "count-f", "count-infinite", "count-x-t1",
-            "count-x-t2", "count-pooled", "sweep"])
+            "count-x-t2", "count-pooled", "sweep", "verify-partition-t2"])
     def test_command_loads_no_numpy(self, argv):
         code = f"from hkcount.cli import main\nmain({argv!r})"
         assert "numpy" not in self.loaded(code)
+
+    def test_partition_suite_starts_no_pool(self):
+        argv = ["verify", "--suite", "partition", "--threads", "2"]
+        self.loaded(f"from hkcount.cli import main\nmain({argv!r})\n"
+                    "assert 'concurrent.futures.process' not in sys.modules")
 
 
 class TestBenchHooks:

@@ -103,6 +103,16 @@ class TestPrimitives:
         # mu(1..12) [DERIVED: textbook values]
         assert _mobius_sieve(12)[1:] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
 
+    def test_table_past_the_address_space_is_beyond_reach(self):
+        # 8 bytes a slot: the last length that fits sys.maxsize bytes is
+        # accepted, the next is refused before any list is built
+        last = sys.maxsize // 8
+        assert enumeration._table_length(last - 1) == last
+        with pytest.raises(MemoryError):
+            enumeration._table_length(last)
+        with pytest.raises(MemoryError):
+            _mobius_sieve(10 ** 20)
+
     def test_mobius_array_equals_sieve(self):
         # the vectorised sieve of the divisor table against the linear one,
         # up to the table's largest y_0
