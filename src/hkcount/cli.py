@@ -43,7 +43,7 @@ from .constants import (
 from .enumeration import CountRequest, count_hk, count_projective_moebius, \
     count_subbundle_direct, enum_hk_points, projective_norm_histogram, sweep
 from .geometry import HKVariety, LineBundleClass, NotBigError, anticanonical
-from .heights import Region, format_point, height_L_sq
+from .heights import Region, cleared_height_sq, format_point
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -393,13 +393,12 @@ def _direct_counts(X: HKVariety, L: LineBundleClass, top: int,
     stream at B = top, and the number of streamed points above top.
 
     Each point goes into the bucket of its least integer bound
-    b = ceil(H_L(P)), read off the exact H_L^2 = n/d as isqrt(n // d), plus
-    one when b^2 d < n; the prefix sums of the buckets are the counts.
-    Integers only."""
+    b = ceil(H_L(P)), read off the exact H_L^2 = n/d of `cleared_height_sq`
+    as isqrt(n // d), plus one when b^2 d < n; the prefix sums of the
+    buckets are the counts.  Integers only."""
     buckets = [0] * (top + 2)  # buckets[top + 1]: points above the bound
     for P in enum_hk_points(X, L, top, region):
-        h = height_L_sq(X, L, P)
-        n, d = h.numerator, h.denominator
+        n, d = cleared_height_sq(X, L, P)
         b = math.isqrt(n // d)
         if b * b * d < n:
             b += 1

@@ -222,25 +222,87 @@ def xi_K(s: float, inv: FieldInvariants = QQ) -> float:
 _ZP_BUDGET = 20_000_000  # max points the direct summation may enumerate
 
 
-def _log_kappa(k: int) -> float:
-    """log kappa, kappa a safe over-estimate with N(P^{k-1}, H) <= kappa H^k
-    for H >= 2, finite for every k.
+def _log_kappa(k: int, x: float) -> float:
+    """log kappa(X), a safe over-estimate with N(P^{k-1}, H) <= kappa(X) H^k
+    for every H >= X >= 2; finite for every k, and for X = inf.
 
+    kappa(X) = (V_k / 2) [(1 + sqrt(k)/(2X))^k - 2^-k (1 - sqrt(k)/X)_+^k].
     Each lattice point owns a unit cube inside the ball of radius
-    H + sqrt(k)/2, so the count of nonzero lattice vectors is at most
-    V_k (H + sqrt(k)/2)^k; canonical primitive points are at most half.
+    H + sqrt(k)/2, so at most V_k (H + sqrt(k)/2)^k - 1 nonzero vectors have
+    norm <= H.  The cubes of the lattice points in the ball of radius H/2
+    cover the ball of radius H/2 - sqrt(k)/2, so at least
+    V_k (H/2 - sqrt(k)/2)_+^k - 1 of them are nonzero: their doubles are
+    the nonzero multiples of 2 of norm <= H, none of them primitive.
+    Canonical primitive points are half of the rest.  Taken at H in place
+    of X, the bracket is that bound over V_k H^k / 2; it decreases in H, so
+    its value at X bounds every H >= X.  It is formed as
+    log a + log1p(-b / a), so no power overflows.
     """
-    return (k / 2.0 * math.log(math.pi) - math.lgamma(k / 2.0 + 1.0)
-            + k * math.log1p(math.sqrt(k) / 4.0) - math.log(2.0))
+    r = math.sqrt(k) / x
+    log_a = k * math.log1p(r / 2.0)
+    log_half_vk = (k / 2.0 * math.log(math.pi) - math.lgamma(k / 2.0 + 1.0)
+                   - math.log(2.0))
+    if r >= 1.0:
+        return log_half_vk + log_a
+    log_b = k * (math.log1p(-r) - math.log(2.0))
+    return log_half_vk + log_a + math.log1p(-math.exp(log_b - log_a))
+
+
+# The bound X of `zetaP_numeric` aims at a tail of tol e^-_X_MARGIN, so that
+# rounding in the logarithms cannot push the certified tail above tol.
+_X_MARGIN = 1e-9
+_X_STEPS = 5  # odd: every odd step of the decreasing map stays above its root
+
+
+def _zetaP_n2max(m: int, s: float, tol: float) -> int:
+    """The summation bound n2max = ceil(X^2) of `zetaP_numeric`: the points
+    of height <= X, whose tail kappa(X) s / (s - k) X^(k - s), k = m + 1,
+    is at most tol.
+
+    X solves X = (kappa(X) s / ((s - k) tol))^(1/(s - k)), clamped at X >= 2,
+    by _X_STEPS fixed-point steps from X = 2; the first step gives the X of
+    kappa(2).  The map decreases in X (kappa does), so its odd steps stay
+    above the root and every one of them meets the tail bound.  All of it
+    runs in logarithms, since X and the point count overflow near the pole.
+    Raises TooCloseToPoleError when the points up to X, at most
+    kappa(X) (X + 1)^k, pass _ZP_BUDGET.  Before returning, checks the tail
+    at sqrt(n2max) in log space.
+    """
+    k = m + 1
+    excess = s - k  # > 0
+    log_c = math.log(s) - math.log(excess) - math.log(tol)
+
+    def log_kappa(log_x: float) -> float:
+        # kappa decreases, so its value at the capped X bounds any X beyond
+        return _log_kappa(k, math.exp(min(log_x, 700.0)))
+
+    def log_tail(log_x: float) -> float:  # log(tail / tol)
+        return log_kappa(log_x) + log_c - excess * log_x
+
+    log_x = math.log(2.0)
+    for _ in range(_X_STEPS):
+        log_x = max(log_x + (log_tail(log_x) + _X_MARGIN) / excess,
+                    math.log(2.0))
+    log_points = log_kappa(log_x) + k * (log_x + math.log1p(math.exp(-log_x)))
+    if log_points > math.log(_ZP_BUDGET):
+        raise TooCloseToPoleError(
+            f"direct summation of Z_(P^{m})({s}) to tol {tol} needs ~"
+            f"10^{log_points / math.log(10):.1f} points; over budget {_ZP_BUDGET}")
+    n2max = math.ceil(math.exp(2.0 * log_x))
+    if log_tail(0.5 * math.log(n2max)) > 0.0:
+        raise ArithmeticError(f"tail bound of Z_(P^{m})({s}) at n2max "
+                              f"{n2max} is above tol {tol}")
+    return n2max
 
 
 def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
     """Z_{P^m}(s) by direct summation with a rigorous tail bound.
 
     The partial sum over points of height <= X misses at most
-    kappa * s / (s - m - 1) * X^{m+1-s}; X is chosen to push that below
-    `tol`.  Raises TooCloseToPoleError when the required X implies more
-    points than the work budget allows.  The points come from the
+    kappa(X) s / (s - m - 1) X^{m+1-s}; `_zetaP_n2max` chooses X to push
+    that below `tol`, with kappa(X) taken at the summation bound itself
+    (`_log_kappa`).  Raises TooCloseToPoleError when the required X implies
+    more points than the work budget allows.  The points come from the
     enumeration module's primitive-vector walk, one int64 block of
     (norms^2, weights) at a time: a representative of each orbit under
     signs and permutations, weighted by the number of points in it.  Each
@@ -254,23 +316,8 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
         raise DomainError("m must be >= -1")
     if s <= m + 1:
         raise DomainError(f"Z_(P^{m}) diverges for s <= {m + 1}")
-    k = m + 1
-    log_kappa = _log_kappa(k)
-    excess = s - k  # > 0
-    # x = (kappa s / (excess tol))^(1/excess) and the point count
-    # kappa (x + 1)^k overflow near the pole, so both are logarithms until
-    # the count is known to be within budget
-    log_x = max((log_kappa + math.log(s) - math.log(excess)
-                 - math.log(tol)) / excess, math.log(2.0))
-    log_points = log_kappa + k * (log_x + math.log1p(math.exp(-log_x)))
-    if log_points > math.log(_ZP_BUDGET):
-        raise TooCloseToPoleError(
-            f"direct summation of Z_(P^{m})({s}) to tol {tol} needs ~"
-            f"10^{log_points / math.log(10):.1f} points; over budget {_ZP_BUDGET}")
-    x = math.exp(log_x)
-    n2max = int(math.floor(x * x))
     total = 0.0
-    for norms, weights in _primitive_norm_blocks(k, n2max):
+    for norms, weights in _primitive_norm_blocks(m + 1, _zetaP_n2max(m, s, tol)):
         total += float((weights * norms ** (-0.5 * s)).sum())
     return total
 
@@ -309,13 +356,16 @@ def _height_one_dominates(m: int, s: float) -> bool:
     height 1.
 
     With k = m + 1, the heights in [sqrt 2, 2] belong to at most
-    N(P^m, 2) <= kappa 2^k points (`_log_kappa`), each adding at most
-    2^(-s/2); the heights above 2 add at most kappa s / (s - k) 2^(k - s),
-    the tail bound of `zetaP_numeric` at X = 2.  The test runs in
-    logarithms, so it holds up to the largest double s.
+    N(P^m, 2) <= kappa(2) 2^k points (`_log_kappa` at X = 2), each adding at
+    most 2^(-s/2); the heights above 2 add at most
+    kappa(2) s / (s - k) 2^(k - s), the tail bound of `zetaP_numeric` at
+    X = 2.  For k >= 4, kappa(2) is V_k (1 + sqrt(k)/4)^k / 2, half the
+    bound on all nonzero vectors; for k = 2 and 3 the multiples of 2 lower
+    it.  The test runs in logarithms, so it holds up to the largest
+    double s.
     """
     k = m + 1
-    log_tail = (_log_kappa(k) + (k - s / 2) * math.log(2.0)
+    log_tail = (_log_kappa(k, 2.0) + (k - s / 2) * math.log(2.0)
                 + math.log1p(s / (s - k) * 2.0 ** (-s / 2)))
     return log_tail < math.log(math.ulp(m + 1.0) / 2)
 

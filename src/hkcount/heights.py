@@ -131,23 +131,35 @@ def height_L_sq(X: HKVariety, L: LineBundleClass, P: HKRationalPoint) -> Fractio
     return hf2 ** L.lam * Fraction(nq) ** L.mu
 
 
+def cleared_height_sq(X: HKVariety, L: LineBundleClass,
+                      P: HKRationalPoint) -> tuple[int, int]:
+    """Integers n, d > 0 with H_L^2 = n / d, not reduced.
+
+    H_L^2 = S^lam * Nq^(mu - lam*b_max) with S = sum y_i^2 Nq^{b_max-b_i}
+    and b_max = a_r; each factor goes to the side where its exponent is
+    positive, so no negative power of an int (a float) is formed.
+    """
+    _check_dims(X, P.base, P.fiber)
+    nq = base_height_sq(P.base)
+    s = fiber_numerator(X, nq, P.fiber.coords)
+    lam, e = L.lam, L.mu - L.lam * X.a[-1]
+    return (s ** max(lam, 0) * nq ** max(e, 0),
+            s ** max(-lam, 0) * nq ** max(-e, 0))
+
+
 def height_le(X: HKVariety, L: LineBundleClass, P: HKRationalPoint,
               B: Union[int, Fraction]) -> bool:
     """Exact test H_L(P) <= B, as a cleared integer inequality.
 
-    With B^2 = p/q, S = sum y_i^2 Nq^{b_max-b_i} and b_max = a_r, the test
-    H_L^2 <= B^2 is S^lam * q * Nq^mu <= p * Nq^{lam*b_max}.
+    With B^2 = p/q and H_L^2 = n/d (`cleared_height_sq`), the test
+    H_L^2 <= B^2 is n * q <= p * d.
     """
     B = Fraction(B)
     if B <= 0:
         raise ValueError("bound must be positive")
-    _check_dims(X, P.base, P.fiber)
-    nq = base_height_sq(P.base)
-    s = fiber_numerator(X, nq, P.fiber.coords)
+    n, d = cleared_height_sq(X, L, P)
     b2 = B * B
-    p, q = b2.numerator, b2.denominator
-    lam, mu = L.lam, L.mu
-    return s ** lam * q * nq ** mu <= p * nq ** (lam * X.a[-1])
+    return n * b2.denominator <= b2.numerator * d
 
 
 def region_of(P: HKRationalPoint) -> Region:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import hkcount
 from hkcount.cli import EXIT_INFINITE, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, \
     _direct_counts, main
+from hkcount.constants import _ZP_BUDGET
 from hkcount.enumeration import enum_hk_points
 from hkcount.geometry import HKVariety, LineBundleClass, anticanonical
 from hkcount.heights import Region, height_L_sq, parse_point
@@ -389,6 +391,18 @@ class TestZeta:
         assert (code, out) == (2, "")
         assert len(err.strip().splitlines()) == 1 and message in err
 
+    @pytest.mark.parametrize("m, s", [("1", "2.0000001"), ("5", "6.00001"),
+                                      ("400", "600")],
+                             ids=["zetaP-near-pole", "zetaP5-near-pole",
+                                  "zetaP400-numeric"])
+    def test_over_budget_by_orders_of_magnitude(self, capsys, m, s):
+        # the tighter tail bound leaves these inputs far beyond the budget
+        code, _, err = run(capsys, "zeta", "--what", "zetaP", "--m", m,
+                           "--s", s, "--numeric")
+        need = re.search(r"needs ~10\^(\S+) points", err)
+        assert code == 2 and need is not None
+        assert float(need.group(1)) >= math.log10(_ZP_BUDGET) + 3
+
     # the reasons README.md gives for an exit 2 of zeta
     REASONS = ("diverges", "over budget", "beyond double range")
 
@@ -527,6 +541,18 @@ class TestDirectCounts:
         assert above == 0
         assert counts == [sum(1 for _ in enum_hk_points(X, L, b, region))
                           for b in range(1, 13)]
+
+    @pytest.mark.parametrize("bundle", ["0,1", "-1,1"])
+    def test_fiber_exponent_at_most_zero(self, bundle):
+        # F of X_2(1) is finite for lam <= 0; S^lam then goes to the
+        # denominator of the bucketed height
+        X = HKVariety.parse("1,2:1")
+        L = LineBundleClass.parse(bundle)
+        counts, above = _direct_counts(X, L, 12, Region.SUBBUNDLE_F)
+        assert above == 0 and counts[-1] > 0
+        assert counts == [
+            sum(1 for _ in enum_hk_points(X, L, b, Region.SUBBUNDLE_F))
+            for b in range(1, 13)]
 
     @pytest.mark.parametrize("region", [Region.GOOD_OPEN,
                                         Region.SUBBUNDLE_F])

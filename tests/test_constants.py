@@ -18,6 +18,7 @@ from hkcount.constants import (
     TooCloseToPoleError,
     _log_kappa,
     _shell_counts,
+    _zetaP_n2max,
     hirzebruch_table,
     hurwitz_zeta,
     load_invariants,
@@ -33,7 +34,7 @@ from hkcount.constants import (
     zetaP_numeric,
     zetaP_theta,
 )
-from hkcount.enumeration import _ball_count
+from hkcount.enumeration import _ball_count, _canonical_vectors
 from hkcount.geometry import (
     CaseTag,
     HKVariety,
@@ -117,16 +118,51 @@ class TestProjectiveZeta:
             zetaP_numeric(2, 4.0, 1e-5)
 
     def test_log_kappa_equals_the_float_bound(self):
-        # reference: the bound in doubles, V_k (1 + sqrt(k)/4)^k / 2, which
-        # overflows from about k = 340 on
-        def kappa_bound(k):
+        # reference: kappa(X) in doubles,
+        # V_k [(1 + sqrt(k)/(2X))^k - 2^-k (1 - sqrt(k)/X)_+^k] / 2, whose
+        # powers overflow from about k = 340 on
+        def kappa_bound(k, x):
             vk = math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
-            return vk * (1.0 + math.sqrt(k) / 4.0) ** k / 2.0
+            r = math.sqrt(k) / x
+            return vk * ((1.0 + r / 2.0) ** k
+                         - 2.0 ** -k * max(1.0 - r, 0.0) ** k) / 2.0
 
         for k in range(1, 301):
-            assert _log_kappa(k) == pytest.approx(math.log(kappa_bound(k)),
-                                                  rel=1e-12, abs=1e-12)
-        assert math.isfinite(_log_kappa(10 ** 6))
+            for x in (2.0, 3.5, 40.0, 1e6):
+                assert _log_kappa(k, x) == pytest.approx(
+                    math.log(kappa_bound(k, x)), rel=1e-12, abs=1e-12)
+        assert math.isfinite(_log_kappa(10 ** 6, 2.0))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_kappa_bounds_the_primitive_count(self, k):
+        # N(P^(k-1), H) <= kappa(X) H^k for H >= X, by listing the canonical
+        # primitive vectors: N jumps only where H^2 is an integer, so every
+        # integer H^2 in [X^2, 4 X^2], and H = X itself, cover H in [X, 2X]
+        for x in (2.0, 2.5, 3.0, 4.0, 5.5):
+            top = math.floor(4 * x * x)
+            per_norm = [0] * (top + 1)
+            for _, n2 in _canonical_vectors(k, top):
+                per_norm[n2] += 1
+            count = list(itertools.accumulate(per_norm))
+            kappa = math.exp(_log_kappa(k, x))
+            assert count[math.floor(x * x)] <= kappa * x ** k
+            for h2 in range(math.ceil(x * x), top + 1):
+                assert count[h2] <= kappa * h2 ** (k / 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.floats(0, 1), st.floats(-6, -3))
+    def test_numeric_within_tol_of_reference(self, m, u, log_tol):
+        # s runs from where the walk at tol 1e-6 holds about 1e5 points to 40
+        lo = {1: 4.5, 2: 6.0, 3: 8.0}[m]
+        s = lo + u * (40.0 - lo)
+        tol = 10.0 ** log_tol
+        want = zetaP1_closed(s) if m == 1 else zetaP_theta(m, s)
+        assert abs(zetaP_numeric(m, s, tol) - want) <= tol
+
+    def test_summation_bound_is_taken_at_x(self):
+        # Z_(P^1)(4) at tol 1e-6, the sum of the rank-2 identity check:
+        # n2max is 5,755,733 with kappa(2), 2,360,533 with kappa(X)
+        assert _zetaP_n2max(1, 4.0, 1e-6) < 2_500_000
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Exact height arithmetic and point bookkeeping."""
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,22 @@ class TestHeights:
         pt = HKRationalPoint(canonicalize((q0, 1)), canonicalize((1, y1)))
         exact = height_L_sq(X, L, pt) <= Fraction(bound) ** 2
         assert height_le(X, L, pt, Fraction(bound)) == exact
+
+    @pytest.mark.parametrize("variety, bundle, point", [
+        ("1,2:1", "1,-1", "[10:11];[0:1]"), ("1,2:2", "-1,2", "[1:11];[0:1]"),
+        ("2,2:0,1", "1,-1", "[1:21];[0:3:4]")])
+    def test_comparator_exact_at_the_bound_for_negative_exponents(
+            self, variety, bundle, point):
+        # H_L^2 is a rational square here and B = H_L exactly; a negative
+        # exponent must not turn the cleared inequality into floats
+        X = HKVariety.parse(variety)
+        L = LineBundleClass.parse(bundle)
+        pt = parse_point(point)
+        h = height_L_sq(X, L, pt)
+        B = Fraction(isqrt(h.numerator), isqrt(h.denominator))
+        assert B * B == h
+        assert height_le(X, L, pt, B)
+        assert not height_le(X, L, pt, B * Fraction(999_999, 1_000_000))
 
 
 def _random_variety(rng: random.Random) -> HKVariety:
