@@ -27,8 +27,9 @@ gcd.  zetaP_numeric sums w * norm^(-s/2) over the same blocks, and
 count_enum_projective sums the weights.  The unfolded stream stays the
 small-walk path and the reference the fold is tested against.  A count
 takes the histogram as a pair (norms, mults) from `_norm_histogram`:
-int64 arrays gathered from the blocks' np.add.at histogram reach the
-fiber step without a dict, and a small walk gives the same pair as lists
+int64 arrays gathered from the blocks' np.add.at histogram (an int32
+table wherever its entries provably fit) reach the fiber step without a
+dict, and a small walk gives the same pair as lists
 of Python ints.  `projective_norm_histogram` is the dict of that pair,
 for the oracles and the tests.
 
@@ -41,26 +42,36 @@ precomputed list of squares; higher dimensions recurse down to Z^3.  It
 is integer-only and needs no numpy, so a P^n or F count does not load it.
 
 Fiber vectors are counted by a recursive box walk on the integer
-quadratic form sum c_i y_i^2 <= S_max (largest coefficient first), with
-the innermost coordinate resolved by a Mobius/inclusion-exclusion
-coprimality count instead of a per-point gcd.  For r = 1 the fibers of
-all base norms are counted in one batched step (`_count_r1_batched`):
-the parameters (c_0, S_max) are computed in int64 arrays (c_1 = 1), the
-y_0 = 1 rows of all norms are counted in one vector pass (every y_1 is
-coprime to 1), the rows y_0 >= 2 are flattened into blocks of _CHUNK
-rows, and their coprime count of the last coordinate is read off a numpy
-table of squarefree divisors; both passes add into one int64 fiber count
-per norm, and the multiplicities weight those counts in one int64 dot
-product where a bound proves it exact, in one Python-int sum otherwise.
-The table (`_divisor_table`, int32 divisors with int8 signs) takes mu
-from a vectorised integer sieve, `_mobius_array`: each prime
-p <= sqrt(ymax) flips the sign of its multiples, zeroes the multiples of
-p^2 and is divided out of a remainder, and a remainder above 1 is one
-more prime.  The batched step takes only the norms for
-which an int64 guard (`_r1_batch_band`) proves that every intermediate
-value stays below 2^62 (a cap p // q // m^k with p // q >= 2^62 is divided
-in Python ints and only its quotient enters int64); every other norm, and
-every r >= 2 count, goes through the per-norm Python path with unbounded
+quadratic form sum c_i y_i^2 <= S_max, c_i = m^(a_r - b_i), with the
+coordinates in `fiber_weights` order: y_0 (c_0 = m^a_r, the largest),
+then y_1 (c_1 = 1), then y_i (c_i = m^a_(i-1)) for i >= 2, so for r >= 2
+the weight-1 coordinate is not the innermost.  The innermost coordinate
+is resolved by a Mobius/inclusion-exclusion coprimality count instead of
+a per-point gcd.  For r = 1 the fibers of the base norms are counted in a
+batched step (`_count_r1_batched`) over slices of _CHUNK norms, so that
+its arrays span one slice and not every norm: the parameters (c_0, S_max)
+are computed in int64 arrays (c_1 = 1), the y_0 = 1 rows of a slice are
+counted in one vector pass (every y_1 is coprime to 1), the rows
+y_0 >= 2 are flattened into blocks, and their coprime count of the last
+coordinate is read off a numpy table of squarefree divisors; both passes
+add into one int64 fiber count per norm, and the multiplicities weight
+those counts in one int64 dot product per slice where a bound proves it
+exact, in one Python-int sum otherwise.  The table (`_divisor_table`,
+int32 divisors with int8 signs, sorted window by window so that no int64
+temporary outgrows it) takes mu from a vectorised integer sieve,
+`_mobius_array`: each prime p <= sqrt(ymax) flips the sign of its
+multiples, zeroes the multiples of p^2 and is divided out of a
+remainder, and a remainder above 1 is one more prime.  The batched step
+takes only the norms for which an int64 guard (`_r1_batch_band`) proves
+that every intermediate value stays below 2^62 (a cap p // q // m^k with
+p // q >= 2^62 is divided in Python ints and only its quotient enters
+int64), and whose fibers have at most _Y0_TABLE_MAX rows.  The r = 1
+norms it leaves whose S_max, taken in Python ints, is below 2^62 go to a
+Mobius kernel (`_count_r1_mobius`): the identity of the P^n sieve counts
+a fiber as sum over d of mu(d) E(c_0, S_max // d^2), where E counts every
+lattice point with y_0 >= 1 and tests no gcd, in numpy over (d, y_0) rows
+in blocks of _CHUNK.  The norms with S_max >= 2^62, and every r >= 2
+count, go through the per-norm Python path with unbounded
 integers.  All bound comparisons are integer-exact, integer roots included
 (Newton from above, seeded for square roots from a table of isqrt over
 16-bit integers and otherwise from a power of two); no floating point
@@ -69,7 +80,7 @@ enters any count.
 numpy is imported inside the functions that use it, and the process
 pool only on the pooled branch, so importing this module costs neither.
 A count loads numpy only when an array step has enough work to repay
-the import (about 0.1 s).  A walk bounded by fewer than _NUMPY_WALK_MIN
+the import (about 0.15 s).  A walk bounded by fewer than _NUMPY_WALK_MIN
 vectors takes the `_canonical_vectors` stream, and over such a base an
 r = 1 band with fewer than _NUMPY_ROWS_MIN y_0 rows is counted per norm
 in the calling process.  Both choices depend only on the input's size,
@@ -363,9 +374,9 @@ def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[tuple[np.ndarray, n
 # of 3), `_norm_histogram` from the stream took 0.045 s for 115k vectors
 # of P^1, 0.080 s for 272k of P^2 and 0.113 s for 365k of P^3; as arrays
 # from the folded blocks it took 0.0035, 0.0007 and 0.0004 s.  The import
-# costs about 0.10 s, what the stream spends on some 3 * 10^5 vectors; the
-# bound sits lower because a base of that size may still need numpy for
-# its r = 1 rows.
+# costs 0.10 to 0.15 s, what the stream spends on some 3 to 4 * 10^5
+# vectors; the bound sits lower because a base of that size may still need
+# numpy for its r = 1 rows.
 _NUMPY_WALK_MIN = 10 ** 5
 
 
@@ -377,7 +388,12 @@ def _norm_histogram(n: int, n2max: int) -> tuple[Sequence[int], Sequence[int]]:
     """(norms, mults): the distinct norm^2, ascending, of the canonical
     primitive vectors in Z^{n+1} with norm^2 <= n2max, and how many
     vectors have each.  int64 arrays from the numpy walk, lists of Python
-    ints from the small one."""
+    ints from the small one.
+
+    The dense table over 0..n2max is int32 when the box bound of
+    `_primitive_norm_blocks`, (2 isqrt(n2max) + 1)^(n+1), is below 2^31:
+    no entry can exceed it (P^1 through n2max of about 5 * 10^8).  Larger
+    walks keep an int64 table."""
     if not _numpy_walk(n, n2max):
         counts: dict[int, int] = {}
         for _, m in _canonical_vectors(n + 1, n2max):
@@ -386,11 +402,16 @@ def _norm_histogram(n: int, n2max: int) -> tuple[Sequence[int], Sequence[int]]:
         return norms, [counts[m] for m in norms]
     import numpy as np
 
-    hist = np.zeros(_table_length(n2max), dtype=np.int64)
+    box = (2 * isqrt(n2max) + 1) ** (n + 1)
+    dtype = np.int32 if box < 1 << 31 else np.int64
+    hist = np.zeros(_table_length(n2max), dtype=dtype)
     for norms, weights in _primitive_norm_blocks(n + 1, n2max):
-        np.add.at(hist, norms, weights)
+        # np.add.at casts mixed dtypes element by element, 20x slower
+        np.add.at(hist, norms, weights.astype(dtype, copy=False))
     norms = np.flatnonzero(hist)
-    return norms, hist[norms]
+    mults = hist[norms]
+    del hist  # the table goes before the int64 copy is made
+    return norms, mults.astype(np.int64)
 
 
 def projective_norm_histogram(n: int, n2max: int) -> dict[int, int]:
@@ -645,20 +666,45 @@ def _divisor_table(ymax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     signs mu(d) are div[start[y]:start[y + 1]] and sign[...], y = 1..ymax.
 
     int32 divisors and offsets, int8 signs: y <= _Y0_TABLE_MAX keeps every
-    entry far below 2^31, and the table is the batched step's largest
-    allocation."""
+    entry far below 2^31.  The pairs (d, y = k d) are generated and sorted
+    by y over four windows of y, so the int64 sort order of one window
+    (about a quarter of the entries) stays smaller than the table."""
     import numpy as np
 
     mob = _mobius_array(ymax)
     d = np.flatnonzero(mob[1:]).astype(np.int32) + 1
-    per = ymax // d  # the multiples d, 2d, .., per * d of each d
-    div = np.repeat(d, per)
-    first = np.repeat(np.cumsum(per, dtype=np.int32) - per, per)
-    y = div * (np.arange(1, div.size + 1, dtype=np.int32) - first)
-    order = np.argsort(y)  # the order of a y's divisors does not matter
-    div = div[order]
-    start = np.searchsorted(y[order], np.arange(ymax + 2, dtype=np.int32))
-    return start.astype(np.int32), div, mob[div]
+    div = np.empty(int((ymax // d).sum()), dtype=np.int32)
+    start = np.zeros(ymax + 2, dtype=np.int32)
+    filled = 0
+    step = -(-ymax // 4)
+    for lo in range(1, ymax + 1, step):
+        hi = min(lo + step - 1, ymax)
+        dd = d[:np.searchsorted(d, hi, side="right")]
+        k0 = (lo - 1) // dd + 1  # the multiples k0 d .. (hi // d) d
+        per = hi // dd - k0 + 1
+        dw = np.repeat(dd, per)
+        y = dw * (np.arange(dw.size, dtype=np.int32)
+                  - np.repeat(np.cumsum(per, dtype=np.int32) - per - k0, per))
+        # the order of a y's divisors does not matter
+        div[filled:filled + y.size] = dw[np.argsort(y)]
+        start[lo + 1:hi + 2] = filled + np.cumsum(np.bincount(y - lo))
+        filled += y.size
+    return start, div, mob[div]
+
+
+def _ragged_chunks(width: np.ndarray,
+                   size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(row, k) over the ranges k = 0 .. width[row] - 1, concatenated in
+    row order and cut into blocks of `size` entries; a long row spans
+    several blocks, so no block holds more than `size` entries."""
+    import numpy as np
+
+    ends = np.cumsum(width)
+    total = int(ends[-1]) if ends.size else 0
+    for a in range(0, total, size):
+        flat = np.arange(a, min(a + size, total), dtype=np.int64)
+        row = np.searchsorted(ends, flat, side="right")
+        yield row, flat - (ends[row] - width[row])
 
 
 def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
@@ -667,21 +713,24 @@ def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
     """`_fiber_params` and `_count_fiber_good` for r = 1, over int64 arrays.
 
     Counts the norms in `_r1_batch_band` whose fibers have at most
-    _Y0_TABLE_MAX rows.  A row's last coordinate runs over |y_1| <= M with
-    M = isqrt(S_max - m^ar y_0^2).  The y_0 = 1 rows of all norms are one
-    vector pass: every y_1 is coprime to 1, y_1 = 0 included, so such a
-    row counts 2 M + 1 and needs no divisors.  The rows y_0 >= 2 of the
-    norms that have them are flattened into blocks; a row counts y_1 and
-    -y_1 for each 1 <= y_1 <= M coprime to y_0, sum over squarefree
-    d | y_0 of mu(d) floor(M/d), read off `_divisor_table`.  Both passes
-    add into one int64 fiber count per norm, which cannot overflow: a norm
-    has at most _Y0_TABLE_MAX = 2^17 rows and each row counts fewer than
-    2^32 points (see `_r1_batch_band`), so a total stays below 2^49.  The
-    sum of mult * fiber count is one int64 dot product when the sum of
-    the multiplicities times the largest total is below 2^62, which
-    bounds every partial sum, and one Python-int sum otherwise (the
-    multiplicities are histogram counts, whose sum, the number of base
-    vectors, is below 2^62 by the bound of `_primitive_norm_blocks`).
+    _Y0_TABLE_MAX rows, over slices of _CHUNK norms, so that every
+    per-norm array spans one slice.  A row's last coordinate runs over
+    |y_1| <= M with M = isqrt(S_max - m^ar y_0^2).  The y_0 = 1 rows of a
+    slice are one vector pass: every y_1 is coprime to 1, y_1 = 0
+    included, so such a row counts 2 M + 1 and needs no divisors.  The rows
+    y_0 >= 2 of the slice's norms that have them are flattened into blocks
+    of _CHUNK // 4 rows; a row counts y_1 and -y_1 for each 1 <= y_1 <= M
+    coprime to y_0, sum over squarefree d | y_0 of mu(d) floor(M/d), read
+    off `_divisor_table`, which is rebuilt only when a slice needs a larger
+    y_0 than it covers.  Both passes add into one int64 fiber count per
+    norm, which cannot overflow: a norm has at most _Y0_TABLE_MAX = 2^17
+    rows and each row counts fewer than 2^32 points (see `_r1_batch_band`),
+    so a total stays below 2^49.  A slice's sum of mult * fiber count is
+    one int64 dot product when the sum of its multiplicities times its
+    largest total is below 2^62, which bounds every partial sum, and one
+    Python-int sum otherwise (the multiplicities are histogram counts,
+    whose sum, the number of base vectors, is below 2^62 by the bound of
+    `_primitive_norm_blocks`); the slices' sums add as Python ints.
     Returns (that sum, rows, done), where done marks the norms counted
     here; rows is the number of y_0 rows, both passes together, which
     `_count_fiber_good` reports as rows_visited.
@@ -690,49 +739,122 @@ def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
 
     lo, hi = _r1_batch_band(weights, ar, lam, mu, p, q)
     done = (norms >= lo) & (norms <= hi)
-    if not done.any():
-        return 0, 0, done
-    m, mult = norms[done], mults[done]
     e = lam * ar - mu
     P = p // q
-    if e >= 0:
-        cap = (p * m ** e) // q
-    elif P < _INT64_SAFE:
-        cap = P // m ** -e
-    else:  # the band's lower end keeps these quotients below 2^62
-        cap = np.array([P // d for d in (m ** -e).tolist()], dtype=np.int64)
-    smax = _iroot_array(cap, lam)
-    c0 = m ** ar
+    total = rows = 0
+    table = None
+    for a in range(0, norms.size, _CHUNK):
+        part = done[a:a + _CHUNK]  # a view: the norms left over are cleared in it
+        if not part.any():
+            continue
+        m, mult = norms[a:a + _CHUNK][part], mults[a:a + _CHUNK][part]
+        if e >= 0:
+            cap = (p * m ** e) // q
+        elif P < _INT64_SAFE:
+            cap = P // m ** -e
+        else:  # the band's lower end keeps these quotients below 2^62
+            cap = np.array([P // d for d in (m ** -e).tolist()], dtype=np.int64)
+        smax = _iroot_array(cap, lam)
+        c0 = m ** ar
+        top0 = _iroot_array(smax // c0, 2)
+        fits = top0 <= _Y0_TABLE_MAX
+        part[np.flatnonzero(part)[~fits]] = False
+        live = fits & (top0 > 0)
+        smax, c0, top0, mult = (x[live] for x in (smax, c0, top0, mult))
+        rows += int(top0.sum())
+        # y0 = 1: every y1 is coprime to it, y1 = 0 included
+        fiber = 2 * _iroot_array(smax - c0, 2) + 1
+        more = np.flatnonzero(top0 > 1)
+        if more.size:
+            smax, c0 = smax[more], c0[more]
+            width = top0[more] - 1  # the rows y0 = 2 .. top0
+            ymax = int(width.max()) + 1
+            if table is None or table[0].size - 2 < ymax:
+                table = _divisor_table(ymax)
+            start, div, sign = table
+            # a y0 <= 2^17 has 7 to 8 squarefree divisors on average, so
+            # _CHUNK // 4 rows expand to a few _CHUNK divisor terms
+            for row, k in _ragged_chunks(width, _CHUNK // 4):
+                y0 = k + 2
+                last = _iroot_array(smax[row] - c0[row] * y0 * y0, 2)
+                ndiv = start[y0 + 1] - start[y0]
+                term, j = _ragged_arange(start[y0], ndiv)
+                coprime = np.add.reduceat(sign[j] * (last[term] // div[j]),
+                                          np.cumsum(ndiv) - ndiv)
+                heads = np.flatnonzero(np.diff(row, prepend=-1))
+                # row is sorted, so a block names each norm at most once
+                fiber[more[row[heads]]] += 2 * np.add.reduceat(coprime, heads)
+        if int(mult.sum()) * int(fiber.max(initial=0)) < _INT64_SAFE:
+            total += int(mult @ fiber)
+        else:
+            total += sum(map(mul, mult.tolist(), fiber.tolist()))
+    return total, rows, done
+
+
+def _count_r1_mobius(c0: np.ndarray, smax: np.ndarray,
+                     mults: np.ndarray) -> tuple[int, int]:
+    """Sum of mult * (the r = 1 fiber count of `_count_fiber_good` for the
+    form c_0 y_0^2 + y_1^2 <= S_max), and its y_0 rows, over int64 arrays
+    with 1 <= c_0 <= S_max < 2^62.
+
+    The count of coprime (y_0, y_1) with y_0 >= 1 is, by Mobius inversion
+    over d = gcd(y_0, y_1) (Schanuel 1979, as in `_count_projective_n2`),
+    sum over d of mu(d) E(c_0, S_max // d^2), where E(c, T) =
+    sum_{y_0 = 1}^{isqrt(T // c)} (2 isqrt(T - c y_0^2) + 1) counts every
+    lattice point with y_0 >= 1 and tests no gcd.  d runs to
+    isqrt(S_max // c_0), beyond which E is 0, and mu comes from
+    `_mobius_array`.  The (norm, d) pairs with mu(d) != 0 and then their
+    (d, y_0) rows are walked in blocks of _CHUNK (`_ragged_chunks`).
+    int64 suffices: d^2 <= S_max // c_0, c_0 y_0^2 <= T <= S_max and
+    T - c_0 y_0^2 <= S_max stay below 2^62, a row's term has absolute
+    value at most 2 isqrt(S_max) + 1 < 2^32, and a block of _CHUNK rows
+    sums below 2^46; each block's per-norm sums join the total as Python
+    ints.  The rows reported are isqrt(S_max // c_0) per norm, the y_0
+    rows the other paths report, not the Mobius terms.
+    """
+    import numpy as np
+
     top0 = _iroot_array(smax // c0, 2)
-    fits = top0 <= _Y0_TABLE_MAX
-    done[np.flatnonzero(done)[~fits]] = False
-    live = fits & (top0 > 0)
-    smax, c0, top0, mult = (a[live] for a in (smax, c0, top0, mult))
-    rows = int(top0.sum())
-    # y0 = 1: every y1 is coprime to it, y1 = 0 included
-    fiber = 2 * _iroot_array(smax - c0, 2) + 1
-    more = np.flatnonzero(top0 > 1)
-    if more.size:
-        smax, c0 = smax[more], c0[more]
-        width = top0[more] - 1  # the rows y0 = 2 .. top0
-        start, div, sign = _divisor_table(int(width.max()) + 1)
-        ends = np.cumsum(width)
-        nrows = int(ends[-1])
-        for r0 in range(0, nrows, _CHUNK):
-            flat = np.arange(r0, min(r0 + _CHUNK, nrows), dtype=np.int64)
-            row = np.searchsorted(ends, flat, side="right")
-            y0 = flat - (ends[row] - width[row]) + 2
-            last = _iroot_array(smax[row] - c0[row] * y0 * y0, 2)
-            ndiv = start[y0 + 1] - start[y0]
-            term, j = _ragged_arange(start[y0], ndiv)
-            coprime = np.add.reduceat(sign[j] * (last[term] // div[j]),
-                                      np.cumsum(ndiv) - ndiv)
-            heads = np.flatnonzero(np.diff(row, prepend=-1))
-            # row is sorted, so a chunk names each norm at most once
-            fiber[more[row[heads]]] += 2 * np.add.reduceat(coprime, heads)
-    if int(mult.sum()) * int(fiber.max(initial=0)) < _INT64_SAFE:
-        return int(mult @ fiber), rows, done
-    return sum(map(mul, mult.tolist(), fiber.tolist())), rows, done
+    mob = _mobius_array(int(top0.max()))
+    total = 0
+    for i, d in _ragged_chunks(top0, _CHUNK):
+        d += 1
+        sgn = mob[d]
+        keep = np.flatnonzero(sgn)
+        i, d, sgn = i[keep], d[keep], sgn[keep]
+        c, t = c0[i], smax[i] // (d * d)
+        for j, k in _ragged_chunks(_iroot_array(t // c, 2), _CHUNK):
+            y0 = k + 1
+            term = sgn[j] * (2 * _iroot_array(t[j] - c[j] * y0 * y0, 2) + 1)
+            owner = i[j]
+            heads = np.flatnonzero(np.diff(owner, prepend=-1))
+            total += sum(map(mul, mults[owner[heads]].tolist(),
+                             np.add.reduceat(term, heads).tolist()))
+    return total, int(top0.sum())
+
+
+def _r1_leftover(args: tuple, norms: Sequence[int], mults: Sequence[int]
+                 ) -> tuple[int, int, list[int], list[int]]:
+    """Count the r = 1 norms the batched step left whose S_max is below
+    2^62 with `_count_r1_mobius`, after taking each S_max in Python ints
+    (`_fiber_params`); a norm with c_0 > S_max has no row.  Returns
+    (count, rows, norms, mults), the last two the norms left to the
+    per-norm path, as lists of Python ints."""
+    import numpy as np
+
+    kernel: list[tuple[int, int, int]] = []
+    rest: tuple[list[int], list[int]] = ([], [])
+    for m, mult in zip(norms, mults):
+        (c0, _), smax = _fiber_params(*args, m)
+        if smax >= _INT64_SAFE:
+            rest[0].append(m)
+            rest[1].append(mult)
+        elif c0 <= smax:
+            kernel.append((c0, smax, mult))
+    if not kernel:
+        return 0, 0, *rest
+    c0, smax, mult = np.array(kernel, dtype=np.int64).T
+    return (*_count_r1_mobius(c0, smax, mult), *rest)
 
 
 def _good_chunk_worker(args: tuple) -> tuple[int, int]:
@@ -752,11 +874,14 @@ def _good_chunk_worker(args: tuple) -> tuple[int, int]:
 
 # r = 1 bands over a small base with fewer y_0 rows than this are counted
 # per norm, which needs no numpy.  With numpy loaded (2-vCPU VM, Python
-# 3.11, numpy 2.4, best of 5; -K twisted to (1, 6) on X_2(1)), 11k rows
-# took 0.031 s per norm against 0.006 s batched, 23k rows 0.069 s against
-# 0.011 s and 30k rows 0.093 s against 0.015 s; with the import (about
-# 0.065 s there) added to the batched side, the two meet near 2.5 * 10^4
-# rows.
+# 3.11, numpy 2.4, best of 5 with a cold divisor cache; bundle (1, 6) on
+# X_2(1), every norm in the band), 12.5k rows took 0.076 s per norm
+# against 0.007 s batched, 26k rows 0.163 s against 0.014 s and 34k rows
+# 0.246 s against 0.016 s.  The import costs 0.14 to 0.16 s after
+# `import hkcount.cli`; added to the batched side, the two meet near
+# 2.6 * 10^4 rows, and from 2 to 3 * 10^4 they differ by less than the
+# VM's noise.  The Mobius kernel does not enter this crossing: it counts
+# only norms the band leaves, and the row count does not include them.
 _NUMPY_ROWS_MIN = 2 * 10 ** 4
 
 
@@ -782,10 +907,10 @@ def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
     n2max = iroot(p // q, L.mu)
     args = (X.fiber_weights, X.a[-1], L.lam, L.mu, p, q)
     norms, mults = _norm_histogram(X.t - 1, n2max)
-    # The norms of the r = 1 band are counted here: the pool's fixed cost
-    # (about 20 ms per call on 2 CPUs) exceeds what splitting them saves.
-    # The pool takes the norms left to the per-norm path, whichever way
-    # the band was counted.
+    # The r = 1 norms are counted here: the pool's fixed cost (about 20 ms
+    # per call on 2 CPUs) exceeds what splitting them saves.  The pool
+    # takes the norms left to the per-norm path: r >= 2, S_max >= 2^62 and,
+    # on the small side, every r = 1 norm outside the band.
     band = None if _numpy_walk(X.t - 1, n2max) else _few_rows_band(args, norms)
     if band is not None:
         lo, hi = band
@@ -801,6 +926,10 @@ def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
         mult_arr = np.asarray(mults, dtype=np.int64)
         count, visited, done = _count_r1_batched(*args, norm_arr, mult_arr)
         norms, mults = norm_arr[~done].tolist(), mult_arr[~done].tolist()
+        if len(X.fiber_weights) == 2:
+            c, v, norms, mults = _r1_leftover(args, norms, mults)
+            count += c
+            visited += v
     if threads == 1 or len(norms) < 4 * threads:
         parts = [_good_chunk_worker((*args, norms, mults))]
     else:

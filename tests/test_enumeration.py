@@ -121,7 +121,9 @@ class TestPrimitives:
             assert mu.dtype == np.int8
             assert mu[1:].tolist() == _mobius_sieve(n)[1:], n
 
-    @pytest.mark.parametrize("ymax", [1, 2, 3, 30, 210])
+    # the table is sorted over four windows of y: 5 and 7 leave a short
+    # last window, 210 gives windows of 53, 53, 53 and 51
+    @pytest.mark.parametrize("ymax", [1, 2, 3, 4, 5, 7, 30, 210])
     def test_divisor_table_equals_trial_division(self, ymax):
         start, div, sign = enumeration._divisor_table(ymax)
         assert (start.dtype, div.dtype, sign.dtype) == (np.int32, np.int32,
@@ -181,6 +183,35 @@ class TestPrimitives:
             assert all(type(v) is int for a in lists for v in a)
             pair = (list(stream), list(stream.values()))
             assert tuple(a.tolist() for a in arrays) == tuple(lists) == pair
+
+    @pytest.mark.parametrize("n2max, dtype", [(11663, np.int32),
+                                              (11664, np.int64)])
+    def test_table_dtype_follows_the_box_bound(self, monkeypatch, n2max,
+                                               dtype):
+        # P^3: the box bound (2 isqrt(n2max) + 1)^4 is 215^4 < 2^31 at
+        # n2max = 108^2 - 1 and 217^4 >= 2^31 at 108^2, where the table
+        # turns int64.  Prefix sums of the histogram are N(P^3) at every
+        # bound (the Mobius sieve), and its small norms are the stream's.
+        assert (215 ** 4 < 2 ** 31) and (217 ** 4 >= 2 ** 31)
+        tables = []
+        zeros = np.zeros
+
+        def spy(shape, dtype=float):
+            tables.append((shape, np.dtype(dtype)))
+            return zeros(shape, dtype=dtype)
+
+        monkeypatch.setattr(np, "zeros", spy)
+        norms, mults = enumeration._norm_histogram(3, n2max)
+        monkeypatch.undo()
+        assert (n2max + 1, np.dtype(dtype)) in tables
+        assert mults.dtype == np.int64
+        cum = np.cumsum(mults)
+        for bound in (1, 2, 400, 2500, 7000, n2max):
+            at = np.searchsorted(norms, bound, side="right") - 1
+            assert int(cum[at]) == enumeration._count_projective_n2(3, bound)
+        small = norms <= 150
+        assert dict(zip(norms[small].tolist(), mults[small].tolist())) == \
+            _stream_histogram(4, 150)
 
     def test_walk_blocks_are_bounded(self):
         n2max = 2 ** 20
@@ -739,6 +770,144 @@ class TestBatchedFiberStep:
             assert time.perf_counter() - t0 < 5.0
 
 
+def _stream_histogram(dim, n2max):
+    """Norm^2 histogram of the per-vector `_canonical_vectors` stream."""
+    hist: dict[int, int] = {}
+    for _, m in _canonical_vectors(dim, n2max):
+        hist[m] = hist.get(m, 0) + 1
+    return hist
+
+
+class TestMobiusKernel:
+    """The r = 1 Mobius kernel against the gcd recursion, and the counts
+    whose leftover norms reach it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.just(1), st.integers(1, 3000)),
+                              st.integers(1, 4 * 10 ** 6),
+                              st.integers(1, 2 ** 40)),
+                    min_size=1, max_size=4))
+    def test_equals_gcd_recursion(self, fibers):
+        fibers = [(c0, max(c0, smax), mult) for c0, smax, mult in fibers]
+        c0, smax, mult = np.array(fibers, dtype=np.int64).T
+        count = rows = 0
+        for c, s, k in fibers:
+            fc, fr = enumeration._count_fiber_good((c, 1), s)
+            count += k * fc
+            rows += fr
+        assert enumeration._count_r1_mobius(c0, smax, mult) == (count, rows)
+
+    def test_rows_beyond_the_divisor_table(self):
+        # c_0 = 1 and more y_0 rows than _Y0_TABLE_MAX: the kernel against
+        # the gcd recursion and against the P^1 sieve (the fiber points are
+        # the canonical primitive vectors of Z^2 other than (0, 1))
+        top = enumeration._Y0_TABLE_MAX + 1
+        smax = top * top + 5
+        one = np.array([1], dtype=np.int64)
+        got = enumeration._count_r1_mobius(one, one * smax, one * 3)
+        fiber = enumeration._count_projective_n2(1, smax) - 1
+        assert got == (3 * fiber, top)
+        assert enumeration._count_fiber_good((1, 1), smax) == (fiber, top)
+
+    def test_leftover_norms_skip_the_per_norm_path(self, monkeypatch):
+        # with a divisor table of y_0 <= 3 most norms are left over; their
+        # S_max is below 2^62, so the kernel counts them all
+        X = HKVariety(1, 2, (1,))
+        req = CountRequest(X, LineBundleClass(1, 3), Fraction(3000),
+                           Region.GOOD_OPEN)
+        want = count_hk(req)
+        monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 0)
+        monkeypatch.setattr(enumeration, "_Y0_TABLE_MAX", 3)
+        worker = enumeration._good_chunk_worker
+        calls = []
+
+        def spy(args):
+            calls.append(args[-2])
+            return worker(args)
+
+        monkeypatch.setattr(enumeration, "_good_chunk_worker", spy)
+        got = count_hk(req)
+        assert (got.count, got.points_visited) == (want.count,
+                                                   want.points_visited)
+        assert calls == [[]]
+
+    def test_surface_pin_past_int64_caps(self):
+        # -K on X_2(1), region U, B = 2^33: the norms m <= 2^66 // 2^62
+        # have caps past 2^62 and go to the kernel; the pin is the count of
+        # the batched step and the per-norm path before the kernel existed
+        X = HKVariety(1, 2, (1,))
+        res = count_hk(CountRequest(X, anticanonical(X), Fraction(2 ** 33),
+                                    Region.GOOD_OPEN))
+        assert (res.count, res.points_visited) == (134342841028, 2258741)
+
+    def test_every_surface_norm_through_the_kernel(self, monkeypatch):
+        # an empty band leaves all 139187 norms of the count-surface count
+        # to the kernel, which must give its pin
+        monkeypatch.setattr(enumeration, "_r1_batch_band", lambda *a: (1, 0))
+        X = HKVariety(1, 2, (1,))
+        res = count_hk(CountRequest(X, anticanonical(X), Fraction(2 ** 30),
+                                    Region.GOOD_OPEN))
+        assert (res.count, res.points_visited) == (15435482828, 600987)
+
+
+class TestBoundedMemory:
+    """The surface count's arrays span a slice of norms, not every norm."""
+
+    @pytest.mark.parametrize("bundle, B", [((2, 3), 2 ** 16), ((1, 2), 1500),
+                                           ((1, 1), 100)])
+    def test_slices_equal_per_norm_path(self, monkeypatch, bundle, B):
+        # _CHUNK = 64: the norms span many slices, the divisor pass many
+        # blocks, and each divisor table is larger than the one before;
+        # in descending order the later slices need the larger tables
+        X = HKVariety(1, 2, (1,))
+        L = LineBundleClass(*bundle)
+        p, q = _squared_cap(Fraction(B))
+        args = (X.fiber_weights, 1, L.lam, L.mu, p, q)
+        norms, mults = (np.asarray(a, dtype=np.int64) for a in
+                        enumeration._norm_histogram(1, iroot(p // q, L.mu)))
+        want = enumeration._good_chunk_worker(
+            (*args, norms.tolist(), mults.tolist()))
+        monkeypatch.setattr(enumeration, "_CHUNK", 64)
+        monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 0)
+        table = enumeration._divisor_table
+        sizes = []
+
+        def spy(ymax):
+            sizes.append(ymax)
+            return table(ymax)
+
+        monkeypatch.setattr(enumeration, "_divisor_table", spy)
+        count, rows, done = _count_r1_batched(*args, norms, mults)
+        assert done.all() and len(norms) > 3 * 64
+        assert (count, rows) == want
+        assert sizes == sorted(set(sizes))
+        sizes.clear()
+        count, rows, done = _count_r1_batched(*args, norms[::-1], mults[::-1])
+        assert (count, rows) == want
+        assert len(sizes) > 1 and sizes == sorted(set(sizes))
+        res = count_hk(CountRequest(X, L, Fraction(B), Region.GOOD_OPEN))
+        assert (res.count, res.points_visited) == want
+
+    def test_surface_count_peak(self):
+        # tracemalloc peak of the count-surface count (B = 2^30), numpy
+        # loaded: 7.0 MiB, the histogram phase's int32 table and gathered
+        # arrays.  Arrays over all 139187 norms and an int64 table had
+        # put it at 18.2 MiB.
+        import tracemalloc
+
+        X = HKVariety(1, 2, (1,))
+        L = anticanonical(X)
+        enumeration._count_good_open(X, L, Fraction(2 ** 10), 1)
+        tracemalloc.start()
+        try:
+            got = enumeration._count_good_open(X, L, Fraction(2 ** 30), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (15435482828, 600987)
+        assert peak < 9 * 2 ** 20, peak / 2 ** 20
+
+
 def _box_points(X, L, B, region, budget):
     """Every point of height <= B in the region, by a search over a box
     decided point by point with `height_le`; None if the box holds more
@@ -851,9 +1020,10 @@ class TestSizeSelection:
         assert enumeration._few_rows_band(args, norms) is None
 
     def test_pool_gets_the_same_norms(self, monkeypatch):
-        # twist 20, bundle (6, 1): the r = 1 band holds only m = 1, and the
-        # per-norm path (the pool, with threads > 1) gets the rest, on
-        # either side of the row threshold
+        # twist 20, bundle (6, 1): the r = 1 band holds only m = 1.  On
+        # both numpy sides the per-norm path (the pool, with threads > 1)
+        # gets the norms whose S_max reaches 2^62, and the Mobius kernel
+        # the rest; on the small side it gets every norm outside the band
         X = HKVariety(1, 2, (20,))
         req = CountRequest(X, LineBundleClass(6, 1), Fraction(30),
                            Region.GOOD_OPEN)
@@ -873,9 +1043,15 @@ class TestSizeSelection:
             res = count_hk(req)
             results[side] = (res.count, res.points_visited, tuple(calls[-1]))
             assert all(type(m) is int for m in calls[-1])
-        rest = results[self.SIDES[0]][2]
-        assert rest and 1 not in rest
-        assert len(set(results.values())) == 1, results
+        batched, rows_side, small = (results[side] for side in self.SIDES)
+        assert batched == rows_side
+        assert batched[:2] == small[:2]
+        p, q = _squared_cap(req.bound)
+        args = (X.fiber_weights, 20, 6, 1, p, q)
+        big = tuple(m for m in small[2]
+                    if enumeration._fiber_params(*args, m)[1] >= 2 ** 62)
+        assert small[2] and 1 not in small[2]
+        assert batched[2] == big and 0 < len(big) < len(small[2])
 
 
 class TestSweepAndFit:
