@@ -47,44 +47,50 @@ coordinates in `fiber_weights` order: y_0 (c_0 = m^a_r, the largest),
 then y_1 (c_1 = 1), then y_i (c_i = m^a_(i-1)) for i >= 2, so for r >= 2
 the weight-1 coordinate is not the innermost.  The innermost coordinate
 is resolved by a Mobius/inclusion-exclusion coprimality count instead of
-a per-point gcd.  For r = 1 the fibers of the base norms are counted in a
-batched step (`_count_r1_batched`) over slices of _CHUNK norms, so that
-its arrays span one slice and not every norm: the parameters (c_0, S_max)
-are computed in int64 arrays (c_1 = 1), the y_0 = 1 rows of a slice are
-counted in one vector pass (every y_1 is coprime to 1), the rows
-y_0 >= 2 are flattened into blocks, and their coprime count of the last
-coordinate is read off a numpy table of squarefree divisors; both passes
-add into one int64 fiber count per norm, and the multiplicities weight
-those counts in one int64 dot product per slice where a bound proves it
-exact, in one Python-int sum otherwise.  The table (`_divisor_table`,
-int32 divisors with int8 signs, sorted window by window so that no int64
-temporary outgrows it) takes mu from a vectorised integer sieve,
-`_mobius_array`: each prime p <= sqrt(ymax) flips the sign of its
-multiples, zeroes the multiples of p^2 and is divided out of a
-remainder, and a remainder above 1 is one more prime.  The batched step
-takes only the norms for which an int64 guard (`_r1_batch_band`) proves
-that every intermediate value stays below 2^62 (a cap p // q // m^k with
-p // q >= 2^62 is divided in Python ints and only its quotient enters
-int64), and whose fibers have at most _Y0_TABLE_MAX rows.  The r = 1
-norms it leaves whose S_max, taken in Python ints, is below 2^62 go to a
-Mobius kernel (`_count_r1_mobius`): the identity of the P^n sieve counts
-a fiber as sum over d of mu(d) E(c_0, S_max // d^2), where E counts every
-lattice point with y_0 >= 1 and tests no gcd, in numpy over (d, y_0) rows
-in blocks of _CHUNK.  The norms with S_max >= 2^62, and every r >= 2
-count, go through the per-norm Python path with unbounded
-integers.  All bound comparisons are integer-exact, integer roots included
-(Newton from above, seeded for square roots from a table of isqrt over
-16-bit integers and otherwise from a power of two); no floating point
-enters any count.
+a per-point gcd.
+
+Every r = 1 base norm takes one route, over slices of at most _CHUNK
+norms, so that no array spans every norm.  One stream (`_r1_fibers`)
+yields int64 slices of (c_0, S_max, mult), c_1 = 1.  First come the
+norms for which an int64 guard (`_r1_batch_band`) proves that every
+intermediate value stays below 2^62, with their caps computed in int64
+(a cap p // q // m^k with p // q >= 2^62 is divided in Python ints and
+only its quotient enters int64); then the other norms, with S_max taken
+in Python ints.  A norm with S_max >= 2^62 is left to the per-norm path,
+and one with c_0 > S_max has no fiber point.  One counter (`_count_r1`)
+takes every slice.  A norm with at most _Y0_TABLE_MAX y_0 rows takes the
+divisor pass: its fiber starts at 1, for the point (1, 0), its rows
+y_0 >= 1 are flattened into blocks, and their coprime count of the last
+coordinate is read off a numpy table of squarefree divisors; the
+multiplicities weight those counts in one int64 dot product per slice
+where a bound proves it exact, in one Python-int sum otherwise.  The
+table (`_divisor_table`, int32 divisors with int8 signs, sorted window
+by window so that no int64 temporary outgrows it) takes mu from a
+vectorised integer sieve, `_mobius_array`: each prime p <= sqrt(ymax)
+flips the sign of its multiples, zeroes the multiples of p^2 and is
+divided out of a remainder, and a remainder above 1 is one more prime.
+A norm with more rows goes to a Mobius kernel (`_count_r1_mobius`): the
+identity of the P^n sieve counts a fiber as sum over d of
+mu(d) E(c_0, S_max // d^2), where E counts every lattice point with
+y_0 >= 1 and tests no gcd, in numpy over (d, y_0) rows in blocks of
+_CHUNK.  The norms with S_max >= 2^62, and every r >= 2 count, go
+through the per-norm Python path with unbounded integers.  All bound
+comparisons are integer-exact, integer roots included (Newton from
+above, seeded for square roots from a table of isqrt over 16-bit
+integers and otherwise from a power of two); no floating point enters
+any count.
 
 numpy is imported inside the functions that use it, and the process
 pool only on the pooled branch, so importing this module costs neither.
 A count loads numpy only when an array step has enough work to repay
 the import (about 0.15 s).  A walk bounded by fewer than _NUMPY_WALK_MIN
 vectors takes the `_canonical_vectors` stream, and over such a base an
-r = 1 band with fewer than _NUMPY_ROWS_MIN y_0 rows is counted per norm
-in the calling process.  Both choices depend only on the input's size,
-and both sides give the same counts.  Bigness is checked before either.
+r = 1 count whose band norms have fewer than _NUMPY_ROWS_MIN y_0 rows
+goes to the per-norm path whole.  Both choices depend only on the
+input's size, and both sides give the same counts.  Bigness is checked
+before either.  r = 1 counts run in the calling process; only the
+per-norm path of an r >= 2 count is split over a process pool, of at
+most one worker per CPU the process may run on.
 
 A count sums the strata of its region (`region_strata`), so every F
 count runs on the restricted classes and exercises the restriction
@@ -92,12 +98,13 @@ lemmas; the `enum_hk_points` stream walks F directly, as a test oracle.
 """
 from __future__ import annotations
 
+import os
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import islice
 from math import gcd, isqrt, log
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
@@ -598,8 +605,8 @@ def _fiber_params(X_weights: tuple[int, ...], ar: int, lam: int, mu: int,
     return cs, smax
 
 
-# Largest y_0 the batched r = 1 step tabulates squarefree divisors for.  A
-# norm whose fiber has more y_0 rows goes through the per-norm path.  At
+# Largest y_0 the r = 1 divisor pass tabulates squarefree divisors for.  A
+# norm whose fiber has more y_0 rows goes to the Mobius kernel.  At
 # 2^17 the table holds 1.04M entries (5.7 MB with int32 divisors and
 # int8 signs); B = 2^30 on X_2(1) with -K needs 2^15.
 _Y0_TABLE_MAX = 1 << 17
@@ -696,99 +703,21 @@ def _ragged_chunks(width: np.ndarray,
                    size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(row, k) over the ranges k = 0 .. width[row] - 1, concatenated in
     row order and cut into blocks of `size` entries; a long row spans
-    several blocks, so no block holds more than `size` entries."""
+    several blocks, so no block holds more than `size` entries.  A block
+    [a, b) looks up its first and last row and repeats each row over its
+    part of the block, with no search per entry."""
     import numpy as np
 
     ends = np.cumsum(width)
+    first = ends - width
     total = int(ends[-1]) if ends.size else 0
     for a in range(0, total, size):
-        flat = np.arange(a, min(a + size, total), dtype=np.int64)
-        row = np.searchsorted(ends, flat, side="right")
-        yield row, flat - (ends[row] - width[row])
-
-
-def _count_r1_batched(weights: tuple[int, ...], ar: int, lam: int, mu: int,
-                      p: int, q: int, norms: np.ndarray,
-                      mults: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """`_fiber_params` and `_count_fiber_good` for r = 1, over int64 arrays.
-
-    Counts the norms in `_r1_batch_band` whose fibers have at most
-    _Y0_TABLE_MAX rows, over slices of _CHUNK norms, so that every
-    per-norm array spans one slice.  A row's last coordinate runs over
-    |y_1| <= M with M = isqrt(S_max - m^ar y_0^2).  The y_0 = 1 rows of a
-    slice are one vector pass: every y_1 is coprime to 1, y_1 = 0
-    included, so such a row counts 2 M + 1 and needs no divisors.  The rows
-    y_0 >= 2 of the slice's norms that have them are flattened into blocks
-    of _CHUNK // 4 rows; a row counts y_1 and -y_1 for each 1 <= y_1 <= M
-    coprime to y_0, sum over squarefree d | y_0 of mu(d) floor(M/d), read
-    off `_divisor_table`, which is rebuilt only when a slice needs a larger
-    y_0 than it covers.  Both passes add into one int64 fiber count per
-    norm, which cannot overflow: a norm has at most _Y0_TABLE_MAX = 2^17
-    rows and each row counts fewer than 2^32 points (see `_r1_batch_band`),
-    so a total stays below 2^49.  A slice's sum of mult * fiber count is
-    one int64 dot product when the sum of its multiplicities times its
-    largest total is below 2^62, which bounds every partial sum, and one
-    Python-int sum otherwise (the multiplicities are histogram counts,
-    whose sum, the number of base vectors, is below 2^62 by the bound of
-    `_primitive_norm_blocks`); the slices' sums add as Python ints.
-    Returns (that sum, rows, done), where done marks the norms counted
-    here; rows is the number of y_0 rows, both passes together, which
-    `_count_fiber_good` reports as rows_visited.
-    """
-    import numpy as np
-
-    lo, hi = _r1_batch_band(weights, ar, lam, mu, p, q)
-    done = (norms >= lo) & (norms <= hi)
-    e = lam * ar - mu
-    P = p // q
-    total = rows = 0
-    table = None
-    for a in range(0, norms.size, _CHUNK):
-        part = done[a:a + _CHUNK]  # a view: the norms left over are cleared in it
-        if not part.any():
-            continue
-        m, mult = norms[a:a + _CHUNK][part], mults[a:a + _CHUNK][part]
-        if e >= 0:
-            cap = (p * m ** e) // q
-        elif P < _INT64_SAFE:
-            cap = P // m ** -e
-        else:  # the band's lower end keeps these quotients below 2^62
-            cap = np.array([P // d for d in (m ** -e).tolist()], dtype=np.int64)
-        smax = _iroot_array(cap, lam)
-        c0 = m ** ar
-        top0 = _iroot_array(smax // c0, 2)
-        fits = top0 <= _Y0_TABLE_MAX
-        part[np.flatnonzero(part)[~fits]] = False
-        live = fits & (top0 > 0)
-        smax, c0, top0, mult = (x[live] for x in (smax, c0, top0, mult))
-        rows += int(top0.sum())
-        # y0 = 1: every y1 is coprime to it, y1 = 0 included
-        fiber = 2 * _iroot_array(smax - c0, 2) + 1
-        more = np.flatnonzero(top0 > 1)
-        if more.size:
-            smax, c0 = smax[more], c0[more]
-            width = top0[more] - 1  # the rows y0 = 2 .. top0
-            ymax = int(width.max()) + 1
-            if table is None or table[0].size - 2 < ymax:
-                table = _divisor_table(ymax)
-            start, div, sign = table
-            # a y0 <= 2^17 has 7 to 8 squarefree divisors on average, so
-            # _CHUNK // 4 rows expand to a few _CHUNK divisor terms
-            for row, k in _ragged_chunks(width, _CHUNK // 4):
-                y0 = k + 2
-                last = _iroot_array(smax[row] - c0[row] * y0 * y0, 2)
-                ndiv = start[y0 + 1] - start[y0]
-                term, j = _ragged_arange(start[y0], ndiv)
-                coprime = np.add.reduceat(sign[j] * (last[term] // div[j]),
-                                          np.cumsum(ndiv) - ndiv)
-                heads = np.flatnonzero(np.diff(row, prepend=-1))
-                # row is sorted, so a block names each norm at most once
-                fiber[more[row[heads]]] += 2 * np.add.reduceat(coprime, heads)
-        if int(mult.sum()) * int(fiber.max(initial=0)) < _INT64_SAFE:
-            total += int(mult @ fiber)
-        else:
-            total += sum(map(mul, mult.tolist(), fiber.tolist()))
-    return total, rows, done
+        b = min(a + size, total)
+        lo, hi = np.searchsorted(ends, (a, b - 1), side="right").tolist()
+        part = (np.minimum(ends[lo:hi + 1], b)
+                - np.maximum(first[lo:hi + 1], a))
+        row = np.repeat(np.arange(lo, hi + 1), part)
+        yield row, np.arange(a, b, dtype=np.int64) - first[row]
 
 
 def _count_r1_mobius(c0: np.ndarray, smax: np.ndarray,
@@ -833,28 +762,119 @@ def _count_r1_mobius(c0: np.ndarray, smax: np.ndarray,
     return total, int(top0.sum())
 
 
-def _r1_leftover(args: tuple, norms: Sequence[int], mults: Sequence[int]
-                 ) -> tuple[int, int, list[int], list[int]]:
-    """Count the r = 1 norms the batched step left whose S_max is below
-    2^62 with `_count_r1_mobius`, after taking each S_max in Python ints
-    (`_fiber_params`); a norm with c_0 > S_max has no row.  Returns
-    (count, rows, norms, mults), the last two the norms left to the
-    per-norm path, as lists of Python ints."""
+def _r1_fibers(args: tuple, norms: np.ndarray, mults: np.ndarray,
+               big: tuple[list[int], list[int]]
+               ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """int64 slices (c_0, S_max, mult), at most _CHUNK norms each, of the
+    r = 1 fibers over the base norms with 1 <= c_0 <= S_max < 2^62.
+
+    The norms in `_r1_batch_band` come first: their caps are computed in
+    int64 slice by slice (a cap p // q // m^k with p // q >= 2^62 is
+    divided in Python ints and only its quotient enters int64), and
+    c_0 = m^ar.  The norms outside the band follow, with (c_0, S_max)
+    taken in Python ints by `_fiber_params`; those with S_max >= 2^62 are
+    appended to the lists `big` (norms, mults) instead, for the per-norm
+    path.  A norm with c_0 > S_max has no fiber point and is dropped."""
     import numpy as np
 
-    kernel: list[tuple[int, int, int]] = []
-    rest: tuple[list[int], list[int]] = ([], [])
-    for m, mult in zip(norms, mults):
+    lo, hi = _r1_batch_band(*args)
+    _, ar, lam, mu, p, q = args
+    e = lam * ar - mu
+    P = p // q
+    for a in range(0, norms.size, _CHUNK):
+        m, mult = norms[a:a + _CHUNK], mults[a:a + _CHUNK]
+        inside = (m >= lo) & (m <= hi)
+        m, mult = m[inside], mult[inside]
+        if e >= 0:
+            cap = (p * m ** e) // q
+        elif P < _INT64_SAFE:
+            cap = P // m ** -e
+        else:  # the band's lower end keeps these quotients below 2^62
+            cap = np.array([P // d for d in (m ** -e).tolist()], dtype=np.int64)
+        smax = _iroot_array(cap, lam)
+        c0 = m ** ar
+        live = c0 <= smax
+        yield c0[live], smax[live], mult[live]
+    rest = []
+    outside = (norms < lo) | (norms > hi)
+    for m, mult in zip(norms[outside].tolist(), mults[outside].tolist()):
         (c0, _), smax = _fiber_params(*args, m)
         if smax >= _INT64_SAFE:
-            rest[0].append(m)
-            rest[1].append(mult)
+            big[0].append(m)
+            big[1].append(mult)
         elif c0 <= smax:
-            kernel.append((c0, smax, mult))
-    if not kernel:
-        return 0, 0, *rest
-    c0, smax, mult = np.array(kernel, dtype=np.int64).T
-    return (*_count_r1_mobius(c0, smax, mult), *rest)
+            rest.append((c0, smax, mult))
+    for a in range(0, len(rest), _CHUNK):
+        yield tuple(np.array(rest[a:a + _CHUNK], dtype=np.int64).T)
+
+
+def _count_r1(args: tuple, norms: Sequence[int], mults: Sequence[int]
+              ) -> tuple[int, int, list[int], list[int]]:
+    """`_fiber_params` and `_count_fiber_good` for r = 1, over the int64
+    slices of `_r1_fibers`.
+
+    Returns (count, rows, norms, mults): the sum of mult * fiber count over
+    the norms with S_max < 2^62; their y_0 rows, isqrt(S_max // c_0) per
+    norm, which `_count_fiber_good` reports as rows_visited; and the norms
+    with S_max >= 2^62 with their mults, as lists of Python ints for the
+    per-norm path.
+
+    In each slice a norm with more than _Y0_TABLE_MAX rows goes to
+    `_count_r1_mobius`, and the others take the divisor pass.  A row's
+    last coordinate runs over |y_1| <= M with M = isqrt(S_max - c_0 y_0^2).
+    y_1 = 0 is coprime to y_0 = 1 only, so each fiber starts at 1, for the
+    point (1, 0); a row then counts y_1 and -y_1 for each 1 <= y_1 <= M
+    coprime to y_0, sum over squarefree d | y_0 of mu(d) floor(M/d), read
+    off `_divisor_table`, which is rebuilt only when a slice needs a larger
+    y_0 than it covers.  The rows y_0 = 1 .. isqrt(S_max // c_0) of a
+    slice are flattened into blocks of _CHUNK // 4 rows; the row y_0 = 1
+    reads the one divisor 1, and M.  The fiber counts are int64 and cannot
+    overflow: a norm has at most _Y0_TABLE_MAX = 2^17 rows and each row
+    counts at most 2 sqrt(S_max) + 1 < 2^32 points, so a total stays below
+    2^49.  A slice's sum of mult * fiber count is one int64 dot product
+    when the sum of its multiplicities times its largest total is below
+    2^62, which bounds every partial sum, and one Python-int sum otherwise
+    (the multiplicities are histogram counts, whose sum, the number of base
+    vectors, is below 2^62 by the bound of `_primitive_norm_blocks`); the
+    slices' sums add as Python ints.
+    """
+    import numpy as np
+
+    big: tuple[list[int], list[int]] = ([], [])
+    norms, mults = (np.asarray(a, dtype=np.int64) for a in (norms, mults))
+    total = rows = 0
+    table = None
+    for c0, smax, mult in _r1_fibers(args, norms, mults, big):
+        top0 = _iroot_array(smax // c0, 2)
+        rows += int(top0.sum())
+        deep = top0 > _Y0_TABLE_MAX
+        if deep.any():
+            total += _count_r1_mobius(c0[deep], smax[deep], mult[deep])[0]
+            c0, smax, mult, top0 = (x[~deep] for x in (c0, smax, mult, top0))
+        if not top0.size:
+            continue
+        ymax = int(top0.max())
+        if table is None or table[0].size - 2 < ymax:
+            table = _divisor_table(ymax)
+        start, div, sign = table
+        fiber = np.ones_like(top0)  # the point (1, 0)
+        # a y0 <= 2^17 has 7 to 8 squarefree divisors on average, so
+        # _CHUNK // 4 rows expand to a few _CHUNK divisor terms
+        for row, k in _ragged_chunks(top0, _CHUNK // 4):
+            y0 = k + 1
+            last = _iroot_array(smax[row] - c0[row] * y0 * y0, 2)
+            ndiv = start[y0 + 1] - start[y0]
+            term, j = _ragged_arange(start[y0], ndiv)
+            coprime = np.add.reduceat(sign[j] * (last[term] // div[j]),
+                                      np.cumsum(ndiv) - ndiv)
+            heads = np.flatnonzero(np.diff(row, prepend=-1))
+            # row is sorted, so a block names each norm at most once
+            fiber[row[heads]] += 2 * np.add.reduceat(coprime, heads)
+        if int(mult.sum()) * int(fiber.max()) < _INT64_SAFE:
+            total += int(mult @ fiber)
+        else:
+            total += sum(map(mul, mult.tolist(), fiber.tolist()))
+    return total, rows, *big
 
 
 def _good_chunk_worker(args: tuple) -> tuple[int, int]:
@@ -872,23 +892,22 @@ def _good_chunk_worker(args: tuple) -> tuple[int, int]:
     return count, visited
 
 
-# r = 1 bands over a small base with fewer y_0 rows than this are counted
-# per norm, which needs no numpy.  With numpy loaded (2-vCPU VM, Python
-# 3.11, numpy 2.4, best of 5 with a cold divisor cache; bundle (1, 6) on
-# X_2(1), every norm in the band), 12.5k rows took 0.076 s per norm
-# against 0.007 s batched, 26k rows 0.163 s against 0.014 s and 34k rows
-# 0.246 s against 0.016 s.  The import costs 0.14 to 0.16 s after
+# r = 1 counts over a small base whose band norms have fewer y_0 rows than
+# this are counted per norm, which needs no numpy.  With numpy loaded
+# (2-vCPU VM, Python 3.11, numpy 2.4, best of 5 with a cold divisor cache;
+# bundle (1, 6) on X_2(1), every norm in the band), 12.5k rows took 0.076 s
+# per norm against 0.007 s batched, 26k rows 0.163 s against 0.014 s and
+# 34k rows 0.246 s against 0.016 s.  The import costs 0.14 to 0.16 s after
 # `import hkcount.cli`; added to the batched side, the two meet near
 # 2.6 * 10^4 rows, and from 2 to 3 * 10^4 they differ by less than the
-# VM's noise.  The Mobius kernel does not enter this crossing: it counts
-# only norms the band leaves, and the row count does not include them.
+# VM's noise.  The row count does not include the norms outside the band.
 _NUMPY_ROWS_MIN = 2 * 10 ** 4
 
 
-def _few_rows_band(args: tuple, norms: Sequence[int]) -> Optional[tuple[int, int]]:
-    """The band [lo, hi] of `_r1_batch_band` if the r = 1 fibers of its
-    norms have fewer than _NUMPY_ROWS_MIN y_0 rows in all, else None.  A
-    row count is isqrt(S_max // c_0), from `_fiber_params`."""
+def _few_r1_rows(args: tuple, norms: Sequence[int]) -> bool:
+    """Whether the r = 1 fibers of the norms in `_r1_batch_band` have fewer
+    than _NUMPY_ROWS_MIN y_0 rows in all.  A row count is
+    isqrt(S_max // c_0), from `_fiber_params`."""
     lo, hi = _r1_batch_band(*args)
     rows = 0
     for m in norms:
@@ -897,7 +916,14 @@ def _few_rows_band(args: tuple, norms: Sequence[int]) -> Optional[tuple[int, int
         if lo <= m <= hi:
             (c0, _), smax = _fiber_params(*args, m)
             rows += isqrt(smax // c0)
-    return (lo, hi) if rows < _NUMPY_ROWS_MIN else None
+    return rows < _NUMPY_ROWS_MIN
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
@@ -907,37 +933,28 @@ def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
     n2max = iroot(p // q, L.mu)
     args = (X.fiber_weights, X.a[-1], L.lam, L.mu, p, q)
     norms, mults = _norm_histogram(X.t - 1, n2max)
-    # The r = 1 norms are counted here: the pool's fixed cost (about 20 ms
-    # per call on 2 CPUs) exceeds what splitting them saves.  The pool
-    # takes the norms left to the per-norm path: r >= 2, S_max >= 2^62 and,
-    # on the small side, every r = 1 norm outside the band.
-    band = None if _numpy_walk(X.t - 1, n2max) else _few_rows_band(args, norms)
-    if band is not None:
-        lo, hi = band
-        inside = [lo <= m <= hi for m in norms]
-        count, visited = _good_chunk_worker(
-            (*args, *(list(compress(a, inside)) for a in (norms, mults))))
-        outside = [not i for i in inside]
-        norms, mults = (list(compress(a, outside)) for a in (norms, mults))
-    else:
-        import numpy as np
-
-        norm_arr = np.asarray(norms, dtype=np.int64)
-        mult_arr = np.asarray(mults, dtype=np.int64)
-        count, visited, done = _count_r1_batched(*args, norm_arr, mult_arr)
-        norms, mults = norm_arr[~done].tolist(), mult_arr[~done].tolist()
-        if len(X.fiber_weights) == 2:
-            c, v, norms, mults = _r1_leftover(args, norms, mults)
-            count += c
-            visited += v
-    if threads == 1 or len(norms) < 4 * threads:
+    count = visited = 0
+    r1 = len(X.fiber_weights) == 2
+    if r1 and (_numpy_walk(X.t - 1, n2max) or not _few_r1_rows(args, norms)):
+        count, visited, norms, mults = _count_r1(args, norms, mults)
+    elif not isinstance(norms, list):
+        norms, mults = norms.tolist(), mults.tolist()
+    # The per-norm path takes what is left: every r >= 2 norm, and for
+    # r = 1 a small base or the norms with S_max >= 2^62.  Only r >= 2
+    # splits it over a pool, of at most one worker per CPU this process
+    # may run on: the pool costs about 20 ms plus a fork per worker on
+    # 2 CPUs, more than the r = 1 per-norm work it would split (the r = 1
+    # count `--variety 1,2:19 --bundle 5,1 --B 90 --threads 2` took 0.22 s
+    # pooled and 0.17 s in one process).
+    workers = 1 if r1 else min(threads, _cpus())
+    if workers == 1 or len(norms) < 4 * workers:
         parts = [_good_chunk_worker((*args, norms, mults))]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [(*args, norms[i::threads], mults[i::threads])
-                  for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunks = [(*args, norms[i::workers], mults[i::workers])
+                  for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_good_chunk_worker, chunks))
     return (count + sum(c for c, _ in parts),
             visited + sum(v for _, v in parts))

@@ -329,18 +329,14 @@ def require_big(space: Union[HKVariety, ProjectiveSpace],
 def decompose(
     X: Union[HKVariety, ProjectiveSpace],
     L: Optional[LineBundleClass] = None,
-    variant: bool = False,
 ) -> tuple[Stratum, ...]:
     """Stratification chain of X carrying the iterated restrictions of L.
 
-    Default mode peels the good open subset off at every step down to the
-    base projective space:
+    The good open subset is peeled off at every step down to the base
+    projective space:
         [U(X), U(X'), ..., P^{t-1} (whole)].
-    Variant mode stops early with a whole product stratum
-    P^{t-1} x P^j as soon as the remaining twists are all zero (which
-    happens exactly when a_1 = ... = a_j = 0 < a_{j+1}).  L defaults to
-    the anticanonical class of X.  A twisted P^n, with L the twist, is its
-    own one whole stratum.
+    L defaults to the anticanonical class of X.  A twisted P^n, with L the
+    twist, is its own one whole stratum.
     """
     if L is None:
         L = anticanonical(X)
@@ -348,11 +344,6 @@ def decompose(
     space: Union[HKVariety, ProjectiveSpace] = X
     bundle: Union[LineBundleClass, int] = L
     while isinstance(space, HKVariety):
-        if variant and space.a[-1] == 0:
-            # remaining variety is the product P^{t-1} x P^r, taken whole
-            strata.append(Stratum(space, bundle, open_part=False,
-                                  big=_bundle_is_big(space, bundle)))
-            return tuple(strata)
         strata.append(Stratum(space, bundle, open_part=True,
                               big=_bundle_is_big(space, bundle)))
         space, bundle = restrict_to_F(space, bundle)

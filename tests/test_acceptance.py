@@ -26,7 +26,9 @@ agree with the corrected constants: N(B) / (C B^2) is 1.0000 for
 P^1 x P^1 with L = 3h+f over the whole space at B = 1600, against 0.534
 with the old value.
 """
+import concurrent.futures
 import math
+import os
 import random
 import time
 from fractions import Fraction
@@ -182,16 +184,33 @@ def test_criterion_7_oracle_equivalence():
     assert ok, checks
 
 
-def test_criterion_8_thread_determinism():
+def test_criterion_8_thread_determinism(monkeypatch):
     X = HKVariety(1, 2, (1,))
     L = LineBundleClass(1, 1)
     one = count_hk(CountRequest(X, L, Fraction(60), Region.GOOD_OPEN,
                                 threads=1)).count
     four = count_hk(CountRequest(X, L, Fraction(60), Region.GOOD_OPEN,
                                  threads=4)).count
-    ok = one == four
+    # an r = 1 count runs in one process; the 23 base norms of this r = 2
+    # count are split over a pool of 4 workers, on 4 CPUs as far as the
+    # count can tell
+    pool = concurrent.futures.ProcessPoolExecutor
+    started = []
+
+    def spy(max_workers):
+        started.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    Y = HKVariety(2, 2, (1, 1))
+    pooled = [count_hk(CountRequest(Y, anticanonical(Y), Fraction(1000),
+                                    Region.GOOD_OPEN, threads=k)).count
+              for k in (1, 4)]
+    ok = one == four and pooled == [8880, 8880] and started == [4]
     _report(8, "thread determinism", ok)
-    assert ok, (one, four)
+    assert ok, (one, four, pooled, started)
 
 
 def test_criterion_9_arakelov_suite():

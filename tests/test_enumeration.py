@@ -21,7 +21,7 @@ from hkcount.enumeration import (
     _ball_count,
     _canonical_vectors,
     _canonical_walk,
-    _count_r1_batched,
+    _count_r1,
     _iroot_array,
     _mobius_sieve,
     _primitive_norm_blocks,
@@ -241,6 +241,17 @@ class TestPrimitives:
         # the _canonical_vectors stream against the block walk's count
         for B in range(1, 13):
             assert len(list(enum_projective(n, B))) == count_enum_projective(n, B)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=30), st.integers(1, 50))
+    def test_ragged_chunks_cut_the_concatenated_ranges(self, width, size):
+        want = [(i, k) for i, w in enumerate(width) for k in range(w)]
+        blocks = list(enumeration._ragged_chunks(
+            np.array(width, dtype=np.int64), size))
+        assert all(0 < row.size <= size for row, _ in blocks)
+        got = [(i, k) for row, ks in blocks
+               for i, k in zip(row.tolist(), ks.tolist())]
+        assert got == want
 
 
 def _stream_histogram(dim, n2max):
@@ -578,47 +589,67 @@ class TestNumpyImports:
         assert (numpy, numpy_ma) == ("True", "False")
 
 
+def _per_norm(args, norms, mults):
+    """The per-norm path, with unbounded integers."""
+    return enumeration._good_chunk_worker(
+        (*args, [int(m) for m in norms], [int(k) for k in mults]))
+
+
+def _python_params(monkeypatch):
+    """The norms `_fiber_params` is called for from now on."""
+    params = enumeration._fiber_params
+    calls = []
+
+    def spy(*args):
+        calls.append(args[-1])
+        return params(*args)
+
+    monkeypatch.setattr(enumeration, "_fiber_params", spy)
+    return calls
+
+
 class TestBatchedFiberStep:
-    """The batched r = 1 step against the per-norm path, on both sides of
-    its int64 guard."""
+    """The r = 1 route (`_count_r1`) against the per-norm path, on both
+    sides of its int64 guard."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 20), st.integers(1, 6), st.integers(1, 6),
            st.fractions(1, 60, max_denominator=4))
     def test_equals_per_norm_path(self, a, lam, mu, B):
-        weights, ar = HKVariety(1, 2, (a,)).fiber_weights, a
-        p, q = _squared_cap(B)
+        args = (HKVariety(1, 2, (a,)).fiber_weights, a, lam, mu,
+                *_squared_cap(B))
         norms = np.arange(1, 301, dtype=np.int64)
         mults = norms % 7 + 1
-        count, rows, done = _count_r1_batched(weights, ar, lam, mu, p, q,
-                                              norms, mults)
+        count, rows, big, big_mults = _count_r1(args, norms, mults)
+        # the route leaves the norms whose S_max reaches 2^62, as Python
+        # ints, and the per-norm path counts them as _count_good_open does
+        assert big == [m for m in norms.tolist()
+                       if enumeration._fiber_params(*args, m)[1] >= 2 ** 62]
+        assert all(type(k) is int for k in big + big_mults)
+        c, v = _per_norm(args, big, big_mults)
+        assert (count + c, rows + v) == _per_norm(args, norms, mults)
 
-        def per_norm(sel):  # the per-norm path, with unbounded integers
-            return enumeration._good_chunk_worker(
-                (weights, ar, lam, mu, p, q, norms[sel].tolist(),
-                 mults[sel].tolist()))
-
-        assert (count, rows) == per_norm(done)
-        # the rest on the per-norm path, as _count_good_open does
-        c, v = per_norm(~done)
-        assert (count + c, rows + v) == per_norm(np.ones_like(done))
-
-    def test_guard_splits_large_twist(self):
-        # m^119 passes 2^62 from m = 2 on: only m = 1 is batched
+    def test_guard_splits_large_twist(self, monkeypatch):
+        # m^119 passes 2^62 from m = 2 on: only m = 1 is in the band, and
+        # every other norm takes its S_max in Python ints
         X = HKVariety(1, 2, (20,))
-        p, q = _squared_cap(Fraction(89))
+        args = (X.fiber_weights, 20, 6, 1, *_squared_cap(Fraction(89)))
+        assert enumeration._r1_batch_band(*args) == (1, 1)
         norms = np.arange(1, 50, dtype=np.int64)
-        _, _, done = _count_r1_batched(X.fiber_weights, 20, 6, 1, p, q,
-                                       norms, np.ones_like(norms))
-        assert done.tolist() == [True] + [False] * 48
+        calls = _python_params(monkeypatch)
+        count, rows, big, big_mults = _count_r1(args, norms,
+                                                np.ones_like(norms))
+        assert calls == list(range(2, 50))
+        c, v = _per_norm(args, big, big_mults)
+        assert (count + c, rows + v) == _per_norm(args, norms,
+                                                  np.ones_like(norms))
 
     @staticmethod
     def batched_equals_per_norm(args, norms):
         mults = norms % 7 + 1
-        count, rows, done = _count_r1_batched(*args, norms, mults)
-        assert done.all()
-        assert (count, rows) == enumeration._good_chunk_worker(
-            (*args, norms.tolist(), mults.tolist()))
+        count, rows, *big = _count_r1(args, norms, mults)
+        assert big == [[], []]
+        assert (count, rows) == _per_norm(args, norms, mults)
 
     @pytest.mark.parametrize("B, lo", [(Fraction(3 * 2 ** 31 - 1, 3), 1),
                                        (2 ** 31, 2)],
@@ -636,17 +667,18 @@ class TestBatchedFiberStep:
         self.batched_equals_per_norm(args, np.concatenate(
             [np.arange(lo, lo + 6), np.arange(10 ** 6, 2 ** 21, 9973)]))
 
-    @pytest.mark.parametrize("B, per_norm", [(2 ** 31, 1), (2 ** 32, 4)])
-    def test_cap_beyond_int64(self, B, per_norm):
+    @pytest.mark.parametrize("B, python_caps", [(2 ** 31, 1), (2 ** 32, 4)])
+    def test_cap_beyond_int64(self, monkeypatch, B, python_caps):
         # B^2 >= 2^62: the cap P // m of -K on X_2(1) (P = B^2) is divided
-        # in Python ints; it reaches 2^62 for m <= P // 2^62, which is left
-        # to the per-norm path
+        # in Python ints; it reaches 2^62 for m <= P // 2^62, which leaves
+        # the band and takes S_max = isqrt(P // m) < 2^62 from _fiber_params
         X = HKVariety(1, 2, (1,))
         L = anticanonical(X)
         args = (X.fiber_weights, 1, L.lam, L.mu, *_squared_cap(B))
         small = np.arange(1, 11)
-        done = _count_r1_batched(*args, small, np.ones_like(small))[2]
-        assert done.tolist() == [False] * per_norm + [True] * (10 - per_norm)
+        calls = _python_params(monkeypatch)
+        assert _count_r1(args, small, small)[2:] == ([], [])
+        assert calls == list(range(1, python_caps + 1))
         self.batched_equals_per_norm(args, np.arange(1000, 1100))
 
     def test_cap_beyond_int64_square_divisor(self):
@@ -674,8 +706,8 @@ class TestBatchedFiberStep:
 
     def test_every_norm_has_one_row(self):
         # -K on X_2(1) at B = 2^30: S_max = isqrt(2^60 // m) and c_0 = m, so
-        # m^3 <= 2^60 < 16 m^3 leaves each fiber the one row y_0 = 1, which
-        # the vector pass counts without the divisor table
+        # m^3 <= 2^60 < 16 m^3 leaves each fiber the one row y_0 = 1, whose
+        # one divisor is 1
         X = HKVariety(1, 2, (1,))
         L = anticanonical(X)
         args = (X.fiber_weights, 1, L.lam, L.mu, *_squared_cap(2 ** 30))
@@ -685,26 +717,29 @@ class TestBatchedFiberStep:
             assert isqrt(smax // c0) == 1
         self.batched_equals_per_norm(args, norms)
 
-    def test_rows_up_to_the_divisor_table(self):
+    def test_rows_up_to_the_divisor_table(self, monkeypatch):
         # bundle (1, 1) on X_2(1): the norm m = 1 has S_max = B^2 and
-        # c_0 = 1, so B = 2^17 gives it exactly _Y0_TABLE_MAX rows, and one
-        # more row leaves it to the per-norm path.  Its fiber points are
-        # the canonical primitive vectors of Z^2 with norm^2 <= B^2 other
-        # than (0, 1), counted here by the Mobius sieve.
+        # c_0 = 1, so B = 2^17 gives it exactly _Y0_TABLE_MAX rows, counted
+        # by the divisor pass, and one more row sends it to the Mobius
+        # kernel.  Its fiber points are the canonical primitive vectors of
+        # Z^2 with norm^2 <= B^2 other than (0, 1), counted here by the
+        # Mobius sieve.
         X = HKVariety(1, 2, (1,))
         top = enumeration._Y0_TABLE_MAX
         assert top == 1 << 17
+        kernel = enumeration._count_r1_mobius
+        deep = []
+        monkeypatch.setattr(enumeration, "_count_r1_mobius",
+                            lambda *a: deep.append(a[0].tolist()) or kernel(*a))
         norm = np.array([1], dtype=np.int64)
-        args = (X.fiber_weights, 1, 1, 1, *_squared_cap(top))
-        fiber = enumeration._count_projective_n2(1, top * top) - 1
         # a multiplicity of 2^45 puts the sum past 2^63, into Python ints
-        for mult in (3, 1 << 45):
-            count, rows, done = _count_r1_batched(*args, norm, norm * mult)
-            assert done.tolist() == [True] and rows == top
-            assert count == mult * fiber
-        args = (X.fiber_weights, 1, 1, 1, *_squared_cap(top + 1))
-        count, rows, done = _count_r1_batched(*args, norm, norm)
-        assert (count, rows, done.tolist()) == (0, 0, [False])
+        for B, mults in ((top, (3, 1 << 45)), (top + 1, (3,))):
+            args = (X.fiber_weights, 1, 1, 1, *_squared_cap(B))
+            fiber = enumeration._count_projective_n2(1, B * B) - 1
+            for mult in mults:
+                assert _count_r1(args, norm, norm * mult) == (mult * fiber, B,
+                                                              [], [])
+        assert deep == [[1]]
 
     def test_rows_beyond_divisor_table_fall_back(self, monkeypatch):
         X = HKVariety(1, 2, (1,))
@@ -713,20 +748,18 @@ class TestBatchedFiberStep:
         want = count_hk(req)  # a base this small is counted per norm
         monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 0)
         monkeypatch.setattr(enumeration, "_Y0_TABLE_MAX", 3)
-        dones = []
-        batched = enumeration._count_r1_batched
-
-        def spy(*args):
-            out = batched(*args)
-            dones.append(out[2])
-            return out
-
-        monkeypatch.setattr(enumeration, "_count_r1_batched", spy)
+        passes = []
+        for name in ("_count_r1_mobius", "_divisor_table"):
+            def spy(*args, _f=getattr(enumeration, name), _name=name):
+                passes.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(enumeration, name, spy)
         got = count_hk(req)
         assert (got.count, got.points_visited) == (want.count,
                                                    want.points_visited)
-        # the batched step ran and left the norms with more than 3 rows
-        assert len(dones) == 1 and dones[0].any() and not dones[0].all()
+        # the norms with more than 3 rows went to the kernel, the others
+        # to the divisor pass
+        assert sorted(set(passes)) == ["_count_r1_mobius", "_divisor_table"]
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -780,7 +813,7 @@ def _stream_histogram(dim, n2max):
 
 class TestMobiusKernel:
     """The r = 1 Mobius kernel against the gcd recursion, and the counts
-    whose leftover norms reach it."""
+    whose norms reach it."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.one_of(st.just(1), st.integers(1, 3000)),
@@ -841,13 +874,42 @@ class TestMobiusKernel:
         assert (res.count, res.points_visited) == (134342841028, 2258741)
 
     def test_every_surface_norm_through_the_kernel(self, monkeypatch):
-        # an empty band leaves all 139187 norms of the count-surface count
-        # to the kernel, which must give its pin
+        # an empty band and no divisor table send all 139187 norms of the
+        # count-surface count, with S_max taken in Python ints, to the
+        # kernel, which must give its pin
         monkeypatch.setattr(enumeration, "_r1_batch_band", lambda *a: (1, 0))
+        monkeypatch.setattr(enumeration, "_Y0_TABLE_MAX", 0)
         X = HKVariety(1, 2, (1,))
         res = count_hk(CountRequest(X, anticanonical(X), Fraction(2 ** 30),
                                     Region.GOOD_OPEN))
         assert (res.count, res.points_visited) == (15435482828, 600987)
+
+    def test_deep_norms_reach_the_kernel_in_int64(self, monkeypatch):
+        # -K on X_2(1) at B = 4096: every norm is in the band, so no S_max
+        # is taken in Python ints, and with a divisor table of y_0 <= 3
+        # the norms with more rows go to the kernel straight from the
+        # int64 slices
+        X = HKVariety(1, 2, (1,))
+        L = anticanonical(X)
+        p, q = _squared_cap(4096)
+        args = (X.fiber_weights, 1, L.lam, L.mu, p, q)
+        norms = projective_norm_histogram(1, iroot(p // q, L.mu))
+        deep = sorted(m for m in norms
+                      if isqrt(enumeration._fiber_params(*args, m)[1] // m) > 3)
+        assert 0 < len(deep) < len(norms)
+        req = CountRequest(X, L, Fraction(4096), Region.GOOD_OPEN)
+        want = count_hk(req)
+        monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 0)
+        monkeypatch.setattr(enumeration, "_Y0_TABLE_MAX", 3)
+        calls = _python_params(monkeypatch)
+        kernel = enumeration._count_r1_mobius
+        got_c0 = []
+        monkeypatch.setattr(enumeration, "_count_r1_mobius",
+                            lambda *a: got_c0.extend(a[0].tolist()) or kernel(*a))
+        got = count_hk(req)
+        assert (got.count, got.points_visited) == (want.count,
+                                                   want.points_visited)
+        assert calls == [] and sorted(got_c0) == deep  # c_0 = m
 
 
 class TestBoundedMemory:
@@ -877,13 +939,11 @@ class TestBoundedMemory:
             return table(ymax)
 
         monkeypatch.setattr(enumeration, "_divisor_table", spy)
-        count, rows, done = _count_r1_batched(*args, norms, mults)
-        assert done.all() and len(norms) > 3 * 64
-        assert (count, rows) == want
+        assert _count_r1(args, norms, mults) == (*want, [], [])
+        assert len(norms) > 3 * 64
         assert sizes == sorted(set(sizes))
         sizes.clear()
-        count, rows, done = _count_r1_batched(*args, norms[::-1], mults[::-1])
-        assert (count, rows) == want
+        assert _count_r1(args, norms[::-1], mults[::-1]) == (*want, [], [])
         assert len(sizes) > 1 and sizes == sorted(set(sizes))
         res = count_hk(CountRequest(X, L, Fraction(B), Region.GOOD_OPEN))
         assert (res.count, res.points_visited) == want
@@ -1015,23 +1075,23 @@ class TestSizeSelection:
         rows = enumeration._good_chunk_worker((*args, norms, mults))[1]
         assert enumeration._r1_batch_band(*args)[0] == 1
         monkeypatch.setattr(enumeration, "_NUMPY_ROWS_MIN", rows + 1)
-        assert enumeration._few_rows_band(args, norms) is not None
+        assert enumeration._few_r1_rows(args, norms)
         monkeypatch.setattr(enumeration, "_NUMPY_ROWS_MIN", rows)
-        assert enumeration._few_rows_band(args, norms) is None
+        assert not enumeration._few_r1_rows(args, norms)
 
-    def test_pool_gets_the_same_norms(self, monkeypatch):
+    def test_per_norm_path_gets_the_same_norms(self, monkeypatch):
         # twist 20, bundle (6, 1): the r = 1 band holds only m = 1.  On
-        # both numpy sides the per-norm path (the pool, with threads > 1)
-        # gets the norms whose S_max reaches 2^62, and the Mobius kernel
-        # the rest; on the small side it gets every norm outside the band
+        # both numpy sides the per-norm path gets the norms whose S_max
+        # reaches 2^62, and the int64 slices the rest; on the small side
+        # it gets every norm.  Each side calls it once, in this process.
         X = HKVariety(1, 2, (20,))
         req = CountRequest(X, LineBundleClass(6, 1), Fraction(30),
-                           Region.GOOD_OPEN)
+                           Region.GOOD_OPEN, threads=2)
         worker = enumeration._good_chunk_worker
         calls: list = []
 
         def spy(args):
-            calls.append(args[-2])
+            calls.append(tuple(args[-2]))
             return worker(args)
 
         monkeypatch.setattr(enumeration, "_good_chunk_worker", spy)
@@ -1041,17 +1101,78 @@ class TestSizeSelection:
             monkeypatch.setattr(enumeration, "_NUMPY_ROWS_MIN", side[1])
             calls.clear()
             res = count_hk(req)
-            results[side] = (res.count, res.points_visited, tuple(calls[-1]))
-            assert all(type(m) is int for m in calls[-1])
+            results[side] = (res.count, res.points_visited, calls[:])
+            assert len(calls) == 1 and all(type(m) is int for m in calls[0])
         batched, rows_side, small = (results[side] for side in self.SIDES)
         assert batched == rows_side
         assert batched[:2] == small[:2]
         p, q = _squared_cap(req.bound)
         args = (X.fiber_weights, 20, 6, 1, p, q)
-        big = tuple(m for m in small[2]
+        every = small[2][0]
+        big = tuple(m for m in every
                     if enumeration._fiber_params(*args, m)[1] >= 2 ** 62)
-        assert small[2] and 1 not in small[2]
-        assert batched[2] == big and 0 < len(big) < len(small[2])
+        assert 1 in every and batched[2] == [big]
+        assert 0 < len(big) < len(every)
+
+    def test_r1_counts_start_no_pool(self):
+        # a large twist leaves its norms with S_max >= 2^62 to the
+        # per-norm path; at --threads 2 they are still counted in this
+        # process, which never imports the process pool
+        argv = ["count", "--variety", "1,2:19", "--bundle", "5,1", "--B", "90",
+                "--region", "u", "--threads", "2"]
+        code = ("import sys\nfrom hkcount.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "print('concurrent.futures.process' in sys.modules)")
+        src = str(Path(enumeration.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split()[-1] == "False"
+
+    def test_pool_workers_capped_at_cpus(self, monkeypatch):
+        # a fake pool, so no process starts: --threads 1000 asks for one
+        # worker per available CPU, from the affinity mask where the
+        # platform has one and from cpu_count otherwise, and keeps 4 norms
+        # per worker, or counts serially
+        import concurrent.futures
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                chunks = list(chunks)
+                started.append(len(chunks))
+                return map(fn, chunks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        X = HKVariety(2, 2, (1, 1))
+
+        def count(threads):
+            return count_hk(CountRequest(X, anticanonical(X), Fraction(1000),
+                                         Region.GOOD_OPEN, threads)).count
+
+        assert count(1) == 8880 and started == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert count(1000) == 8880 and started == [3, 3]
+        started.clear()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert count(1000) == 8880 and started == [2, 2]
+        started.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)  # 23 norms < 4 * 6
+        assert count(1000) == 8880 and started == []
 
 
 class TestSweepAndFit:

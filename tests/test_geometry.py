@@ -161,13 +161,6 @@ class TestRestriction:
         assert strata[-1].space == ProjectiveSpace(1)
         assert all(s.big for s in strata)
 
-    def test_decompose_variant_stops_at_product(self):
-        X = HKVariety(2, 2, (0, 1))
-        strata = decompose(X, anticanonical(X), variant=True)
-        assert len(strata) == 2
-        assert strata[-1].space == HKVariety(1, 2, (0,))
-        assert not strata[-1].open_part
-
     @settings(max_examples=100, deadline=None)
     @given(varieties)
     def test_chain_terminates_in_r_steps(self, X):
