@@ -4,7 +4,8 @@ Special functions are evaluated in double precision with explicit error
 control: Riemann/Hurwitz zeta by Euler-Maclaurin summation, the quadratic
 Dirichlet L-function L_{-4} through Hurwitz zeta, and the completed zeta
 xi_K, whose Gamma factors are math.gamma (the platform implementation,
-validated in the tests against an independent high-precision oracle).
+validated in the tests against an independent high-precision oracle), and
+past the range of math.gamma the exponential of a sum of logarithms.
 
 The height zeta function of P^m over Q,
 
@@ -199,7 +200,13 @@ def L_minus4(s: float) -> float:
 
 def xi_K(s: float, inv: FieldInvariants = QQ) -> float:
     """Completed field zeta 2^{-r1} (pi^{-s/2} Gamma(s/2))^{r1}
-    ((2 pi)^{-s} Gamma(s))^{r2} zeta_K(s), for s > 1."""
+    ((2 pi)^{-s} Gamma(s))^{r2} zeta_K(s), for s > 1.
+
+    The factors are formed with math.gamma wherever it and the product
+    stay finite; otherwise xi_K is exp of log zeta_K(s) + r1 (lgamma(s/2)
+    - (s/2) log pi + log 1/2) + r2 (lgamma(s) - s log 2 pi), which is
+    within about |log xi_K| ulps of the value.  OverflowError when xi_K
+    itself is beyond double range."""
     if s <= 1:
         raise DomainError(f"xi_K needs s > 1, got {s}")
     zk = inv.zeta_k(s) if inv.zeta_k is not None else zeta(s)
@@ -209,10 +216,21 @@ def xi_K(s: float, inv: FieldInvariants = QQ) -> float:
             val *= (0.5 * math.pi ** (-s / 2.0) * math.gamma(s / 2.0)) ** inv.r1
         if inv.r2:
             val *= ((2.0 * math.pi) ** (-s) * math.gamma(s)) ** inv.r2
+        if not math.isinf(val):
+            return val
+    except OverflowError:
+        pass
+    # over Q, Gamma(s/2) leaves the double range from s = 343.3 on, xi_K
+    # itself from s = 439 on
+    log_val = (math.log(zk)
+               + inv.r1 * (math.lgamma(s / 2.0) - s / 2.0 * math.log(math.pi)
+                           + math.log(0.5))
+               + inv.r2 * (math.lgamma(s) - s * math.log(2.0 * math.pi)))
+    try:
+        return math.exp(log_val)
     except OverflowError as exc:
         raise OverflowError(
             f"xi_K({s}) needs a Gamma factor beyond double range") from exc
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +460,23 @@ class AsymptoticPrediction:
 _POLE_GAP = 1e-3  # refuse to evaluate a xi/Z factor this close to its pole
 
 
+def _in_range(c: float) -> float:
+    """A leading constant c formed from finite xi/Z factors, once their
+    product has not left the double range, which leaves 0, inf or nan."""
+    if c == 0.0 or not math.isfinite(c):
+        raise OverflowError("the leading constant's xi/Z factors multiply "
+                            "beyond double range")
+    return c
+
+
 def schanuel_constant(n: int, inv: FieldInvariants = QQ) -> AsymptoticPrediction:
     """N(P^n, B) ~ C B^{n+1} with C = R h / ((n+1) w |disc|^{(n+1)/2} xi_K(n+1))."""
     if n < 1:
         raise ValueError("n must be >= 1")
     c = (inv.regulator * inv.class_number
          / ((n + 1) * inv.w * inv.abs_disc ** ((n + 1) / 2.0) * xi_K(n + 1, inv)))
-    return AsymptoticPrediction(a_l=Fraction(n + 1), log_exponent=0, constant=c,
+    return AsymptoticPrediction(a_l=Fraction(n + 1), log_exponent=0,
+                                constant=_in_range(c),
                                 case=None, source=SourceFormula.SCHANUEL,
                                 region=Region.WHOLE)
 
@@ -529,7 +557,8 @@ def predict(X: HKVariety, L: LineBundleClass, inv: FieldInvariants = QQ,
                  / (inv.w * ((r + 1) * ar + t - abs_a)
                     * xi_K(float(lam * exp.mu_l), inv) * xi_K(t, inv)))
     return AsymptoticPrediction(a_l=exp.a_l, log_exponent=exp.log_exponent,
-                                constant=c, case=exp.case, source=source,
+                                constant=_in_range(c), case=exp.case,
+                                source=source,
                                 region=region)
 
 

@@ -57,28 +57,18 @@ intermediate value stays below 2^62, with their caps computed in int64
 (a cap p // q // m^k with p // q >= 2^62 is divided in Python ints and
 only its quotient enters int64); then the other norms, with S_max taken
 in Python ints.  A norm with S_max >= 2^62 is left to the per-norm path,
-and one with c_0 > S_max has no fiber point.  One counter (`_count_r1`)
-takes every slice.  A norm with at most _Y0_TABLE_MAX y_0 rows takes the
-divisor pass: its fiber starts at 1, for the point (1, 0), its rows
-y_0 >= 1 are flattened into blocks, and their coprime count of the last
-coordinate is read off a numpy table of squarefree divisors; the
-multiplicities weight those counts in one int64 dot product per slice
-where a bound proves it exact, in one Python-int sum otherwise.  The
-table (`_divisor_table`, int32 divisors with int8 signs, sorted window
-by window so that no int64 temporary outgrows it) takes mu from a
-vectorised integer sieve, `_mobius_array`: each prime p <= sqrt(ymax)
-flips the sign of its multiples, zeroes the multiples of p^2 and is
-divided out of a remainder, and a remainder above 1 is one more prime.
-A norm with more rows goes to a Mobius kernel (`_count_r1_mobius`): the
-identity of the P^n sieve counts a fiber as sum over d of
-mu(d) E(c_0, S_max // d^2), where E counts every lattice point with
-y_0 >= 1 and tests no gcd, in numpy over (d, y_0) rows in blocks of
-_CHUNK.  The norms with S_max >= 2^62, and every r >= 2 count, go
-through the per-norm Python path with unbounded integers.  All bound
-comparisons are integer-exact, integer roots included (Newton from
-above, seeded for square roots from a table of isqrt over 16-bit
-integers and otherwise from a power of two); no floating point enters
-any count.
+and one with c_0 > S_max has no fiber point.  One counter
+(`_count_r1_mobius`) takes every slice: the identity of the P^n sieve
+counts a fiber as sum over d of mu(d) E(c_0, S_max // d^2), where E
+counts every lattice point with y_0 >= 1 and tests no gcd.  Each y_0 row
+takes one isqrt, M(y_0) = isqrt(S_max - c_0 y_0^2), and the term of a
+squarefree d and a multiple y_0 = d k is read off it as M(d k) // d; mu
+comes from a vectorised integer sieve, `_mobius_array`.  The norms with
+S_max >= 2^62, and every r >= 2 count, go through the per-norm Python
+path with unbounded integers.  All bound comparisons are integer-exact,
+integer roots included (Newton from above, seeded for square roots from
+a table of isqrt over 16-bit integers and otherwise from a power of
+two); no floating point enters any count.
 
 numpy is imported inside the functions that use it, and the process
 pool only on the pooled branch, so importing this module costs neither.
@@ -605,13 +595,6 @@ def _fiber_params(X_weights: tuple[int, ...], ar: int, lam: int, mu: int,
     return cs, smax
 
 
-# Largest y_0 the r = 1 divisor pass tabulates squarefree divisors for.  A
-# norm whose fiber has more y_0 rows goes to the Mobius kernel.  At
-# 2^17 the table holds 1.04M entries (5.7 MB with int32 divisors and
-# int8 signs); B = 2^30 on X_2(1) with -K needs 2^15.
-_Y0_TABLE_MAX = 1 << 17
-
-
 def _r1_batch_band(weights: tuple[int, ...], ar: int, lam: int, mu: int,
                    p: int, q: int) -> tuple[int, int]:
     """Band [lo, hi] of base norms m whose r = 1 fiber step provably fits
@@ -668,37 +651,6 @@ def _mobius_array(n: int) -> np.ndarray:
     return mu
 
 
-def _divisor_table(ymax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(start, div, sign): the squarefree divisors d of y and their Mobius
-    signs mu(d) are div[start[y]:start[y + 1]] and sign[...], y = 1..ymax.
-
-    int32 divisors and offsets, int8 signs: y <= _Y0_TABLE_MAX keeps every
-    entry far below 2^31.  The pairs (d, y = k d) are generated and sorted
-    by y over four windows of y, so the int64 sort order of one window
-    (about a quarter of the entries) stays smaller than the table."""
-    import numpy as np
-
-    mob = _mobius_array(ymax)
-    d = np.flatnonzero(mob[1:]).astype(np.int32) + 1
-    div = np.empty(int((ymax // d).sum()), dtype=np.int32)
-    start = np.zeros(ymax + 2, dtype=np.int32)
-    filled = 0
-    step = -(-ymax // 4)
-    for lo in range(1, ymax + 1, step):
-        hi = min(lo + step - 1, ymax)
-        dd = d[:np.searchsorted(d, hi, side="right")]
-        k0 = (lo - 1) // dd + 1  # the multiples k0 d .. (hi // d) d
-        per = hi // dd - k0 + 1
-        dw = np.repeat(dd, per)
-        y = dw * (np.arange(dw.size, dtype=np.int32)
-                  - np.repeat(np.cumsum(per, dtype=np.int32) - per - k0, per))
-        # the order of a y's divisors does not matter
-        div[filled:filled + y.size] = dw[np.argsort(y)]
-        start[lo + 1:hi + 2] = filled + np.cumsum(np.bincount(y - lo))
-        filled += y.size
-    return start, div, mob[div]
-
-
 def _ragged_chunks(width: np.ndarray,
                    size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(row, k) over the ranges k = 0 .. width[row] - 1, concatenated in
@@ -729,36 +681,64 @@ def _count_r1_mobius(c0: np.ndarray, smax: np.ndarray,
     The count of coprime (y_0, y_1) with y_0 >= 1 is, by Mobius inversion
     over d = gcd(y_0, y_1) (Schanuel 1979, as in `_count_projective_n2`),
     sum over d of mu(d) E(c_0, S_max // d^2), where E(c, T) =
-    sum_{y_0 = 1}^{isqrt(T // c)} (2 isqrt(T - c y_0^2) + 1) counts every
-    lattice point with y_0 >= 1 and tests no gcd.  d runs to
-    isqrt(S_max // c_0), beyond which E is 0, and mu comes from
-    `_mobius_array`.  The (norm, d) pairs with mu(d) != 0 and then their
-    (d, y_0) rows are walked in blocks of _CHUNK (`_ragged_chunks`).
-    int64 suffices: d^2 <= S_max // c_0, c_0 y_0^2 <= T <= S_max and
-    T - c_0 y_0^2 <= S_max stay below 2^62, a row's term has absolute
-    value at most 2 isqrt(S_max) + 1 < 2^32, and a block of _CHUNK rows
-    sums below 2^46; each block's per-norm sums join the total as Python
-    ints.  The rows reported are isqrt(S_max // c_0) per norm, the y_0
-    rows the other paths report, not the Mobius terms.
+    sum_{k = 1}^{isqrt(T // c)} (2 isqrt(T - c k^2) + 1) counts every
+    lattice point with y_0 >= 1 and tests no gcd.  With Y =
+    isqrt(S_max // c_0) and M(y_0) = isqrt(S_max - c_0 y_0^2), the term of
+    (d, k) is 2 (M(d k) // d) + 1, since isqrt(N // d^2) = isqrt(N) // d,
+    and k runs to Y // d.  So M is taken once per row y_0 = 1 .. Y, and
+    the terms are gathered from it: the sum over the multiples of each
+    squarefree d, mu from `_mobius_array`.
+
+    The norms are taken in parts of at most _CHUNK rows plus the last
+    norm's (`_blocks`); a part's M is one int64 array.  The terms of d = 1
+    are a sum over M per norm, and the (norm, d) pairs with d >= 2 and
+    mu(d) != 0 and then their k are walked in blocks of _CHUNK
+    (`_ragged_chunks`).  int64 holds every value: c_0 y_0^2 <= S_max and
+    M < 2^31, so a term is below 2^32 in absolute value and a block's sum
+    below 2^46.  A partial sum of one norm's terms is at most
+    sum_{d <= Y} (Y / d) (2 sqrt(S_max) / d + 1) <= Y sqrt(S_max)
+    (pi^2 / 3 + 1) < 5 S_max in absolute value (Y <= sqrt(S_max / c_0),
+    and 1 + log Y <= Y), so the per-norm sums are int64 in a part where
+    5 S_max is below 2^62 and Python ints otherwise.  A part's sum of mult * fiber
+    count is one int64 dot product when the sum of its multiplicities
+    times its largest fiber count is below 2^62, which bounds every partial
+    sum, and a Python-int one otherwise (the multiplicities are histogram
+    counts, whose sum, the number of base vectors, is below 2^62 by the
+    bound of `_primitive_norm_blocks`).  The rows reported are Y per norm,
+    the y_0 rows `_count_fiber_good` reports.
     """
     import numpy as np
 
     top0 = _iroot_array(smax // c0, 2)
+    if not top0.size:
+        return 0, 0
     mob = _mobius_array(int(top0.max()))
     total = 0
-    for i, d in _ragged_chunks(top0, _CHUNK):
-        d += 1
-        sgn = mob[d]
-        keep = np.flatnonzero(sgn)
-        i, d, sgn = i[keep], d[keep], sgn[keep]
-        c, t = c0[i], smax[i] // (d * d)
-        for j, k in _ragged_chunks(_iroot_array(t // c, 2), _CHUNK):
-            y0 = k + 1
-            term = sgn[j] * (2 * _iroot_array(t[j] - c[j] * y0 * y0, 2) + 1)
-            owner = i[j]
-            heads = np.flatnonzero(np.diff(owner, prepend=-1))
-            total += sum(map(mul, mults[owner[heads]].tolist(),
-                             np.add.reduceat(term, heads).tolist()))
+    for a, b in _blocks(top0):
+        top, c, s, mult = (x[a:b] for x in (top0, c0, smax, mults))
+        off = np.cumsum(top) - top - 1  # M(y_0) of norm i is M[off[i] + y_0]
+        M = np.empty(int(top.sum()), dtype=np.int64)
+        for i, k in _ragged_chunks(top, _CHUNK):
+            k += 1
+            M[off[i] + k] = _iroot_array(s[i] - c[i] * k * k, 2)
+        # the terms of d = 1 are 2 M(k) + 1, and M sums below S_max
+        fiber = np.add.reduceat(M, off + 1)
+        if 5 * int(s.max()) >= _INT64_SAFE:
+            fiber = fiber.astype(object)
+        fiber = 2 * fiber + top
+        for i, d in _ragged_chunks(top - 1, _CHUNK):
+            d += 2
+            keep = np.flatnonzero(mob[d])
+            i, d = i[keep], d[keep]
+            for j, k in _ragged_chunks(top[i] // d, _CHUNK):
+                owner, dj = i[j], d[j]
+                term = mob[dj] * (2 * (M[off[owner] + dj * (k + 1)] // dj) + 1)
+                heads = np.flatnonzero(np.diff(owner, prepend=-1))
+                # owner is sorted, so a block names each norm at most once
+                fiber[owner[heads]] += np.add.reduceat(term, heads)
+        if int(mult.sum()) * int(fiber.max()) >= _INT64_SAFE:
+            fiber = fiber.astype(object)
+        total += int(mult @ fiber)
     return total, int(top0.sum())
 
 
@@ -810,70 +790,24 @@ def _r1_fibers(args: tuple, norms: np.ndarray, mults: np.ndarray,
 
 def _count_r1(args: tuple, norms: Sequence[int], mults: Sequence[int]
               ) -> tuple[int, int, list[int], list[int]]:
-    """`_fiber_params` and `_count_fiber_good` for r = 1, over the int64
-    slices of `_r1_fibers`.
+    """`_fiber_params` and `_count_fiber_good` for r = 1: every int64 slice
+    of `_r1_fibers` goes to `_count_r1_mobius`.
 
     Returns (count, rows, norms, mults): the sum of mult * fiber count over
     the norms with S_max < 2^62; their y_0 rows, isqrt(S_max // c_0) per
     norm, which `_count_fiber_good` reports as rows_visited; and the norms
     with S_max >= 2^62 with their mults, as lists of Python ints for the
-    per-norm path.
-
-    In each slice a norm with more than _Y0_TABLE_MAX rows goes to
-    `_count_r1_mobius`, and the others take the divisor pass.  A row's
-    last coordinate runs over |y_1| <= M with M = isqrt(S_max - c_0 y_0^2).
-    y_1 = 0 is coprime to y_0 = 1 only, so each fiber starts at 1, for the
-    point (1, 0); a row then counts y_1 and -y_1 for each 1 <= y_1 <= M
-    coprime to y_0, sum over squarefree d | y_0 of mu(d) floor(M/d), read
-    off `_divisor_table`, which is rebuilt only when a slice needs a larger
-    y_0 than it covers.  The rows y_0 = 1 .. isqrt(S_max // c_0) of a
-    slice are flattened into blocks of _CHUNK // 4 rows; the row y_0 = 1
-    reads the one divisor 1, and M.  The fiber counts are int64 and cannot
-    overflow: a norm has at most _Y0_TABLE_MAX = 2^17 rows and each row
-    counts at most 2 sqrt(S_max) + 1 < 2^32 points, so a total stays below
-    2^49.  A slice's sum of mult * fiber count is one int64 dot product
-    when the sum of its multiplicities times its largest total is below
-    2^62, which bounds every partial sum, and one Python-int sum otherwise
-    (the multiplicities are histogram counts, whose sum, the number of base
-    vectors, is below 2^62 by the bound of `_primitive_norm_blocks`); the
-    slices' sums add as Python ints.
+    per-norm path.  The slices' sums add as Python ints.
     """
     import numpy as np
 
     big: tuple[list[int], list[int]] = ([], [])
     norms, mults = (np.asarray(a, dtype=np.int64) for a in (norms, mults))
     total = rows = 0
-    table = None
     for c0, smax, mult in _r1_fibers(args, norms, mults, big):
-        top0 = _iroot_array(smax // c0, 2)
-        rows += int(top0.sum())
-        deep = top0 > _Y0_TABLE_MAX
-        if deep.any():
-            total += _count_r1_mobius(c0[deep], smax[deep], mult[deep])[0]
-            c0, smax, mult, top0 = (x[~deep] for x in (c0, smax, mult, top0))
-        if not top0.size:
-            continue
-        ymax = int(top0.max())
-        if table is None or table[0].size - 2 < ymax:
-            table = _divisor_table(ymax)
-        start, div, sign = table
-        fiber = np.ones_like(top0)  # the point (1, 0)
-        # a y0 <= 2^17 has 7 to 8 squarefree divisors on average, so
-        # _CHUNK // 4 rows expand to a few _CHUNK divisor terms
-        for row, k in _ragged_chunks(top0, _CHUNK // 4):
-            y0 = k + 1
-            last = _iroot_array(smax[row] - c0[row] * y0 * y0, 2)
-            ndiv = start[y0 + 1] - start[y0]
-            term, j = _ragged_arange(start[y0], ndiv)
-            coprime = np.add.reduceat(sign[j] * (last[term] // div[j]),
-                                      np.cumsum(ndiv) - ndiv)
-            heads = np.flatnonzero(np.diff(row, prepend=-1))
-            # row is sorted, so a block names each norm at most once
-            fiber[row[heads]] += 2 * np.add.reduceat(coprime, heads)
-        if int(mult.sum()) * int(fiber.max()) < _INT64_SAFE:
-            total += int(mult @ fiber)
-        else:
-            total += sum(map(mul, mult.tolist(), fiber.tolist()))
+        count, r = _count_r1_mobius(c0, smax, mult)
+        total += count
+        rows += r
     return total, rows, *big
 
 
@@ -895,12 +829,13 @@ def _good_chunk_worker(args: tuple) -> tuple[int, int]:
 # r = 1 counts over a small base whose band norms have fewer y_0 rows than
 # this are counted per norm, which needs no numpy.  With numpy loaded
 # (2-vCPU VM, Python 3.11, numpy 2.4, best of 5 with a cold divisor cache;
-# bundle (1, 6) on X_2(1), every norm in the band), 12.5k rows took 0.076 s
-# per norm against 0.007 s batched, 26k rows 0.163 s against 0.014 s and
-# 34k rows 0.246 s against 0.016 s.  The import costs 0.14 to 0.16 s after
-# `import hkcount.cli`; added to the batched side, the two meet near
-# 2.6 * 10^4 rows, and from 2 to 3 * 10^4 they differ by less than the
-# VM's noise.  The row count does not include the norms outside the band.
+# bundle (1, 6) on X_2(1), every norm in the band), 14.2k rows took 0.059 s
+# per norm against 0.004 s batched, 29.5k rows 0.148 s against 0.008 s and
+# 38.6k rows 0.209 s against 0.011 s.  The import costs 0.11 to 0.16 s after
+# `import hkcount.cli`; added to the batched side, the two meet between 2.2
+# and 3.3 * 10^4 rows, and below 3 * 10^4 they differ by less than the
+# import's own spread.  The row count does not include the norms outside
+# the band.
 _NUMPY_ROWS_MIN = 2 * 10 ** 4
 
 

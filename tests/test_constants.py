@@ -82,11 +82,62 @@ class TestScalarFunctions:
         assert abs(L_minus4(2.0) - CATALAN) < 1e-14
         assert abs(L_minus4(3.0) - math.pi ** 3 / 32) < 1e-14
 
+    def test_xi_past_the_gamma_range(self):
+        # from s/2 = 171.6 on Gamma(s/2) is beyond double range, xi(s) only
+        # from s = 439 on: the log-space form against mpmath
+        for s in (343.0, 344.0, 400.0, 438.0):
+            assert xi_K(s) == pytest.approx(float(_xi_mp(s)), rel=1e-12), s
+        with pytest.raises(OverflowError, match="beyond double range"):
+            xi_K(439.0)
+        # zeta_K set to 1: with r1 = r2 = 1, Gamma(180) is beyond double
+        # range and xi(180) is not; with r1 = 2 and r2 = 1, at s = 160 each
+        # factor is finite and their product is not, which raises instead
+        # of returning inf
+        field = dict(w=2, abs_disc=1, regulator=1.0, class_number=1,
+                     zeta_k=lambda s: 1.0)
+        with mp.workdps(30):
+            want = (mp.pi ** -90 * mp.gamma(90) / 2
+                    * (2 * mp.pi) ** -180 * mp.gamma(180))
+        assert xi_K(180.0, FieldInvariants(r1=1, r2=1, **field)) == \
+            pytest.approx(float(want), rel=1e-12)
+        with pytest.raises(OverflowError, match="beyond double range"):
+            xi_K(160.0, FieldInvariants(r1=2, r2=1, **field))
+
+    def test_prediction_past_the_gamma_range(self, monkeypatch):
+        # bundle (k, 1) on X_2(1) puts xi(3k - 1) and xi(3k) in the constant:
+        # from k = 115 on they pass the range of math.gamma, and the
+        # constant must equal the one formed with mpmath's xi; at k = 146
+        # the finite factors multiply beyond double range, which raises
+        # instead of giving 0
+        import hkcount.constants as constants
+
+        X = HKVariety(1, 2, (1,))
+        got = [predict(X, LineBundleClass(k, 1)).constant for k in (115, 145)]
+        with pytest.raises(OverflowError, match="multiply beyond double range"):
+            predict(X, LineBundleClass(146, 1))
+        # Schanuel's constant of P^n is 1 / (2 (n + 1) xi(n + 1)) over Q
+        assert schanuel_constant(399).constant == pytest.approx(
+            float(1 / (800 * _xi_mp(400.0))), rel=1e-12)
+        with pytest.raises(OverflowError, match="multiply beyond double range"):
+            schanuel_constant(437)
+        monkeypatch.setattr(constants, "xi_K",
+                            lambda s, inv=QQ: float(_xi_mp(s)))
+        for k, c in zip((115, 145), got):
+            assert c == pytest.approx(
+                predict(X, LineBundleClass(k, 1)).constant, rel=1e-12)
+
     def test_xi_special_values(self):
         # xi(2) = pi/12, xi(3) = zeta(3)/(4 pi), xi(4) = pi^2/180
         assert abs(xi_K(2.0) - math.pi / 12) < 1e-15
         assert abs(xi_K(3.0) - zeta(3.0) / (4 * math.pi)) < 1e-16
         assert abs(xi_K(4.0) - math.pi ** 2 / 180) < 1e-15
+
+
+def _xi_mp(s):
+    """xi(s) over Q in 30-digit mpmath."""
+    with mp.workdps(30):
+        s = mp.mpf(s)
+        return mp.pi ** (-s / 2) * mp.gamma(s / 2) * mp.zeta(s) / 2
 
 
 class TestProjectiveZeta:

@@ -114,21 +114,17 @@ class TestPrimitives:
             _mobius_sieve(10 ** 20)
 
     def test_mobius_array_equals_sieve(self):
-        # the vectorised sieve of the divisor table against the linear one,
-        # up to the table's largest y_0
-        for n in (*range(65), enumeration._Y0_TABLE_MAX):
+        # the vectorised sieve of the r = 1 Mobius kernel against the linear
+        # one, up to 2^17
+        for n in (*range(65), 1 << 17):
             mu = enumeration._mobius_array(n)
             assert mu.dtype == np.int8
             assert mu[1:].tolist() == _mobius_sieve(n)[1:], n
 
-    # the table is sorted over four windows of y: 5 and 7 leave a short
-    # last window, 210 gives windows of 53, 53, 53 and 51
+    # the squarefree divisors and their Mobius signs that the per-norm
+    # path's coprime count reads (`_squarefree_divisors`), every y <= ymax
     @pytest.mark.parametrize("ymax", [1, 2, 3, 4, 5, 7, 30, 210])
     def test_divisor_table_equals_trial_division(self, ymax):
-        start, div, sign = enumeration._divisor_table(ymax)
-        assert (start.dtype, div.dtype, sign.dtype) == (np.int32, np.int32,
-                                                         np.int8)
-        assert len(start) == ymax + 2 and start[-1] == len(div) == len(sign)
         for y in range(1, ymax + 1):
             want = []
             for d in range(1, y + 1):
@@ -136,8 +132,7 @@ class TestPrimitives:
                           if d % p == 0 and all(p % k for k in range(2, p))]
                 if y % d == 0 and all(d % (p * p) for p in primes):
                     want.append((d, (-1) ** len(primes)))
-            a, b = start[y], start[y + 1]
-            assert sorted(zip(div[a:b].tolist(), sign[a:b].tolist())) == want
+            assert sorted(enumeration._squarefree_divisors(y)) == want
 
     def test_projective_line_small(self):
         # H <= 2 keeps [1:0],[0:1],[1:1],[1:-1]; H <= 3 adds [1:+-2],[2:+-1]
@@ -717,49 +712,27 @@ class TestBatchedFiberStep:
             assert isqrt(smax // c0) == 1
         self.batched_equals_per_norm(args, norms)
 
-    def test_rows_up_to_the_divisor_table(self, monkeypatch):
+    def test_wide_norm_sum_past_int64(self, monkeypatch):
         # bundle (1, 1) on X_2(1): the norm m = 1 has S_max = B^2 and
-        # c_0 = 1, so B = 2^17 gives it exactly _Y0_TABLE_MAX rows, counted
-        # by the divisor pass, and one more row sends it to the Mobius
-        # kernel.  Its fiber points are the canonical primitive vectors of
-        # Z^2 with norm^2 <= B^2 other than (0, 1), counted here by the
-        # Mobius sieve.
+        # c_0 = 1, so B = 2^17 and 2^17 + 1 give it that many rows, each
+        # more than a part of _CHUNK rows.  Its fiber points are the
+        # canonical primitive vectors of Z^2 with norm^2 <= B^2 other than
+        # (0, 1), counted here by the Mobius sieve.
         X = HKVariety(1, 2, (1,))
-        top = enumeration._Y0_TABLE_MAX
-        assert top == 1 << 17
         kernel = enumeration._count_r1_mobius
-        deep = []
+        seen = []
         monkeypatch.setattr(enumeration, "_count_r1_mobius",
-                            lambda *a: deep.append(a[0].tolist()) or kernel(*a))
+                            lambda *a: seen.append(a[0].tolist()) or kernel(*a))
         norm = np.array([1], dtype=np.int64)
-        # a multiplicity of 2^45 puts the sum past 2^63, into Python ints
-        for B, mults in ((top, (3, 1 << 45)), (top + 1, (3,))):
+        top = 1 << 17
+        for B in (top, top + 1):
             args = (X.fiber_weights, 1, 1, 1, *_squared_cap(B))
             fiber = enumeration._count_projective_n2(1, B * B) - 1
-            for mult in mults:
+            # a multiplicity of 2^45 puts the sum past 2^63, into Python ints
+            for mult in (3, 1 << 45):
                 assert _count_r1(args, norm, norm * mult) == (mult * fiber, B,
                                                               [], [])
-        assert deep == [[1]]
-
-    def test_rows_beyond_divisor_table_fall_back(self, monkeypatch):
-        X = HKVariety(1, 2, (1,))
-        L = anticanonical(X)
-        req = CountRequest(X, L, Fraction(4096), Region.GOOD_OPEN)
-        want = count_hk(req)  # a base this small is counted per norm
-        monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 0)
-        monkeypatch.setattr(enumeration, "_Y0_TABLE_MAX", 3)
-        passes = []
-        for name in ("_count_r1_mobius", "_divisor_table"):
-            def spy(*args, _f=getattr(enumeration, name), _name=name):
-                passes.append(_name)
-                return _f(*args)
-            monkeypatch.setattr(enumeration, name, spy)
-        got = count_hk(req)
-        assert (got.count, got.points_visited) == (want.count,
-                                                   want.points_visited)
-        # the norms with more than 3 rows went to the kernel, the others
-        # to the divisor pass
-        assert sorted(set(passes)) == ["_count_r1_mobius", "_divisor_table"]
+        assert seen == [[1]] * 4
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -811,6 +784,17 @@ def _stream_histogram(dim, n2max):
     return hist
 
 
+def _gcd_reference(fibers):
+    """(sum of mult * fiber count, rows) of (c_0, S_max, mult) fibers by
+    the gcd recursion of the per-norm path."""
+    count = rows = 0
+    for c0, smax, mult in fibers:
+        fc, fr = enumeration._count_fiber_good((c0, 1), smax)
+        count += mult * fc
+        rows += fr
+    return count, rows
+
+
 class TestMobiusKernel:
     """The r = 1 Mobius kernel against the gcd recursion, and the counts
     whose norms reach it."""
@@ -819,22 +803,37 @@ class TestMobiusKernel:
     @given(st.lists(st.tuples(st.one_of(st.just(1), st.integers(1, 3000)),
                               st.integers(1, 4 * 10 ** 6),
                               st.integers(1, 2 ** 40)),
-                    min_size=1, max_size=4))
-    def test_equals_gcd_recursion(self, fibers):
+                    min_size=1, max_size=12),
+           st.sampled_from((64, enumeration._CHUNK)))
+    def test_equals_gcd_recursion(self, fibers, chunk):
+        # with parts of 64 rows a norm of up to 2000 rows is wider than a
+        # part, and a part holds many norms of few rows
         fibers = [(c0, max(c0, smax), mult) for c0, smax, mult in fibers]
         c0, smax, mult = np.array(fibers, dtype=np.int64).T
-        count = rows = 0
-        for c, s, k in fibers:
-            fc, fr = enumeration._count_fiber_good((c, 1), s)
-            count += k * fc
-            rows += fr
-        assert enumeration._count_r1_mobius(c0, smax, mult) == (count, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "_CHUNK", chunk)
+            got = enumeration._count_r1_mobius(c0, smax, mult)
+        assert got == _gcd_reference(fibers)
 
-    def test_rows_beyond_the_divisor_table(self):
-        # c_0 = 1 and more y_0 rows than _Y0_TABLE_MAX: the kernel against
-        # the gcd recursion and against the P^1 sieve (the fiber points are
-        # the canonical primitive vectors of Z^2 other than (0, 1))
-        top = enumeration._Y0_TABLE_MAX + 1
+    def test_partial_sums_past_int64_take_python_ints(self):
+        # 5 S_max >= 2^62, so the kernel's bound no longer keeps a norm's
+        # partial sums in int64 and they are Python ints; c_0 >= 2^40 keeps
+        # each fiber to at most 2^11 rows.  A multiplicity of 2^40 also
+        # puts the sum of mult * fiber count past 2^63.
+        fibers = [(2 ** 40, 2 ** 62 - 1, 2 ** 40), (2 ** 40 + 7, 2 ** 62 // 5, 3),
+                  (3 ** 30, 2 ** 61 + 12345, 1), (5, 4 * 10 ** 6, 2 ** 40)]
+        c0, smax, mult = np.array(fibers, dtype=np.int64).T
+        assert 5 * int(smax.max()) >= 2 ** 62
+        want = _gcd_reference(fibers)
+        assert enumeration._count_r1_mobius(c0, smax, mult) == want
+        assert want[0] >= 2 ** 63
+
+    def test_wide_norm_equals_recursion_and_sieve(self):
+        # c_0 = 1 and 2^17 + 1 rows, wider than a part of _CHUNK rows: the
+        # kernel against the gcd recursion and against the P^1 sieve (the
+        # fiber points are the canonical primitive vectors of Z^2 other
+        # than (0, 1))
+        top = (1 << 17) + 1
         smax = top * top + 5
         one = np.array([1], dtype=np.int64)
         got = enumeration._count_r1_mobius(one, one * smax, one * 3)
@@ -843,14 +842,13 @@ class TestMobiusKernel:
         assert enumeration._count_fiber_good((1, 1), smax) == (fiber, top)
 
     def test_leftover_norms_skip_the_per_norm_path(self, monkeypatch):
-        # with a divisor table of y_0 <= 3 most norms are left over; their
-        # S_max is below 2^62, so the kernel counts them all
+        # every norm's S_max is below 2^62, so the kernel counts them all
+        # and the per-norm path is left no norm
         X = HKVariety(1, 2, (1,))
         req = CountRequest(X, LineBundleClass(1, 3), Fraction(3000),
                            Region.GOOD_OPEN)
         want = count_hk(req)
         monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 0)
-        monkeypatch.setattr(enumeration, "_Y0_TABLE_MAX", 3)
         worker = enumeration._good_chunk_worker
         calls = []
 
@@ -874,11 +872,10 @@ class TestMobiusKernel:
         assert (res.count, res.points_visited) == (134342841028, 2258741)
 
     def test_every_surface_norm_through_the_kernel(self, monkeypatch):
-        # an empty band and no divisor table send all 139187 norms of the
-        # count-surface count, with S_max taken in Python ints, to the
-        # kernel, which must give its pin
+        # an empty band sends all 139187 norms of the count-surface count
+        # to the kernel with S_max taken in Python ints, and it must give
+        # its pin
         monkeypatch.setattr(enumeration, "_r1_batch_band", lambda *a: (1, 0))
-        monkeypatch.setattr(enumeration, "_Y0_TABLE_MAX", 0)
         X = HKVariety(1, 2, (1,))
         res = count_hk(CountRequest(X, anticanonical(X), Fraction(2 ** 30),
                                     Region.GOOD_OPEN))
@@ -886,21 +883,21 @@ class TestMobiusKernel:
 
     def test_deep_norms_reach_the_kernel_in_int64(self, monkeypatch):
         # -K on X_2(1) at B = 4096: every norm is in the band, so no S_max
-        # is taken in Python ints, and with a divisor table of y_0 <= 3
-        # the norms with more rows go to the kernel straight from the
-        # int64 slices
+        # is taken in Python ints, and with _CHUNK = 4 the norms with more
+        # than 4 rows, each wider than a part, reach the kernel straight
+        # from the int64 slices, as every other norm does
         X = HKVariety(1, 2, (1,))
         L = anticanonical(X)
         p, q = _squared_cap(4096)
         args = (X.fiber_weights, 1, L.lam, L.mu, p, q)
         norms = projective_norm_histogram(1, iroot(p // q, L.mu))
-        deep = sorted(m for m in norms
-                      if isqrt(enumeration._fiber_params(*args, m)[1] // m) > 3)
+        deep = [m for m in norms
+                if isqrt(enumeration._fiber_params(*args, m)[1] // m) > 4]
         assert 0 < len(deep) < len(norms)
         req = CountRequest(X, L, Fraction(4096), Region.GOOD_OPEN)
-        want = count_hk(req)
+        want = count_hk(req)  # a base this small is counted per norm
         monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 0)
-        monkeypatch.setattr(enumeration, "_Y0_TABLE_MAX", 3)
+        monkeypatch.setattr(enumeration, "_CHUNK", 4)
         calls = _python_params(monkeypatch)
         kernel = enumeration._count_r1_mobius
         got_c0 = []
@@ -909,7 +906,7 @@ class TestMobiusKernel:
         got = count_hk(req)
         assert (got.count, got.points_visited) == (want.count,
                                                    want.points_visited)
-        assert calls == [] and sorted(got_c0) == deep  # c_0 = m
+        assert calls == [] and sorted(got_c0) == sorted(norms)  # c_0 = m
 
 
 class TestBoundedMemory:
@@ -918,9 +915,8 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("bundle, B", [((2, 3), 2 ** 16), ((1, 2), 1500),
                                            ((1, 1), 100)])
     def test_slices_equal_per_norm_path(self, monkeypatch, bundle, B):
-        # _CHUNK = 64: the norms span many slices, the divisor pass many
-        # blocks, and each divisor table is larger than the one before;
-        # in descending order the later slices need the larger tables
+        # _CHUNK = 64: the norms span many slices of at most 64 norms, the
+        # kernel many parts and blocks, in ascending and descending order
         X = HKVariety(1, 2, (1,))
         L = LineBundleClass(*bundle)
         p, q = _squared_cap(Fraction(B))
@@ -931,28 +927,28 @@ class TestBoundedMemory:
             (*args, norms.tolist(), mults.tolist()))
         monkeypatch.setattr(enumeration, "_CHUNK", 64)
         monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 0)
-        table = enumeration._divisor_table
+        kernel = enumeration._count_r1_mobius
         sizes = []
 
-        def spy(ymax):
-            sizes.append(ymax)
-            return table(ymax)
+        def spy(*a):
+            sizes.append(a[0].size)
+            return kernel(*a)
 
-        monkeypatch.setattr(enumeration, "_divisor_table", spy)
+        monkeypatch.setattr(enumeration, "_count_r1_mobius", spy)
         assert _count_r1(args, norms, mults) == (*want, [], [])
         assert len(norms) > 3 * 64
-        assert sizes == sorted(set(sizes))
+        assert len(sizes) > 3 and max(sizes) <= 64
         sizes.clear()
         assert _count_r1(args, norms[::-1], mults[::-1]) == (*want, [], [])
-        assert len(sizes) > 1 and sizes == sorted(set(sizes))
+        assert len(sizes) > 3 and max(sizes) <= 64
         res = count_hk(CountRequest(X, L, Fraction(B), Region.GOOD_OPEN))
         assert (res.count, res.points_visited) == want
 
     def test_surface_count_peak(self):
         # tracemalloc peak of the count-surface count (B = 2^30), numpy
-        # loaded: 7.0 MiB, the histogram phase's int32 table and gathered
-        # arrays.  Arrays over all 139187 norms and an int64 table had
-        # put it at 18.2 MiB.
+        # loaded: 6.2 MiB (7.1 MiB with the r = 1 divisor table), the
+        # histogram phase's int32 table and gathered arrays.  Arrays over
+        # all 139187 norms and an int64 table had put it at 18.2 MiB.
         import tracemalloc
 
         X = HKVariety(1, 2, (1,))
@@ -966,6 +962,26 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert got == (15435482828, 600987)
         assert peak < 9 * 2 ** 20, peak / 2 ** 20
+
+    def test_wide_norm_peak(self):
+        # tracemalloc peak of `count --variety 1,2:1 --bundle 1,6 --B 1e6
+        # --region u`, numpy loaded: its norm 1 has 10^6 y_0 rows, whose
+        # isqrt values the kernel holds as one int64 array (7.6 MiB).  The
+        # peak is 10.3 MiB, and was 10.5 MiB with a kernel that took one
+        # isqrt per Mobius term; the bound leaves 14% above the latter.
+        import tracemalloc
+
+        X = HKVariety(1, 2, (1,))
+        L = LineBundleClass(1, 6)
+        enumeration._count_good_open(X, L, Fraction(10), 1)
+        tracemalloc.start()
+        try:
+            got = enumeration._count_good_open(X, L, Fraction(10 ** 6), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (1952624069060, 1134911)
+        assert peak < 12 * 2 ** 20, peak / 2 ** 20
 
 
 def _box_points(X, L, B, region, budget):
