@@ -343,25 +343,29 @@ def cmd_zeta(args) -> int:
 # verification suites
 # ---------------------------------------------------------------------------
 
+def _check(name: str, observed, tolerance) -> dict:
+    """One verify record; a check passes when observed <= tolerance."""
+    return {"name": name, "observed": observed, "tolerance": tolerance,
+            "ok": observed <= tolerance}
+
+
 def _suite_arakelov() -> list[dict]:
-    checks = []
     worst = 0.0
     x = -5.0
     while x <= 5.0 + 1e-9:
         worst = max(worst, abs(arakelov.h0(x) - arakelov.h0(-x) - x))
         x += 0.01
-    checks.append({"name": "theta functional equation h0(x)-h0(-x)=x",
-                   "observed": worst, "tolerance": 1e-12,
-                   "ok": worst <= 1e-12})
     scales = (1.0, 0.5, 2.0, 3.7)
     _, gap = arakelov.phi_oplus_check(scales, -0.3)
-    checks.append({"name": "direct-sum identity (product vs symmetric)",
-                   "observed": gap, "tolerance": 1e-12, "ok": gap <= 1e-12})
     grid = [-5.0 + 0.1 * k for k in range(51)]
-    ok, beta = arakelov.geer_schoof_bound_check(grid)
-    checks.append({"name": "double-exponential decay bound on phi",
-                   "observed": beta, "tolerance": 2.001, "ok": ok})
-    return checks
+    # the tolerance is the certified beta that the check's own verdict uses
+    _, beta = arakelov.geer_schoof_bound_check(grid)
+    return [
+        _check("theta functional equation h0(x)-h0(-x)=x", worst, 1e-12),
+        _check("direct-sum identity (product vs symmetric)", gap, 1e-12),
+        _check("double-exponential decay bound on phi", beta,
+               arakelov._GS_BETA),
+    ]
 
 
 def _suite_integral() -> list[dict]:
@@ -369,22 +373,17 @@ def _suite_integral() -> list[dict]:
     for s in (2.0, 3.0, 5.0):
         got = arakelov.xi_integral(s)
         want = 2.0 * xi_K(s)
-        err = abs(got - want)
-        checks.append({"name": f"integral representation of 2*xi({s:g})",
-                       "observed": err, "tolerance": 1e-8, "ok": err <= 1e-8})
-    lhs, rhs, diff = arakelov.prop5_identity_check(1, 4.0)
-    checks.append({"name": "rank-2 integral identity at (n,s)=(1,4)",
-                   "observed": abs(diff), "tolerance": 1e-6,
-                   "ok": abs(diff) <= 1e-6})
+        checks.append(_check(f"integral representation of 2*xi({s:g})",
+                             abs(got - want), 1e-8))
+    _, _, diff = arakelov.prop5_identity_check(1, 4.0)
+    checks.append(_check("rank-2 integral identity at (n,s)=(1,4)",
+                         abs(diff), 1e-6))
     return checks
 
 
 def _suite_residue() -> list[dict]:
-    got = arakelov.maruyama_residue_check()
-    want = 6.0 / math.pi
-    err = abs(got - want)
-    return [{"name": "residue of Z_(P^1) at s=2 equals 6/pi",
-             "observed": err, "tolerance": 1e-3, "ok": err <= 1e-3}]
+    err = abs(arakelov.maruyama_residue_check() - 6.0 / math.pi)
+    return [_check("residue of Z_(P^1) at s=2 equals 6/pi", err, 1e-3)]
 
 
 def _direct_counts(X: HKVariety, L: LineBundleClass, top: int,
@@ -425,10 +424,9 @@ def _suite_partition(threads: int) -> list[dict]:
         bad_sum += stray_u or stray_f or whole != u[b - 1] + f_direct[b - 1]
         bad_dir += stray_f or f != f_direct[b - 1]
     return [
-        {"name": f"partition N(X) = N(U) + N(F), B = 1..{top}",
-         "observed": bad_sum, "tolerance": 0, "ok": bad_sum == 0},
-        {"name": "subbundle count by reduction equals direct enumeration",
-         "observed": bad_dir, "tolerance": 0, "ok": bad_dir == 0},
+        _check(f"partition N(X) = N(U) + N(F), B = 1..{top}", bad_sum, 0),
+        _check("subbundle count by reduction equals direct enumeration",
+               bad_dir, 0),
     ]
 
 
@@ -443,8 +441,8 @@ def _suite_oracle() -> list[dict]:
                 cum += hist[norms[i]]
                 i += 1
             ok = ok and (cum == count_projective_moebius(n, b))
-    return [{"name": "enumeration equals Moebius-sieve count, n<=3, B<=50",
-             "observed": 0 if ok else 1, "tolerance": 0, "ok": ok}]
+    return [_check("enumeration equals Moebius-sieve count, n<=3, B<=50",
+                   0 if ok else 1, 0)]
 
 
 _SUITES = {

@@ -562,11 +562,10 @@ def predict(X: HKVariety, L: LineBundleClass, inv: FieldInvariants = QQ,
                                 region=region)
 
 
-def _space_prediction(space, bundle, inv: FieldInvariants,
-                      zeta_proj=None) -> AsymptoticPrediction:
+def _space_prediction(space, bundle, inv: FieldInvariants) -> AsymptoticPrediction:
     """`predict` on an HK space; Schanuel's constant on a twisted P^n."""
     if isinstance(space, HKVariety):
-        return predict(space, bundle, inv, zeta_proj)
+        return predict(space, bundle, inv)
     # N(P^n, H_{O(k)} <= B) = N(P^n, B^{1/k}) ~ C B^{(n+1)/k}
     return replace(schanuel_constant(space.n, inv),
                    a_l=Fraction(space.n + 1, int(bundle)))
@@ -579,16 +578,14 @@ class StratumPrediction:
     note: str  # "", or "infinite" when the stratum is not big
 
 
-def _stratum_prediction(st: Stratum, inv: FieldInvariants,
-                        zeta_proj=None) -> StratumPrediction:
+def _stratum_prediction(st: Stratum, inv: FieldInvariants) -> StratumPrediction:
     if not st.big:
         return StratumPrediction(st, None, "infinite")
-    pred = _space_prediction(st.space, st.bundle, inv, zeta_proj)
+    pred = _space_prediction(st.space, st.bundle, inv)
     if st.open_part and st.space.a[-1] == 0:
         # good open subset of a product stratum P^{t-1} x P^r: U = X minus
         # F, where F is big and grows no faster than X
-        f_pred = _space_prediction(*restrict_to_F(st.space, st.bundle), inv,
-                                   zeta_proj)
+        f_pred = _space_prediction(*restrict_to_F(st.space, st.bundle), inv)
         key, key_f = ((p.a_l, p.log_exponent) for p in (pred, f_pred))
         assert key_f <= key, "subbundle outgrows its product stratum"
         if key_f == key:
@@ -599,8 +596,7 @@ def _stratum_prediction(st: Stratum, inv: FieldInvariants,
 
 
 def stratum_predictions(X: HKVariety, L: Optional[LineBundleClass] = None,
-                        inv: FieldInvariants = QQ,
-                        zeta_proj=None) -> list[StratumPrediction]:
+                        inv: FieldInvariants = QQ) -> list[StratumPrediction]:
     """Per-stratum growth predictions along the stratification chain.
 
     Good-open strata of twisted pieces use the fibration formulas; a
@@ -611,7 +607,7 @@ def stratum_predictions(X: HKVariety, L: Optional[LineBundleClass] = None,
     """
     if L is None:
         L = anticanonical(X)
-    return [_stratum_prediction(st, inv, zeta_proj) for st in decompose(X, L)]
+    return [_stratum_prediction(st, inv) for st in decompose(X, L)]
 
 
 def region_prediction(X: HKVariety, L: LineBundleClass, region: Region,

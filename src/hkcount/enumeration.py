@@ -49,21 +49,20 @@ the weight-1 coordinate is not the innermost.  The innermost coordinate
 is resolved by a Mobius/inclusion-exclusion coprimality count instead of
 a per-point gcd.
 
-Every r = 1 base norm takes one route, over slices of at most _CHUNK
-norms, so that no array spans every norm.  One stream (`_r1_fibers`)
-yields int64 slices of (c_0, S_max, mult), c_1 = 1.  First come the
-norms for which an int64 guard (`_r1_batch_band`) proves that every
-intermediate value stays below 2^62, with their caps computed in int64
-(a cap p // q // m^k with p // q >= 2^62 is divided in Python ints and
-only its quotient enters int64); then the other norms, with S_max taken
-in Python ints.  A norm with S_max >= 2^62 is left to the per-norm path,
-and one with c_0 > S_max has no fiber point.  One counter
-(`_count_r1_mobius`) takes every slice: the identity of the P^n sieve
-counts a fiber as sum over d of mu(d) E(c_0, S_max // d^2), where E
-counts every lattice point with y_0 >= 1 and tests no gcd.  Each y_0 row
-takes one isqrt, M(y_0) = isqrt(S_max - c_0 y_0^2), and the term of a
-squarefree d and a multiple y_0 = d k is read off it as M(d k) // d; mu
-comes from a vectorised integer sieve, `_mobius_array`.  The norms with
+Every r = 1 base norm takes one route, `_count_r1`, over slices of at
+most _CHUNK norms, so that no array spans every norm.  An int64 guard
+(`_r1_batch_band`) splits each slice once: the norms in its band, for
+which every intermediate value provably stays below 2^62, take their
+caps in int64, and the others take (c_0, S_max) in Python ints; c_1 = 1.
+A norm with S_max >= 2^62 is left to the per-norm path, and one with
+c_0 > S_max has no fiber point.  One counter (`_count_r1_mobius`) takes
+each slice's other fibers as int64 (c_0, S_max, mult) in one call: the
+identity of the P^n sieve counts a fiber as sum over d of
+mu(d) E(c_0, S_max // d^2), where E counts every lattice point with
+y_0 >= 1 and tests no gcd.  Each y_0 row takes one isqrt,
+M(y_0) = isqrt(S_max - c_0 y_0^2), and the term of a squarefree d and a
+multiple y_0 = d k is read off it as M(d k) // d; mu comes from a
+vectorised integer sieve, `_mobius_array`.  The norms with
 S_max >= 2^62, and every r >= 2 count, go through the per-norm Python
 path with unbounded integers.  All bound comparisons are integer-exact,
 integer roots included (Newton from above, seeded for square roots from
@@ -75,12 +74,13 @@ pool only on the pooled branch, so importing this module costs neither.
 A count loads numpy only when an array step has enough work to repay
 the import (about 0.15 s).  A walk bounded by fewer than _NUMPY_WALK_MIN
 vectors takes the `_canonical_vectors` stream, and over such a base an
-r = 1 count whose band norms have fewer than _NUMPY_ROWS_MIN y_0 rows
-goes to the per-norm path whole.  Both choices depend only on the
-input's size, and both sides give the same counts.  Bigness is checked
-before either.  r = 1 counts run in the calling process; only the
-per-norm path of an r >= 2 count is split over a process pool, of at
-most one worker per CPU the process may run on.
+r = 1 count whose fibers with S_max < 2^62 have fewer than
+_NUMPY_ROWS_MIN y_0 rows goes to the per-norm path whole.  The count
+reads which walk was taken off the histogram's type (lists or arrays).
+Both choices depend only on the input's size, and both sides give the
+same counts.  Bigness is checked before either.  r = 1 counts run in the
+calling process; only the per-norm path of an r >= 2 count is split over
+a process pool, of at most one worker per CPU the process may run on.
 
 A count sums the strata of its region (`region_strata`), so every F
 count runs on the restricted classes and exercises the restriction
@@ -298,16 +298,6 @@ def _canonical_vectors(dim: int, n2max: int) -> Iterator[tuple[tuple[int, ...], 
     """`_canonical_walk` with unit weights: canonical primitive vectors of
     Z^dim with norm^2 <= n2max, as (vector, norm^2)."""
     return _canonical_walk((1,) * dim, n2max)
-
-
-def enum_projective(n: int, B: Union[int, Fraction]) -> Iterator[ProjectivePoint]:
-    """Stream every point of P^n(Q) of height <= B exactly once."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p, q = _squared_cap(B)
-    n2max = p // q
-    for vec, _ in _canonical_vectors(n + 1, n2max):
-        yield ProjectivePoint(vec)
 
 
 def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -742,56 +732,17 @@ def _count_r1_mobius(c0: np.ndarray, smax: np.ndarray,
     return total, int(top0.sum())
 
 
-def _r1_fibers(args: tuple, norms: np.ndarray, mults: np.ndarray,
-               big: tuple[list[int], list[int]]
-               ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """int64 slices (c_0, S_max, mult), at most _CHUNK norms each, of the
-    r = 1 fibers over the base norms with 1 <= c_0 <= S_max < 2^62.
-
-    The norms in `_r1_batch_band` come first: their caps are computed in
-    int64 slice by slice (a cap p // q // m^k with p // q >= 2^62 is
-    divided in Python ints and only its quotient enters int64), and
-    c_0 = m^ar.  The norms outside the band follow, with (c_0, S_max)
-    taken in Python ints by `_fiber_params`; those with S_max >= 2^62 are
-    appended to the lists `big` (norms, mults) instead, for the per-norm
-    path.  A norm with c_0 > S_max has no fiber point and is dropped."""
-    import numpy as np
-
-    lo, hi = _r1_batch_band(*args)
-    _, ar, lam, mu, p, q = args
-    e = lam * ar - mu
-    P = p // q
-    for a in range(0, norms.size, _CHUNK):
-        m, mult = norms[a:a + _CHUNK], mults[a:a + _CHUNK]
-        inside = (m >= lo) & (m <= hi)
-        m, mult = m[inside], mult[inside]
-        if e >= 0:
-            cap = (p * m ** e) // q
-        elif P < _INT64_SAFE:
-            cap = P // m ** -e
-        else:  # the band's lower end keeps these quotients below 2^62
-            cap = np.array([P // d for d in (m ** -e).tolist()], dtype=np.int64)
-        smax = _iroot_array(cap, lam)
-        c0 = m ** ar
-        live = c0 <= smax
-        yield c0[live], smax[live], mult[live]
-    rest = []
-    outside = (norms < lo) | (norms > hi)
-    for m, mult in zip(norms[outside].tolist(), mults[outside].tolist()):
-        (c0, _), smax = _fiber_params(*args, m)
-        if smax >= _INT64_SAFE:
-            big[0].append(m)
-            big[1].append(mult)
-        elif c0 <= smax:
-            rest.append((c0, smax, mult))
-    for a in range(0, len(rest), _CHUNK):
-        yield tuple(np.array(rest[a:a + _CHUNK], dtype=np.int64).T)
-
-
 def _count_r1(args: tuple, norms: Sequence[int], mults: Sequence[int]
               ) -> tuple[int, int, list[int], list[int]]:
-    """`_fiber_params` and `_count_fiber_good` for r = 1: every int64 slice
-    of `_r1_fibers` goes to `_count_r1_mobius`.
+    """`_fiber_params` and `_count_fiber_good` for r = 1, over slices of at
+    most _CHUNK norms, each split once by `_r1_batch_band`.
+
+    The norms outside the band take (c_0, S_max) in Python ints from
+    `_fiber_params`.  The norms in the band, if the slice has any, take
+    their caps in int64 (a cap p // q // m^k with p // q >= 2^62 is divided
+    in Python ints and only its quotient enters int64), and c_0 = m^ar.
+    Each slice's fibers with c_0 <= S_max < 2^62 go to `_count_r1_mobius`
+    in one call; a norm with c_0 > S_max has no fiber point.
 
     Returns (count, rows, norms, mults): the sum of mult * fiber count over
     the norms with S_max < 2^62; their y_0 rows, isqrt(S_max // c_0) per
@@ -801,11 +752,39 @@ def _count_r1(args: tuple, norms: Sequence[int], mults: Sequence[int]
     """
     import numpy as np
 
-    big: tuple[list[int], list[int]] = ([], [])
+    lo, hi = _r1_batch_band(*args)
+    _, ar, lam, mu, p, q = args
+    e = lam * ar - mu
+    P = p // q
     norms, mults = (np.asarray(a, dtype=np.int64) for a in (norms, mults))
+    big: tuple[list[int], list[int]] = ([], [])
     total = rows = 0
-    for c0, smax, mult in _r1_fibers(args, norms, mults, big):
-        count, r = _count_r1_mobius(c0, smax, mult)
+    for a in range(0, norms.size, _CHUNK):
+        m, mult = norms[a:a + _CHUNK], mults[a:a + _CHUNK]
+        inside = (m >= lo) & (m <= hi)
+        rest = []  # (c_0, S_max, mult) of the norms outside the band
+        for n, k in zip(m[~inside].tolist(), mult[~inside].tolist()):
+            (c0, _), smax = _fiber_params(*args, n)
+            if smax >= _INT64_SAFE:
+                big[0].append(n)
+                big[1].append(k)
+            elif c0 <= smax:
+                rest.append((c0, smax, k))
+        fibers = np.array(rest, dtype=np.int64).reshape(-1, 3).T
+        m, mult = m[inside], mult[inside]
+        if m.size:  # an empty band may have p or q past int64
+            if e >= 0:
+                cap = (p * m ** e) // q
+            elif P < _INT64_SAFE:
+                cap = P // m ** -e
+            else:  # the band's lower end keeps these quotients below 2^62
+                cap = np.array([P // d for d in (m ** -e).tolist()],
+                               dtype=np.int64)
+            c0, smax = m ** ar, _iroot_array(cap, lam)
+            live = c0 <= smax
+            fibers = np.concatenate(
+                (fibers, (c0[live], smax[live], mult[live])), axis=1)
+        count, r = _count_r1_mobius(*fibers)
         total += count
         rows += r
     return total, rows, *big
@@ -826,31 +805,39 @@ def _good_chunk_worker(args: tuple) -> tuple[int, int]:
     return count, visited
 
 
-# r = 1 counts over a small base whose band norms have fewer y_0 rows than
-# this are counted per norm, which needs no numpy.  With numpy loaded
-# (2-vCPU VM, Python 3.11, numpy 2.4, best of 5 with a cold divisor cache;
-# bundle (1, 6) on X_2(1), every norm in the band), 14.2k rows took 0.059 s
-# per norm against 0.004 s batched, 29.5k rows 0.148 s against 0.008 s and
-# 38.6k rows 0.209 s against 0.011 s.  The import costs 0.11 to 0.16 s after
+# r = 1 counts over a small base whose norms with S_max < 2^62 have fewer
+# y_0 rows than this are counted per norm, which needs no numpy.  With numpy
+# loaded (2-vCPU VM, Python 3.11, numpy 2.4, best of 5 with a cold divisor
+# cache; bundle (1, 6) on X_2(1)), 14.2k rows took 0.059 s per norm against
+# 0.004 s batched, 29.5k rows 0.148 s against 0.008 s and 38.6k rows
+# 0.209 s against 0.011 s.  The import costs 0.11 to 0.16 s after
 # `import hkcount.cli`; added to the batched side, the two meet between 2.2
 # and 3.3 * 10^4 rows, and below 3 * 10^4 they differ by less than the
-# import's own spread.  The row count does not include the norms outside
-# the band.
+# import's own spread.  The row count includes the norms outside the int64
+# band; it chose the same side as a count of the band's rows alone on all
+# 119,448 small r = 1 inputs (t in {2, 3}, a <= 20, lam, mu <= 6,
+# B = 1, 3/2, ..., 40), and the batched side is the one measured here, so
+# the crossover still holds.
 _NUMPY_ROWS_MIN = 2 * 10 ** 4
 
 
 def _few_r1_rows(args: tuple, norms: Sequence[int]) -> bool:
-    """Whether the r = 1 fibers of the norms in `_r1_batch_band` have fewer
-    than _NUMPY_ROWS_MIN y_0 rows in all.  A row count is
-    isqrt(S_max // c_0), from `_fiber_params`."""
-    lo, hi = _r1_batch_band(*args)
+    """Whether the r = 1 fibers with S_max < 2^62 over the ascending norms
+    have fewer than _NUMPY_ROWS_MIN y_0 rows in all.  A row count is
+    isqrt(S_max // c_0), from `_fiber_params`; the norms with
+    S_max >= 2^62 go to the per-norm path on either side.  For
+    lam * ar >= mu the cap p m^(lam ar - mu) / q, and so S_max, grows with
+    m, so no norm after the first with S_max >= 2^62 adds a row."""
+    _, ar, lam, mu, _, _ = args
     rows = 0
     for m in norms:
         if rows >= _NUMPY_ROWS_MIN:
             break
-        if lo <= m <= hi:
-            (c0, _), smax = _fiber_params(*args, m)
+        (c0, _), smax = _fiber_params(*args, m)
+        if smax < _INT64_SAFE:
             rows += isqrt(smax // c0)
+        elif lam * ar >= mu:
+            break
     return rows < _NUMPY_ROWS_MIN
 
 
@@ -868,11 +855,12 @@ def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
     n2max = iroot(p // q, L.mu)
     args = (X.fiber_weights, X.a[-1], L.lam, L.mu, p, q)
     norms, mults = _norm_histogram(X.t - 1, n2max)
+    small = isinstance(norms, list)  # the walk took the per-vector stream
     count = visited = 0
     r1 = len(X.fiber_weights) == 2
-    if r1 and (_numpy_walk(X.t - 1, n2max) or not _few_r1_rows(args, norms)):
+    if r1 and not (small and _few_r1_rows(args, norms)):
         count, visited, norms, mults = _count_r1(args, norms, mults)
-    elif not isinstance(norms, list):
+    elif not small:
         norms, mults = norms.tolist(), mults.tolist()
     # The per-norm path takes what is left: every r >= 2 norm, and for
     # r = 1 a small base or the norms with S_max >= 2^62.  Only r >= 2

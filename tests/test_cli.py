@@ -101,6 +101,16 @@ class TestCount:
         assert code == EXIT_OK
         assert json.loads(out)["count"] > 0
 
+    def test_squared_bound_past_int64(self, capsys):
+        # B^2 >= 2^63 with e = lam a_r - mu = 0 leaves p outside int64; the
+        # count equals the one at B = 3037000499, the largest B with
+        # B^2 < 2^63, and the per-norm path over the same histogram
+        code, out, _ = run(capsys, "count", "--variety", "1,2:1", "--bundle",
+                           "3,3", "--region", "u", "--B", "3037000500",
+                           "--threads", "1")
+        assert code == EXIT_OK
+        assert "= 5291493624 " in out
+
     def test_infinite_region_exit_code(self, capsys):
         code, _, err = run(capsys, "count", "--variety", "1,2:1",
                            "--bundle", "4,1", "--B", "10", "--region", "f")

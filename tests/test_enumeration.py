@@ -31,7 +31,6 @@ from hkcount.enumeration import (
     count_projective_moebius,
     count_subbundle_direct,
     enum_hk_points,
-    enum_projective,
     estimate_exponent,
     iroot,
     projective_norm_histogram,
@@ -226,16 +225,19 @@ class TestPrimitives:
         assert count_enum_projective(1, Fraction(3, 2)) == 4
 
     def test_points_are_canonical_and_within_bound(self):
-        pts = list(enum_projective(1, 5))
+        # ProjectivePoint rejects a vector that is not canonical primitive
+        walk = list(_canonical_vectors(2, 25))
+        pts = [ProjectivePoint(v) for v, _ in walk]
         assert len(pts) == len(set(pts)) == count_enum_projective(1, 5)
-        for p in pts:
-            assert sum(x * x for x in p.coords) <= 25
+        for v, norm in walk:
+            assert sum(x * x for x in v) == norm <= 25
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_stream_equals_block_count(self, n):
         # the _canonical_vectors stream against the block walk's count
         for B in range(1, 13):
-            assert len(list(enum_projective(n, B))) == count_enum_projective(n, B)
+            assert sum(1 for _ in _canonical_vectors(n + 1, B * B)) == \
+                count_enum_projective(n, B)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 40), max_size=30), st.integers(1, 50))
@@ -1189,6 +1191,159 @@ class TestSizeSelection:
         started.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: 6)  # 23 norms < 4 * 6
         assert count(1000) == 8880 and started == []
+
+
+_T = 2 ** 62  # the int64 guard of the count path
+
+
+def _r1_inputs(a, lam, mu, bounds, norms, scales=(1,)):
+    """(args, norms, mults) of the r = 1 step of X_2(a) with bundle
+    (lam, mu), at each bound and multiplicity scale, mults = scale *
+    (m % 7 + 1)."""
+    cases = []
+    for B in bounds:
+        args = (HKVariety(1, 2, (a,)).fiber_weights, a, lam, mu,
+                *_squared_cap(Fraction(B)))
+        for scale in scales:
+            ns = np.array(list(norms), dtype=np.int64)
+            cases.append((args, ns, scale * (ns % 7 + 1)))
+    return cases
+
+
+def _cap(args, m):
+    """floor(p m^(lam ar - mu) / q), whose lam-th root is S_max."""
+    _, ar, lam, mu, p, q = args
+    return (p * m ** (lam * ar)) // (q * m ** mu)
+
+
+def _smax(args, m):
+    return enumeration._fiber_params(*args, m)[1]
+
+
+def _check_r1(case, side):
+    """`_count_r1` plus the per-norm path on the norms it leaves, against
+    the per-norm path on every norm."""
+    args, norms, mults = case
+    count, rows, big, big_mults = _count_r1(args, norms, mults)
+    assert big == [m for m in norms.tolist() if _smax(args, m) >= _T]
+    assert all(type(k) is int for k in big + big_mults)
+    c, v = _per_norm(args, big, big_mults)
+    assert (count + c, rows + v) == _per_norm(args, norms, mults)
+    return {side(args, m, k) for m, k in zip(norms.tolist(), mults.tolist())}
+
+
+def _check_histogram(case, side):
+    """Prefix sums of the base histogram against the Mobius sieve."""
+    n, n2max = case
+    norms, mults = enumeration._norm_histogram(n, n2max)
+    cum = np.cumsum(np.asarray(mults, dtype=np.int64))
+    for bound in (1, n2max // 3, n2max):
+        at = int(np.searchsorted(norms, bound, side="right")) - 1
+        assert int(cum[at]) == enumeration._count_projective_n2(n, bound)
+    return {side(n, n2max)}
+
+
+def _check_count(case, side):
+    """A surface count on U against the per-norm path over the same
+    histogram."""
+    (a, lam, mu), B = case
+    X = HKVariety(1, 2, (a,))
+    args = (X.fiber_weights, a, lam, mu, *_squared_cap(Fraction(B)))
+    norms, mults = enumeration._norm_histogram(1, iroot(args[4] // args[5],
+                                                        mu))
+    got = enumeration._count_good_open(X, LineBundleClass(lam, mu),
+                                       Fraction(B), 1)
+    assert got == _per_norm(args, norms, mults)
+    return {side(args, norms)}
+
+
+# Every place where the count path changes representation, each row with
+# inputs on both sides of its change: the side function must read False
+# and True over the row.  r1 rows call `_count_r1` on a few norms next to
+# the change, and their side function reads (args, norm, mult).
+_EDGES = [
+    # the band's lower end for e < 0: the cap P // m^-e reaches 2^62
+    pytest.param("r1", _r1_inputs(1, 2, 3, [2 ** 40],
+                                  range(2 ** 18 - 2, 2 ** 18 + 4)),
+                 lambda args, m, k: _cap(args, m) >= _T,
+                 id="band-lower-end"),
+    # the band's upper end: m^-e, p m^e or m^ar reaches 2^62 (m^2 >= 2^62
+    # makes c_0 > S_max on both sides, so the counts there are 0)
+    pytest.param("r1", _r1_inputs(1, 1, 4, [2 ** 42],
+                                  range(1664508, 1664514)),
+                 lambda args, m, k: m ** 3 >= _T, id="band-upper-m^-e"),
+    pytest.param("r1", _r1_inputs(1, 2, 1, [46341],
+                                  range(2147479013, 2147479018)),
+                 lambda args, m, k: args[4] * m >= _T, id="band-upper-p*m^e"),
+    pytest.param("r1", _r1_inputs(2, 1, 3, [2 ** 20],
+                                  range(2 ** 31 - 3, 2 ** 31 + 3)),
+                 lambda args, m, k: m ** 2 >= _T, id="band-upper-m^ar"),
+    # P = p // q below 2^62 takes the int64 quotient, from 2^62 on the
+    # Python-int one
+    pytest.param("r1", _r1_inputs(1, 2, 3, [Fraction(3 * 2 ** 31 - 1, 3),
+                                            2 ** 31],
+                                  [10 ** 6, 10 ** 6 + 1, 2 ** 21 - 1]),
+                 lambda args, m, k: args[4] // args[5] >= _T, id="P"),
+    # p or q past 2^62 with e >= 0 empties the band; from 2^63 on they
+    # are no int64 at all.  X_2(1) with bundle (3, 3) crosses B^2 = 2^63
+    # from B = 3037000499 to 3037000500; q = 2^64 at B = 1 + 2^-32.
+    pytest.param("r1", _r1_inputs(1, 3, 3, [2 ** 30, 3037000499, 3037000500,
+                                            Fraction(2 ** 32 + 1, 2 ** 32)],
+                                  [1, 2, 5, 10, 10 ** 6, 2 ** 21]),
+                 lambda args, m, k: max(args[4], args[5]) >= _T,
+                 id="pq-past-int64-3,3"),
+    pytest.param("r1", _r1_inputs(1, 5, 4, [10 ** 9, 10 ** 12],
+                                  [1, 2, 3, 4, 5, 6, 10 ** 6]),
+                 lambda args, m, k: args[4] >= _T, id="pq-past-int64-5,4"),
+    pytest.param("r1", _r1_inputs(2, 2, 4, [10 ** 9, 10 ** 12],
+                                  [100, 101, 999, 1000]),
+                 lambda args, m, k: args[4] >= _T, id="pq-past-int64-a2"),
+    pytest.param("r1", _r1_inputs(1, 9, 7, [10 ** 9, 10 ** 20],
+                                  [1, 2, 3, 4, 10 ** 4]),
+                 lambda args, m, k: args[4] >= _T, id="pq-past-int64-9,7"),
+    # S_max >= 2^62 leaves a norm to the per-norm path
+    pytest.param("r1", _r1_inputs(3, 1, 4, [2 ** 40],
+                                  range(2 ** 18 - 2, 2 ** 18 + 3)),
+                 lambda args, m, k: _smax(args, m) >= _T, id="S_max"),
+    # 5 S_max >= 2^62 turns the kernel's per-norm sums into Python ints
+    pytest.param("r1", _r1_inputs(2, 1, 3, [2 ** 39, 2 ** 40],
+                                  [2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1]),
+                 lambda args, m, k: 5 * _smax(args, m) >= _T, id="5*S_max"),
+    # mult * fiber >= 2^62 turns the kernel's dot product into Python ints
+    pytest.param("r1", _r1_inputs(1, 1, 2, [2 ** 24],
+                                  [2 ** 17 - 1, 2 ** 17, 2 ** 17 + 1],
+                                  scales=(1, 2 ** 40)),
+                 lambda args, m, k: k * enumeration._count_fiber_good(
+                     *enumeration._fiber_params(*args, m))[0] >= _T,
+                 id="mult*fiber"),
+    # the int32 table of P^3 up to the box bound 2^31
+    pytest.param("histogram", [(3, 107 ** 2), (3, 108 ** 2)],
+                 lambda n, n2max: (2 * isqrt(n2max) + 1) ** (n + 1) >= 2 ** 31,
+                 id="int32-table"),
+    # _NUMPY_WALK_MIN: the stream's lists or the blocks' arrays, for the
+    # histogram and for -K on X_2(1), whose n2max is iroot(B^2, 3)
+    pytest.param("histogram", [(1, 317 ** 2 - 1), (1, 317 ** 2)],
+                 lambda n, n2max: isqrt(n2max) ** (n + 1) >= 10 ** 5,
+                 id="numpy-walk"),
+    pytest.param("count", [((1, 2, 3), 317 ** 3 - 1), ((1, 2, 3), 317 ** 3)],
+                 lambda args, norms: isinstance(norms, list),
+                 id="numpy-walk-count"),
+    # _NUMPY_ROWS_MIN: bundle (1, 6) on X_2(1) over a small base, whose
+    # rows reach 2 * 10^4 from B = 17625 to 17626
+    pytest.param("count", [((1, 1, 6), 17625), ((1, 1, 6), 17626)],
+                 lambda args, norms: enumeration._few_r1_rows(args, norms),
+                 id="numpy-rows"),
+]
+
+
+@pytest.mark.parametrize("kind, cases, side", _EDGES)
+def test_representation_change_keeps_the_count(kind, cases, side):
+    check = {"r1": _check_r1, "histogram": _check_histogram,
+             "count": _check_count}[kind]
+    sides = set()
+    for case in cases:
+        sides |= check(case, side)
+    assert sides == {False, True}
 
 
 class TestSweepAndFit:
