@@ -478,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "constants on projectivized split bundles.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, bundle=True, field=True):
+    def common(p, bundle=True, field=True, formats=("text", "json")):
         if bundle:
             p.add_argument("--variety", type=_parse_variety, required=True,
                            help="variety literal 'r,t:a1,...,ar'")
@@ -489,8 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", default=None,
                            help="path to a number-field invariants file "
                                 "(default: rationals)")
-        p.add_argument("--format", choices=("text", "csv", "json"),
-                       default="text")
+        p.add_argument("--format", choices=formats, default=formats[0])
 
     p = sub.add_parser("predict", help="asymptotic growth prediction")
     common(p)
@@ -507,14 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count, field=None)
 
     p = sub.add_parser("sweep", help="counts over a grid of bounds (CSV)")
-    common(p)
+    common(p, formats=("csv", "text", "json"))
     p.add_argument("--grid", type=_parse_grid, required=True,
                    help="comma-separated strictly increasing bounds")
     p.add_argument("--region", choices=sorted(_REGIONS), default="x")
     p.add_argument("--threads", type=_parse_threads, default=None)
     p.add_argument("--no-predict", action="store_true")
     p.set_defaults(func=cmd_sweep)
-    p.set_defaults(format="csv")
 
     p = sub.add_parser("tables", help="reference constant tables")
     common(p, bundle=False)

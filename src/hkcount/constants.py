@@ -3,9 +3,12 @@
 Special functions are evaluated in double precision with explicit error
 control: Riemann/Hurwitz zeta by Euler-Maclaurin summation, the quadratic
 Dirichlet L-function L_{-4} through Hurwitz zeta, and the completed zeta
-xi_K, whose Gamma factors are math.gamma (the platform implementation,
-validated in the tests against an independent high-precision oracle), and
-past the range of math.gamma the exponential of a sum of logarithms.
+xi_K in log space, its Gamma factors from math.lgamma (the platform
+implementation, validated in the tests against an independent
+high-precision oracle).  xi_K and every leading constant are the
+exponential of a sum of logarithms, read through one range check, so a
+constant whose factors pass the double range still prints when it is
+itself a normal double.
 
 The height zeta function of P^m over Q,
 
@@ -34,6 +37,7 @@ tie (the subbundle is big there and never grows faster).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -198,39 +202,40 @@ def L_minus4(s: float) -> float:
                                              - hurwitz_zeta(s, 1.75))
 
 
-def xi_K(s: float, inv: FieldInvariants = QQ) -> float:
-    """Completed field zeta 2^{-r1} (pi^{-s/2} Gamma(s/2))^{r1}
-    ((2 pi)^{-s} Gamma(s))^{r2} zeta_K(s), for s > 1.
+_LOG_MIN = math.log(sys.float_info.min)
+_LOG_MAX = math.log(sys.float_info.max)
 
-    The factors are formed with math.gamma wherever it and the product
-    stay finite; otherwise xi_K is exp of log zeta_K(s) + r1 (lgamma(s/2)
-    - (s/2) log pi + log 1/2) + r2 (lgamma(s) - s log 2 pi), which is
-    within about |log xi_K| ulps of the value.  OverflowError when xi_K
-    itself is beyond double range."""
+
+def _exp_normal(log_val: float, what: str) -> float:
+    """e^log_val, when it is a normal double: OverflowError when log_val
+    lies outside [log DBL_MIN, log DBL_MAX], or is nan."""
+    if not _LOG_MIN <= log_val <= _LOG_MAX:
+        raise OverflowError(f"{what} is beyond double range")
+    return math.exp(log_val)
+
+
+def log_xi_K(s: float, inv: FieldInvariants = QQ) -> float:
+    """log xi_K(s) = log zeta_K(s) + r1 (lgamma(s/2) - (s/2) log pi - log 2)
+    + r2 (lgamma(s) - s log 2 pi), for s > 1; inf where lgamma leaves the
+    double range (s of about 5e305 and more)."""
     if s <= 1:
         raise DomainError(f"xi_K needs s > 1, got {s}")
     zk = inv.zeta_k(s) if inv.zeta_k is not None else zeta(s)
-    val = zk
     try:
-        if inv.r1:
-            val *= (0.5 * math.pi ** (-s / 2.0) * math.gamma(s / 2.0)) ** inv.r1
-        if inv.r2:
-            val *= ((2.0 * math.pi) ** (-s) * math.gamma(s)) ** inv.r2
-        if not math.isinf(val):
-            return val
+        return (math.log(zk)
+                + inv.r1 * (math.lgamma(s / 2.0) - s / 2.0 * math.log(math.pi)
+                            - math.log(2.0))
+                + inv.r2 * (math.lgamma(s) - s * math.log(2.0 * math.pi)))
     except OverflowError:
-        pass
-    # over Q, Gamma(s/2) leaves the double range from s = 343.3 on, xi_K
-    # itself from s = 439 on
-    log_val = (math.log(zk)
-               + inv.r1 * (math.lgamma(s / 2.0) - s / 2.0 * math.log(math.pi)
-                           + math.log(0.5))
-               + inv.r2 * (math.lgamma(s) - s * math.log(2.0 * math.pi)))
-    try:
-        return math.exp(log_val)
-    except OverflowError as exc:
-        raise OverflowError(
-            f"xi_K({s}) needs a Gamma factor beyond double range") from exc
+        return math.inf
+
+
+def xi_K(s: float, inv: FieldInvariants = QQ) -> float:
+    """Completed field zeta 2^{-r1} (pi^{-s/2} Gamma(s/2))^{r1}
+    ((2 pi)^{-s} Gamma(s))^{r2} zeta_K(s), for s > 1, as e^`log_xi_K`,
+    which is within about |log xi_K| ulps of the value.  OverflowError
+    when xi_K is not a normal double; over Q that is from s = 439 on."""
+    return _exp_normal(log_xi_K(s, inv), f"xi_K({s})")
 
 
 # ---------------------------------------------------------------------------
@@ -460,24 +465,27 @@ class AsymptoticPrediction:
 _POLE_GAP = 1e-3  # refuse to evaluate a xi/Z factor this close to its pole
 
 
-def _in_range(c: float) -> float:
-    """A leading constant c formed from finite xi/Z factors, once their
-    product has not left the double range, which leaves 0, inf or nan."""
-    if c == 0.0 or not math.isfinite(c):
-        raise OverflowError("the leading constant's xi/Z factors multiply "
-                            "beyond double range")
-    return c
+def _leading_constant(inv: FieldInvariants, n: int, k: float, denom: int,
+                      xi_num=(), xi_den=(), z: float = 1.0) -> float:
+    """(R h)^n |disc|^(-k/2) z prod xi_K(xi_num) / (w^n denom prod xi_K(xi_den)),
+    formed as one exponential of its sum of logarithms.  fsum rounds the
+    sum once, so the large xi logarithms cancel with no further loss."""
+    log_c = math.fsum([n * math.log(inv.regulator * inv.class_number / inv.w),
+                       -k / 2.0 * math.log(inv.abs_disc), -math.log(denom),
+                       math.log(z)]
+                      + [log_xi_K(s, inv) for s in xi_num]
+                      + [-log_xi_K(s, inv) for s in xi_den])
+    return _exp_normal(log_c, "the leading constant")
 
 
 def schanuel_constant(n: int, inv: FieldInvariants = QQ) -> AsymptoticPrediction:
     """N(P^n, B) ~ C B^{n+1} with C = R h / ((n+1) w |disc|^{(n+1)/2} xi_K(n+1))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    c = (inv.regulator * inv.class_number
-         / ((n + 1) * inv.w * inv.abs_disc ** ((n + 1) / 2.0) * xi_K(n + 1, inv)))
+    c = _leading_constant(inv, 1, n + 1, n + 1, xi_den=(n + 1,))
     return AsymptoticPrediction(a_l=Fraction(n + 1), log_exponent=0,
-                                constant=_in_range(c),
-                                case=None, source=SourceFormula.SCHANUEL,
+                                constant=c, case=None,
+                                source=SourceFormula.SCHANUEL,
                                 region=Region.WHOLE)
 
 
@@ -519,8 +527,6 @@ def predict(X: HKVariety, L: LineBundleClass, inv: FieldInvariants = QQ,
     r, t = X.r, X.t
     lam, mu = L.lam, L.mu
     ar, abs_a, n_x = X.a[-1], X.abs_a, X.n_x
-    rh = inv.regulator * inv.class_number
-    d = X.d
     product_case = ar == 0
     region = Region.WHOLE if product_case else Region.GOOD_OPEN
     if L == anticanonical(X):
@@ -529,14 +535,13 @@ def predict(X: HKVariety, L: LineBundleClass, inv: FieldInvariants = QQ,
         source = SourceFormula.PRODUCT if product_case else SourceFormula.GENERAL
 
     if exp.case is CaseTag.EQUAL:
-        c = (rh * rh * inv.abs_disc ** (-(d + 2) / 2.0)
-             / (inv.w ** 2 * (r + 1) * mu * xi_K(r + 1, inv) * xi_K(t, inv)))
+        c = _leading_constant(inv, 2, X.d + 2, (r + 1) * mu,
+                              xi_den=(r + 1, t))
     elif exp.case is CaseTag.LAMBDA_DOMINATES:
         arg = mu * exp.lambda_l + abs_a - (r + 1) * ar
         assert arg > t, "convergence-domain guard: Z argument must exceed t"
-        c = (rh * inv.abs_disc ** (-(r + 1) / 2.0)
-             / (inv.w * (r + 1) * xi_K(r + 1, inv))
-             * _zp(zeta_proj, inv, t - 1, float(arg)))
+        c = _leading_constant(inv, 1, r + 1, r + 1, xi_den=(r + 1,),
+                              z=_zp(zeta_proj, inv, t - 1, float(arg)))
     else:  # MuDominates
         arg = lam * exp.mu_l + n_x - (r + 1)
         if product_case:
@@ -544,21 +549,20 @@ def predict(X: HKVariety, L: LineBundleClass, inv: FieldInvariants = QQ,
             if zarg - (r + 1) < _POLE_GAP:
                 raise TooCloseToPoleError(
                     f"Z_(P^{r}) argument {zarg} too close to its pole {r + 1}")
-            c = (rh * inv.abs_disc ** (-t / 2.0) / (inv.w * t * xi_K(t, inv))
-                 * _zp(zeta_proj, inv, r, float(zarg)))
+            c = _leading_constant(inv, 1, t, t, xi_den=(t,),
+                                  z=_zp(zeta_proj, inv, r, float(zarg)))
         else:
             if arg - 1 < _POLE_GAP or (n_x >= 2 and arg - n_x < _POLE_GAP):
                 raise TooCloseToPoleError(
                     f"xi/Z argument {arg} too close to a pole")
             zdiff = (_zp(zeta_proj, inv, n_x - 1, float(arg))
                      - _zp(zeta_proj, inv, n_x - 2, float(arg)))
-            c = (rh * inv.abs_disc ** (-(t - n_x + r + 1) / 2.0)
-                 * xi_K(float(arg), inv) * zdiff
-                 / (inv.w * ((r + 1) * ar + t - abs_a)
-                    * xi_K(float(lam * exp.mu_l), inv) * xi_K(t, inv)))
+            c = _leading_constant(inv, 1, t - n_x + r + 1,
+                                  (r + 1) * ar + t - abs_a,
+                                  xi_num=(float(arg),),
+                                  xi_den=(float(lam * exp.mu_l), t), z=zdiff)
     return AsymptoticPrediction(a_l=exp.a_l, log_exponent=exp.log_exponent,
-                                constant=_in_range(c), case=exp.case,
-                                source=source,
+                                constant=c, case=exp.case, source=source,
                                 region=region)
 
 

@@ -598,14 +598,15 @@ def _r1_batch_band(weights: tuple[int, ...], ar: int, lam: int, mu: int,
     and last-coordinate tops are at most the cap, a row counts at most
     2 sqrt(cap) + 1 < 2^32 points, and a block sums at most _CHUNK rows.
     For e < 0 the cap stays below 2^62 from m^-e > P // 2^62 on, which
-    gives the band its lower end; P itself may be any size.  lam <= 62
-    keeps the Newton terms of `_iroot_array` small.  The band is empty
-    (lo > hi) when no norm qualifies.
+    gives the band its lower end; P itself may be any size.  For e = 0
+    every norm has the cap P and the one S_max = iroot(P, lam), taken in
+    Python ints: the band is every m with m^ar below 2^62 when S_max is
+    below 2^62, whatever the size of p and q, and empty otherwise.
+    Otherwise lam <= 62 keeps the Newton terms of `_iroot_array` small.
+    The band is empty (lo > hi) when no norm qualifies.
     """
     top = _INT64_SAFE - 1
     e = lam * ar - mu
-    if len(weights) != 2 or lam > 62 or (e >= 0 and q > top):
-        return 1, 0
 
     def largest(base: int, k: int) -> int:
         """Largest m with base * m^k <= top."""
@@ -613,7 +614,13 @@ def _r1_batch_band(weights: tuple[int, ...], ar: int, lam: int, mu: int,
             return 0
         return top if k == 0 else iroot(top // base, k)
 
-    if e >= 0:
+    if len(weights) != 2:
+        return 1, 0
+    if e == 0:
+        return 1, largest(1, ar) if iroot(p // q, lam) <= top else 0
+    if lam > 62 or (e > 0 and q > top):
+        return 1, 0
+    if e > 0:
         return 1, min(largest(p, e), largest(1, ar))
     # smallest m with m^-e > P // 2^62
     lo = iroot(p // q // _INT64_SAFE, -e) + 1
@@ -740,7 +747,8 @@ def _count_r1(args: tuple, norms: Sequence[int], mults: Sequence[int]
     The norms outside the band take (c_0, S_max) in Python ints from
     `_fiber_params`.  The norms in the band, if the slice has any, take
     their caps in int64 (a cap p // q // m^k with p // q >= 2^62 is divided
-    in Python ints and only its quotient enters int64), and c_0 = m^ar.
+    in Python ints and only its quotient enters int64; for e = 0 the one
+    S_max = iroot(p // q, lam) is broadcast), and c_0 = m^ar.
     Each slice's fibers with c_0 <= S_max < 2^62 go to `_count_r1_mobius`
     in one call; a norm with c_0 > S_max has no fiber point.
 
@@ -773,14 +781,16 @@ def _count_r1(args: tuple, norms: Sequence[int], mults: Sequence[int]
         fibers = np.array(rest, dtype=np.int64).reshape(-1, 3).T
         m, mult = m[inside], mult[inside]
         if m.size:  # an empty band may have p or q past int64
-            if e >= 0:
-                cap = (p * m ** e) // q
+            if e == 0:  # one cap P for every norm, so one S_max < 2^62
+                smax = np.full(m.size, iroot(P, lam), dtype=np.int64)
+            elif e > 0:
+                smax = _iroot_array((p * m ** e) // q, lam)
             elif P < _INT64_SAFE:
-                cap = P // m ** -e
+                smax = _iroot_array(P // m ** -e, lam)
             else:  # the band's lower end keeps these quotients below 2^62
-                cap = np.array([P // d for d in (m ** -e).tolist()],
-                               dtype=np.int64)
-            c0, smax = m ** ar, _iroot_array(cap, lam)
+                smax = _iroot_array(np.array(
+                    [P // d for d in (m ** -e).tolist()], dtype=np.int64), lam)
+            c0 = m ** ar
             live = c0 <= smax
             fibers = np.concatenate(
                 (fibers, (c0[live], smax[live], mult[live])), axis=1)

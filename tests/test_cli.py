@@ -58,13 +58,37 @@ class TestPredict:
             main(["predict", "--variety", "nonsense", "--bundle", "1,1"])
         assert exc.value.code == 2
 
-    def test_xi_beyond_double_range_exits_2(self, capsys):
-        # a = 3 (1 + 400) / 1 puts xi_K(1199) in the constant
-        code, out, err = run(capsys, "predict", "--variety", "1,2:1",
-                             "--bundle", "400,1")
-        assert (code, out) == (2, "")
-        assert err == ("error: xi_K(1199.0) needs a Gamma factor beyond "
-                       "double range\n")
+    @pytest.mark.parametrize("argv, value, rel", [
+        (["1,2:1", "146,1"], 0.0763796722871784, 1e-12),
+        (["1,2:1", "400,1"], 0.04609470278953, 1e-12),
+        (["1,400:1", "1,1"], 2.13453310176345e-277, 1e-12),
+        (["1,2:1", "1000000,1"], 0.000921317962253074, 1e-8),
+    ], ids=["146", "400", "X_2(400)", "10^6"])
+    def test_constant_past_the_xi_range_prints(self, capsys, argv, value,
+                                               rel):
+        # the xi factors of these constants (xi(1199) and xi(1200) for
+        # bundle 400,1) or their products are beyond double range, the
+        # constants are not [DERIVED: mpmath, 30 digits]; at 10^6 the logs
+        # of the xi factors are about 1.8e7, and their double rounding
+        # alone leaves a relative error near 1e-9
+        code, out, err = run(capsys, "predict", "--variety", argv[0],
+                             "--bundle", argv[1], "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        got = json.loads(out)["prediction"]["C"]
+        assert got == pytest.approx(value, rel=rel)
+
+    @pytest.mark.parametrize("command", [
+        ["predict", "--variety", "1,2:1"],
+        ["count", "--variety", "1,2:1", "--B", "3"],
+        ["tables"],
+        ["zeta", "--what", "zeta", "--s", "2"],
+        ["verify", "--suite", "residue"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_is_for_sweep_only(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         (["--variety", "1,3:0", "--bundle", "669,1003"],
@@ -313,12 +337,21 @@ class TestSweep:
         assert lines[0].startswith("B=50  count=2388  predicted=")
         assert lines[1].startswith("B=100  count=9544  predicted=")
 
-    def test_xi_beyond_double_range_leaves_predictions_empty(self, capsys):
+    def test_xi_beyond_double_range_fills_predictions(self, capsys):
+        # xi(1199) is beyond double range, the constant C = 0.0460947...
+        # of N(U, B) ~ C B^3 is not
         code, out, err = run(capsys, "sweep", "--variety", "1,2:1",
                              "--bundle", "400,1", "--grid", "2,3",
                              "--region", "u", "--threads", "1")
         assert (code, err) == (EXIT_OK, "")
-        assert out.splitlines() == ["B,count,predicted,ratio", "2,4,,", "3,8,,"]
+        lines = out.splitlines()
+        assert lines[0] == "B,count,predicted,ratio"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(b, n) for b, n, _, _ in rows] == [("2", "4"), ("3", "8")]
+        for (b, n, pred, ratio) in rows:
+            want = 0.04609470278953 * int(b) ** 3
+            assert float(pred) == pytest.approx(want, abs=1e-8)
+            assert float(ratio) == pytest.approx(int(n) / want, rel=1e-7)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(SystemExit) as exc:
@@ -638,6 +671,40 @@ class TestImportCost:
         argv = ["verify", "--suite", "partition", "--threads", "2"]
         self.loaded(f"from hkcount.cli import main\nmain({argv!r})\n"
                     "assert 'concurrent.futures.process' not in sys.modules")
+
+
+def _close(got, want, rel):
+    """The benchmark's output check: exact, except floats, which agree
+    to `rel` relative."""
+    if isinstance(want, float) or isinstance(got, float):
+        return (isinstance(got, (int, float)) and isinstance(want, (int, float))
+                and abs(got - want) <= rel * max(abs(want), 1e-300))
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(_close(got[k], want[k], rel) for k in want))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(_close(g, w, rel) for g, w in zip(got, want)))
+    return got == want
+
+
+def _pinned_payloads():
+    pins = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                       / "pins.json").read_text())
+    cases = [(pin["argv"], pin["payload"])
+             for pin in pins["predict"] + pins["zeta"]]
+    cases.append((["tables", "--format", "json"], pins["tables"]))
+    return [pytest.param(argv, payload, id=" ".join(argv))
+            for argv, payload in cases]
+
+
+@pytest.mark.parametrize("argv, payload", _pinned_payloads())
+def test_benchmark_pins_hold(capsys, argv, payload):
+    # every predict, zeta and tables payload the benchmark checks, with
+    # its rule: floats to 1e-12 relative, everything else exact
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert _close(json.loads(out), payload, 1e-12)
 
 
 class TestBenchHooks:

@@ -67,10 +67,13 @@ class TestScalarFunctions:
             zeta(1.0)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.floats(0.05, 40.0))
-    def test_gamma_against_mpmath(self, s):
+    @given(st.floats(0.05, 40.0), st.floats(0.05, 1e7))
+    def test_gamma_against_mpmath(self, s, t):
         want = float(mp.gamma(s))
         assert abs(math.gamma(s) - want) <= 1e-12 * abs(want)
+        # log Gamma, the function xi_K uses, also near its zeros at 1 and 2
+        want = float(mp.loggamma(t))
+        assert abs(math.lgamma(t) - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_L4_special_values(self):
         # the two Hurwitz poles cancel; close to s = 1 the cancellation
@@ -87,12 +90,12 @@ class TestScalarFunctions:
         # from s = 439 on: the log-space form against mpmath
         for s in (343.0, 344.0, 400.0, 438.0):
             assert xi_K(s) == pytest.approx(float(_xi_mp(s)), rel=1e-12), s
-        with pytest.raises(OverflowError, match="beyond double range"):
-            xi_K(439.0)
+        for s in (439.0, 1e6, 1e308):
+            with pytest.raises(OverflowError, match="beyond double range"):
+                xi_K(s)
         # zeta_K set to 1: with r1 = r2 = 1, Gamma(180) is beyond double
-        # range and xi(180) is not; with r1 = 2 and r2 = 1, at s = 160 each
-        # factor is finite and their product is not, which raises instead
-        # of returning inf
+        # range and xi(180) is not; with r1 = 2 and r2 = 1, xi(160) is
+        # beyond it, which raises instead of returning inf
         field = dict(w=2, abs_disc=1, regulator=1.0, class_number=1,
                      zeta_k=lambda s: 1.0)
         with mp.workdps(30):
@@ -103,28 +106,30 @@ class TestScalarFunctions:
         with pytest.raises(OverflowError, match="beyond double range"):
             xi_K(160.0, FieldInvariants(r1=2, r2=1, **field))
 
-    def test_prediction_past_the_gamma_range(self, monkeypatch):
-        # bundle (k, 1) on X_2(1) puts xi(3k - 1) and xi(3k) in the constant:
-        # from k = 115 on they pass the range of math.gamma, and the
-        # constant must equal the one formed with mpmath's xi; at k = 146
-        # the finite factors multiply beyond double range, which raises
-        # instead of giving 0
-        import hkcount.constants as constants
-
+    def test_prediction_past_the_gamma_range(self):
+        # bundle (k, 1) on X_2(1) has C = xi(3k - 1) / (6 xi(3k) xi(2)):
+        # from k = 115 on the xi factors pass the range of Gamma, at k = 146
+        # the partial product 6 xi(438) passes the double range, and from
+        # k = 147 on xi(3k) does, while C stays an ordinary number.  At
+        # k = 10^6 the logs of the xi factors are about 1.8e7, so their
+        # double rounding alone leaves a relative error near 1e-9 in C.
         X = HKVariety(1, 2, (1,))
-        got = [predict(X, LineBundleClass(k, 1)).constant for k in (115, 145)]
-        with pytest.raises(OverflowError, match="multiply beyond double range"):
-            predict(X, LineBundleClass(146, 1))
-        # Schanuel's constant of P^n is 1 / (2 (n + 1) xi(n + 1)) over Q
+        for k, rel in ((1, 1e-12), (115, 1e-12), (145, 1e-12),
+                       (146, 1e-12), (400, 1e-12), (10 ** 6, 1e-8)):
+            want = float(_xi_mp(3 * k - 1)
+                         / (6 * _xi_mp(3 * k) * _xi_mp(2)))
+            assert predict(X, LineBundleClass(k, 1)).constant == \
+                pytest.approx(want, rel=rel), k
+        # Schanuel's constant of P^n is 1 / (2 (n + 1) xi(n + 1)) over Q,
+        # and on X_2(400) at O(1, 1) it is 1 / (802 xi(401)), about 2e-277
         assert schanuel_constant(399).constant == pytest.approx(
             float(1 / (800 * _xi_mp(400.0))), rel=1e-12)
-        with pytest.raises(OverflowError, match="multiply beyond double range"):
+        assert predict(HKVariety(1, 400, (1,)),
+                       LineBundleClass(1, 1)).constant == pytest.approx(
+            float(1 / (802 * _xi_mp(401.0))), rel=1e-12)
+        # the constant of P^437 is a subnormal double: it raises
+        with pytest.raises(OverflowError, match="beyond double range"):
             schanuel_constant(437)
-        monkeypatch.setattr(constants, "xi_K",
-                            lambda s, inv=QQ: float(_xi_mp(s)))
-        for k, c in zip((115, 145), got):
-            assert c == pytest.approx(
-                predict(X, LineBundleClass(k, 1)).constant, rel=1e-12)
 
     def test_xi_special_values(self):
         # xi(2) = pi/12, xi(3) = zeta(3)/(4 pi), xi(4) = pi^2/180

@@ -678,6 +678,24 @@ class TestBatchedFiberStep:
         assert calls == list(range(1, python_caps + 1))
         self.batched_equals_per_norm(args, np.arange(1000, 1100))
 
+    def test_e0_takes_one_smax_for_every_norm(self, monkeypatch):
+        # e = lam ar - mu = 0: every norm has the cap P = p // q and the one
+        # S_max = iroot(P, lam), so bundle (3, 3) on X_2(1) keeps every norm
+        # in the band whatever the size of p and q, and takes no S_max per
+        # norm, while bundle (1, 1) at P = 2^62 has S_max = 2^62 and an
+        # empty band; the e=0 and pq-past-int64-3,3 rows of
+        # test_representation_change_keeps_the_count check the counts
+        X = HKVariety(1, 2, (1,))
+        norms = np.array([1, 2, 5, 10, 10 ** 6, 2 ** 21], dtype=np.int64)
+        calls = _python_params(monkeypatch)
+        for B in (2 ** 31 - 1, 2 ** 31, 10 ** 10, Fraction(2 ** 32 + 1, 2 ** 32)):
+            args = (X.fiber_weights, 1, 3, 3, *_squared_cap(B))
+            assert enumeration._r1_batch_band(*args) == (1, 2 ** 62 - 1)
+            assert _count_r1(args, norms, norms)[2:] == ([], [])
+        assert calls == []
+        args = (X.fiber_weights, 1, 1, 1, *_squared_cap(2 ** 31))
+        assert enumeration._r1_batch_band(*args) == (1, 0)
+
     def test_cap_beyond_int64_square_divisor(self):
         # bundle (1, 3): the cap is P // m^2 with P = 2^64, divided in
         # Python ints, here with divisors m^2 of 31 bits and more
@@ -1301,6 +1319,12 @@ _EDGES = [
     pytest.param("r1", _r1_inputs(1, 9, 7, [10 ** 9, 10 ** 20],
                                   [1, 2, 3, 4, 10 ** 4]),
                  lambda args, m, k: args[4] >= _T, id="pq-past-int64-9,7"),
+    # e = 0 broadcasts the one S_max = iroot(P, lam) over the band, with P
+    # = p // q on both sides of 2^62 (X_2(1) with bundle (3, 3): B^2 = P
+    # crosses 2^62 from B = 2^31 - 1 to 2^31)
+    pytest.param("r1", _r1_inputs(1, 3, 3, [2 ** 31 - 1, 2 ** 31, 10 ** 10],
+                                  [1, 2, 5, 10, 10 ** 6, 2 ** 21]),
+                 lambda args, m, k: args[4] // args[5] >= _T, id="e=0"),
     # S_max >= 2^62 leaves a norm to the per-norm path
     pytest.param("r1", _r1_inputs(3, 1, 4, [2 ** 40],
                                   range(2 ** 18 - 2, 2 ** 18 + 3)),
