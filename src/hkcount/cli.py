@@ -207,10 +207,10 @@ def cmd_predict(args) -> int:
                "prediction": _pred_record(main), "chain": chain}
     lines = [f"variety {X}  bundle {L}",
              f"  a = {main.a_l}  logExponent = {main.log_exponent}  "
-             f"C = {main.constant:.8f}  case = {main.case.value}"]
+             f"C = {main.constant:.8g}  case = {main.case.value}"]
     for entry in chain:
         verdict = entry["note"] or (
-            f"C = {entry['prediction']['C']:.8f}  a = {entry['prediction']['a']}"
+            f"C = {entry['prediction']['C']:.8g}  a = {entry['prediction']['a']}"
             f"  log = {entry['prediction']['logExponent']}")
         kind = "open" if entry["openPart"] else "whole"
         lines.append(f"  stratum {entry['space']} | {entry['bundle']} "
@@ -306,9 +306,9 @@ def cmd_tables(args) -> int:
                      f"a={row['a_l']}  log={row['log_exponent']}  "
                      f"C={row['C']:.8f}")
     lines.append("Threefold chain constants at the anticanonical class:")
-    lines.append(f"  C  = {intro['C']:.8f}")
-    lines.append(f"  C' = {intro['Cprime']:.8f}")
-    lines.append(f"  C''= {intro['Csecond']:.8f}")
+    lines.append(f"  C  = {intro['C']:.8g}")
+    lines.append(f"  C' = {intro['Cprime']:.8g}")
+    lines.append(f"  C''= {intro['Csecond']:.8g}")
     lines.append("Threefold parameter regions "
                  "(case | L' big? | twist big? | growth):")
     for c in cases:

@@ -361,9 +361,12 @@ def zetaP1_closed(s: float) -> float:
 def _shell_counts(k: int, nmax: int) -> list[int]:
     """r_k(n) = #{v in Z^k : ||v||^2 = n} for n = 0..nmax.
 
-    Adds one coordinate at a time, the recursion of `_ball_count` over the
-    first coordinate: r_k(n) = r_{k-1}(n) + 2 sum_{j >= 1} r_{k-1}(n - j^2),
-    from r_0 = [1, 0, 0, ...].  O(k nmax^1.5) integer steps.
+    Adds one coordinate at a time, the plain recursion over the first
+    coordinate: r_k(n) = r_{k-1}(n) + 2 sum_{j >= 1} r_{k-1}(n - j^2),
+    from r_0 = [1, 0, 0, ...].  O(k nmax^1.5) integer steps.  It shares no
+    code with `enumeration._ball_count` (folded cones, and Jacobi's
+    four-square theorem for Z^4), so it is the independent reference
+    those ball counts are tested against.
     """
     squares = [j * j for j in range(1, math.isqrt(nmax) + 1)]
     shells = [1] + [0] * nmax

@@ -38,8 +38,10 @@ lattice balls (Schanuel 1979): twice N(P^n) is sum over d of
 mu(d) (#{v in Z^{n+1} : |v|^2 <= n2max // d^2} - 1).  The ball count
 `_ball_count` folds Z^2 at the diagonal and Z^3 onto the cone
 0 <= x <= y <= z, so each is a sum of C-level isqrt calls over a
-precomputed list of squares; higher dimensions recurse down to Z^3.  It
-is integer-only and needs no numpy, so a P^n or F count does not load it.
+precomputed list of squares.  Z^4 is a divisor sum from Jacobi's
+four-square theorem, O(sqrt m) steps per ball, and higher dimensions
+recurse down to Z^4.  It is integer-only and needs no numpy, so a P^n or
+F count does not load it.
 
 Fiber vectors are counted by a recursive box walk on the integer
 quadratic form sum c_i y_i^2 <= S_max, c_i = m^(a_r - b_i), with the
@@ -431,14 +433,19 @@ def _ball_count(k: int, m: int) -> int:
     and permutations: 2^(#nonzero coordinates) times 6, 3 or 1 when the
     coordinates are distinct, two equal or all equal.  For each x the
     points with x < y < z come from one isqrt sum over y in
-    (x, isqrt((m - x^2) // 2)].  k >= 4 recurses over the first coordinate
-    down to k = 3.  Integers only; every lattice point is counted, with
-    no gcd.
+    (x, isqrt((m - x^2) // 2)].  k = 4 is Jacobi's four-square theorem,
+    r_4(n) = 8 sum_{d | n, 4 not | d} d, summed over n <= m:
+    1 + 8 (D(m) - 4 D(m // 4)) with D(x) = sum_{n <= x} sigma(n), so it
+    takes O(sqrt m) steps (`_sigma_prefix`).  k >= 5 recurses over the
+    first coordinate down to k = 4.  Integers only; every lattice point
+    is counted, with no gcd.
     """
     if m < 0:
         return 0
     if k == 1:
         return 2 * isqrt(m) + 1
+    if k == 4:
+        return 1 + 8 * (_sigma_prefix(m) - 4 * _sigma_prefix(m // 4))
     r = range(isqrt(m) + 1)
     sq = list(map(mul, r, r))
     if k == 2:
@@ -461,6 +468,18 @@ def _ball_count(k: int, m: int) -> int:
         return total
     return _ball_count(k - 1, m) + 2 * sum(
         _ball_count(k - 1, m - s) for s in sq[1:])
+
+
+def _sigma_prefix(x: int) -> int:
+    """D(x) = sum_{n <= x} sigma(n) = sum_{d k <= x} d, by the Dirichlet
+    hyperbola over r = isqrt(x): sum_{k <= r} (T(x // k) + k (x // k))
+    - r T(r), with T(n) = n (n + 1) / 2."""
+    r = isqrt(x)
+    total = 0
+    for k in range(1, r + 1):
+        q = x // k
+        total += q * (q + 1) // 2 + k * q
+    return total - r * r * (r + 1) // 2
 
 
 def _mobius_sieve(n: int) -> list[int]:

@@ -77,6 +77,15 @@ class TestPredict:
         got = json.loads(out)["prediction"]["C"]
         assert got == pytest.approx(value, rel=rel)
 
+    def test_text_keeps_significant_digits(self, capsys):
+        # C = 1/(802 xi(401)); a fixed-point format would print 0.00000000
+        code, out, _ = run(capsys, "predict", "--variety", "1,400:1",
+                           "--bundle", "1,1")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert "C = 2.1345331e-277" in lines[1]
+        assert "(open): C = 2.1345331e-277" in lines[2]
+
     @pytest.mark.parametrize("command", [
         ["predict", "--variety", "1,2:1"],
         ["count", "--variety", "1,2:1", "--B", "3"],
@@ -134,6 +143,19 @@ class TestCount:
                            "--threads", "1")
         assert code == EXIT_OK
         assert "= 5291493624 " in out
+
+    @pytest.mark.parametrize("variety, B, count", [
+        ("1,4:1", "300", 18465811576),
+        ("1,5:1", "40", 260150161),
+    ], ids=["P^3", "P^4"])
+    def test_high_dimensional_subbundle(self, capsys, variety, B, count):
+        # F is P^3 (P^4) at norm^2 <= B^2, a Mobius sieve over Z^4 (Z^5)
+        # balls [DERIVED: the same sieve with every ball taken by the
+        # coordinate recursion down to Z^3]
+        code, out, _ = run(capsys, "count", "--variety", variety, "--bundle",
+                           "1,2", "--region", "f", "--B", B, "--threads", "1")
+        assert code == EXIT_OK
+        assert f"= {count} " in out
 
     def test_infinite_region_exit_code(self, capsys):
         code, _, err = run(capsys, "count", "--variety", "1,2:1",

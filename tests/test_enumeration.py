@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hkcount import enumeration
+from hkcount.constants import _shell_counts
 from hkcount.enumeration import (
     CountRequest,
     DegenerateFitError,
@@ -393,6 +394,7 @@ class TestBallCount:
     """The folded lattice-ball kernel behind the Mobius sieve."""
 
     def test_equals_recursion_exhaustively(self):
+        # (5, 60) runs the k = 5 -> 4 recursion onto the divisor sum
         for k, top in ((1, 1500), (2, 1500), (3, 1500), (4, 300), (5, 60)):
             for m in range(-2, top):
                 assert _ball_count(k, m) == _ball_count_recursive(k, m), (k, m)
@@ -402,7 +404,23 @@ class TestBallCount:
     def test_equals_recursion_large(self, k, m):
         assert _ball_count(k, m) == _ball_count_recursive(k, m)
 
-    @pytest.mark.parametrize("n, B", [(1, 2000), (2, 150), (3, 40), (4, 20)])
+    def test_four_squares_are_the_shell_prefix_sums(self):
+        # Jacobi's divisor sum against the plain recursion of constants
+        balls = itertools.accumulate(_shell_counts(4, 3000))
+        assert [_ball_count(4, m) for m in range(-2, 3001)] == \
+            [0, 0] + list(balls)
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(0, 10 ** 5))
+    @example(10 ** 5)
+    def test_four_squares_equal_the_z3_recursion(self, m):
+        # the route the k = 4 branch replaced: one Z^3 ball per x^2 <= m
+        top = isqrt(m)
+        assert _ball_count(4, m) == _ball_count(3, m) + 2 * sum(
+            _ball_count(3, m - x * x) for x in range(1, top + 1))
+
+    @pytest.mark.parametrize("n, B", [(1, 2000), (2, 150), (3, 40), (3, 100),
+                                      (4, 20)])
     def test_moebius_equals_enumeration(self, n, B):
         assert count_projective_moebius(n, B) == count_enum_projective(n, B)
 
