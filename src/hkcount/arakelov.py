@@ -18,12 +18,11 @@ verifies, to stated tolerances and by independent code paths:
   * the double-exponential decay bound phi(x) <= beta e^{-pi e^{-2x}}
     for x <= 0.
 
-Quadratures are mpmath's tanh-sinh (double-exponential) rule on [-X0, 0],
-split at the integrand's interior peaks; the truncated tails over
+Quadratures are a tanh-sinh (double-exponential) rule in doubles on
+[-X0, 0], split at the integrand's interior peaks; the truncated tails over
 (-inf, -X0] are bounded through the decay bound above by incomplete gamma
-functions and added as certified (numerically negligible) terms.  mpmath
-is imported on first use, so importing this module loads no numerical
-library.
+functions, in log space, and added as certified (numerically negligible)
+terms.  Nothing here loads a numerical library.
 """
 from __future__ import annotations
 
@@ -138,28 +137,78 @@ def _certified_tail(c: float, rank: int = 1) -> float:
     phi <= beta e^{-pi e^{-2x}}, the substitution u = e^{-2x} turns the
     c = -s branch into an incomplete gamma; for any c the integrand is
     dominated by the c = -|c| case on x <= -X0 < 0 up to e^{(c+|c|)(-X0)},
-    so a single gamma bound covers both exponents.
-    """
-    import mpmath as mp
+    so a single gamma bound covers both exponents:
 
+        (1/2) pi^{-alpha} Gamma(alpha, z),  alpha = |c|/2,  z = pi e^{2 X0}.
+
+    Gamma(alpha, z) is bounded in log space: by z^{alpha-1} e^{-z} for
+    alpha <= 1 (t^{alpha-1} <= z^{alpha-1} on t >= z), by
+    z^{alpha-1} e^{-z} z / (z - alpha + 1) for alpha > 1 and z > alpha - 1
+    (t^{alpha-1} <= z^{alpha-1} e^{(alpha-1)(t-z)/z}), and by Gamma(alpha)
+    otherwise.  Each bound exceeds Gamma(alpha, z) by far more than the
+    rounding of its logarithm wherever the result does not underflow.
+    """
     front = rank * _GS_BETA * (1.0 + phi(-_X0)) ** (rank - 1)
-    a = abs(c)
-    # integral over x <= -X0 of e^{a |x|} e^{-pi e^{-2x}} dx
-    #   = (1/2) pi^{-a/2} Gamma(a/2, pi e^{2 X0})
-    with mp.workdps(30):
-        g = mp.gammainc(mp.mpf(a) / 2, mp.pi * mp.e ** (2 * _X0))
-        bound = front * 0.5 * float(mp.pi ** (-mp.mpf(a) / 2) * g)
-    return bound
+    alpha = abs(c) / 2.0
+    z = math.pi * math.exp(2.0 * _X0)
+    if alpha <= 1.0:
+        log_gamma = (alpha - 1.0) * math.log(z) - z
+    elif z > alpha - 1.0:
+        log_gamma = alpha * math.log(z) - z - math.log(z - alpha + 1.0)
+    else:
+        log_gamma = math.lgamma(alpha)
+    return math.exp(math.log(0.5 * front) - alpha * math.log(math.pi)
+                    + log_gamma)
+
+
+# tanh-sinh nodes t = k 2^-level with |t| <= _TS_T_MAX, where the weights
+# have fallen below 1e-20; the step halves until two levels agree to
+# _TS_RTOL, or up to level _TS_LEVELS
+_TS_T_MAX = 3.5
+_TS_LEVELS = 8
+_TS_RTOL = 2.0 ** -50
+
+
+def _ts_nodes(level: int):
+    """The nodes new at `level` of the tanh-sinh rule on [-1, 1], t > 0, as
+    (1 - |x|, weight) with x = tanh(u), u = (pi/2) sinh t.
+
+    1 - tanh u is taken as 2 e^{-2u} / (1 + e^{-2u}), so a node's distance
+    to its endpoint keeps full relative precision where x rounds to +-1;
+    the weight (pi/2) cosh t / cosh^2 u is
+    2 pi cosh t e^{-2u} / (1 + e^{-2u})^2.
+    """
+    h = 2.0 ** -level
+    for k in range(1, int(_TS_T_MAX / h) + 1, 1 if level == 0 else 2):
+        t = k * h
+        q = math.exp(-math.pi * math.sinh(t))
+        yield (2.0 * q / (1.0 + q),
+               2.0 * math.pi * math.cosh(t) * q / (1.0 + q) ** 2)
 
 
 def quad(f, points) -> tuple[float, float]:
     """Tanh-sinh quadrature of f over [points[0], points[-1]], one rule per
     interval between consecutive points.  f takes and returns floats.
-    Returns (value, error estimate), both floats."""
-    import mpmath as mp
 
-    val, err = mp.quad(lambda x: f(float(x)), points, error=True)
-    return float(val), float(err)
+    Each rule halves its step and adds only the new nodes to the sum of the
+    earlier levels.  Returns (value, error estimate), both floats; the
+    estimate is the difference between the last two levels, summed over
+    the intervals."""
+    val = err = 0.0
+    for a, b in zip(points, points[1:]):
+        half = 0.5 * (b - a)
+        level_sum = 0.0
+        for level in range(_TS_LEVELS + 1):
+            terms = [0.5 * math.pi * f(a + half)] if level == 0 else []
+            terms += [w * (f(a + half * d) + f(b - half * d))
+                      for d, w in _ts_nodes(level)]
+            prev, level_sum = level_sum, (0.5 * level_sum
+                                          + 2.0 ** -level * math.fsum(terms))
+            if level and abs(level_sum - prev) <= _TS_RTOL * abs(level_sum):
+                break
+        val += half * level_sum
+        err += abs(half * (level_sum - prev))
+    return val, err
 
 
 def _pic_integrals(c1: float, c2: float, rank: int,

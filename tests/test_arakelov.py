@@ -132,6 +132,85 @@ class TestXiIntegral:
             xi_integral(3.0)
 
 
+def _suite_integrands(monkeypatch):
+    """(f, points) of every quadrature `_pic_integrals` runs for the verify
+    suites (2 xi(s) at s = 2, 3, 5; the rank-2 identity at (n, s) = (1, 4))
+    and for the peak-split 2 xi(s) at s = 8, 12, 20, 50."""
+    seen = []
+    real = arakelov.quad
+
+    def record(f, points):
+        seen.append((f, list(points)))
+        return real(f, points)
+
+    monkeypatch.setattr(arakelov, "quad", record)
+    for s in (2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 50.0):
+        arakelov._pic_integrals(-s, s - 1.0, 1, 1e-10)
+    arakelov._pic_integrals(-4.0, 2.0, 2, 1e-9)
+    monkeypatch.setattr(arakelov, "quad", real)
+    return seen
+
+
+def _quad_mp(f, points):
+    """30-digit tanh-sinh of the double-valued f: the reference."""
+    with mp.workdps(30):
+        return float(mp.quad(lambda x: f(float(x)), points))
+
+
+def _tail_mp(c, rank):
+    """The tail bound with Gamma(|c|/2, pi e^{2 X0}) at 30 digits."""
+    front = rank * arakelov._GS_BETA * (1.0 + phi(-arakelov._X0)) ** (rank - 1)
+    with mp.workdps(30):
+        a = mp.mpf(abs(c)) / 2
+        g = mp.gammainc(a, mp.pi * mp.e ** (2 * arakelov._X0))
+        return front * 0.5 * float(mp.pi ** (-a) * g)
+
+
+class TestQuad:
+    def test_suite_integrands_against_mpmath(self, monkeypatch):
+        cases = _suite_integrands(monkeypatch)
+        assert len(cases) == 8
+        for f, points in cases:
+            val, err = arakelov.quad(f, points)
+            want = _quad_mp(f, points)
+            assert abs(val - want) <= 1e-14 * abs(want)
+            # the estimate is never below the true error by more than ulps
+            assert abs(val - want) <= err + 4 * math.ulp(want)
+
+    @pytest.mark.parametrize("c", [-50.0, -1.0, 0.5, 8.0])
+    def test_exponential_against_closed_form(self, c):
+        want = -math.expm1(-3.0 * c) / c  # integral over [-3, 0] of e^{cx}
+        val, err = arakelov.quad(lambda x: math.exp(c * x), [-3.0, 0.0])
+        assert abs(val - want) <= 1e-14 * abs(want)
+        # a node x in [-3, 0] is a double, so e^{cx} carries a relative
+        # error up to |3c| 2^-53 that no rule can remove (at c = -50 a
+        # 30-digit mpmath.quad of the same double integrand is 1.4e-15 off)
+        floor = abs(3.0 * c) * 2.0 ** -53 * abs(want)
+        assert abs(val - want) <= err + 4 * math.ulp(want) + floor
+
+    def test_estimate_sums_the_intervals(self):
+        # a rule over [-3, -1, 0] is one rule per interval: its value and
+        # its estimate are the sums of the two intervals' own
+        f = lambda x: math.exp(-2.0 * x)
+        val, err = arakelov.quad(f, [-3.0, -1.0, 0.0])
+        left = arakelov.quad(f, [-3.0, -1.0])
+        right = arakelov.quad(f, [-1.0, 0.0])
+        assert val == pytest.approx(left[0] + right[0], rel=1e-15)
+        assert err == pytest.approx(left[1] + right[1], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("c", [400.0, -400.0, 150.0, -150.0, 50.0, -50.0,
+                                   5.0, -5.0, 1.0, -1.0, 0.0])
+    def test_tail_bounds_the_30_digit_gamma(self, c, rank):
+        got = arakelov._certified_tail(c, rank)
+        want = _tail_mp(c, rank)
+        assert got >= want
+        if want == 0.0:
+            assert got == 0.0
+        else:
+            assert got <= 1.001 * want
+
+
 class TestRankIdentity:
     @pytest.mark.parametrize("n,s,tol", [(1, 4.0, 1e-6), (1, 6.0, 1e-6),
                                          (2, 4.0, 1e-5)])

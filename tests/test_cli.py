@@ -689,6 +689,22 @@ class TestImportCost:
         code = f"from hkcount.cli import main\nmain({argv!r})"
         assert "numpy" not in self.loaded(code)
 
+    @pytest.mark.parametrize("argv", [
+        # Z_(P^2) from the theta route
+        ["predict", "--variety", "2,3:1,1", "--bundle", "1,4"],
+        ["zeta", "--what", "zetaP", "--m", "3", "--s", "8"],
+        ["sweep", "--variety", "1,3:1", "--bundle", "1,4", "--grid", "5,10",
+         "--threads", "1"],
+    ], ids=["predict-theta", "zeta-theta", "sweep-predicted"])
+    def test_command_loads_no_numerical_library(self, argv):
+        assert self.loaded(f"from hkcount.cli import main\nmain({argv!r})") == []
+
+    def test_verify_all_loads_numpy_only(self):
+        # the quadratures, their tails and the theta route run in doubles
+        argv = ["verify", "--suite", "all", "--threads", "1"]
+        assert self.loaded(f"from hkcount.cli import main\nmain({argv!r})") == [
+            "numpy"]
+
     def test_partition_suite_starts_no_pool(self):
         argv = ["verify", "--suite", "partition", "--threads", "2"]
         self.loaded(f"from hkcount.cli import main\nmain({argv!r})\n"

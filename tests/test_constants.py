@@ -16,6 +16,8 @@ from hkcount.constants import (
     L_minus4,
     SourceFormula,
     TooCloseToPoleError,
+    _epstein,
+    _height_one_dominates,
     _log_kappa,
     _shell_counts,
     _zetaP_n2max,
@@ -257,6 +259,50 @@ class TestProjectiveZeta:
         got = zetaP_theta(m, s)
         assert time.time() - t0 < 2.0
         assert abs(got - want) < 1e-9
+
+
+def _zetaP_theta_mp(m, s):
+    """Z_(P^m)(s) by the same theta sums at 30 digits, with mpmath's
+    gammainc and zeta: the reference for the double-precision route."""
+    k = m + 1
+    shells = _shell_counts(k, 40)
+    with mp.workdps(30):
+        w = mp.mpf(s) / 2
+        half_k = mp.mpf(k) / 2
+        acc = 1 / (w - half_k) - 1 / w
+        for n in range(1, 41):
+            if shells[n] == 0:
+                continue
+            z = mp.pi * n
+            g1 = z ** (-w) * mp.gammainc(w, z)
+            g2 = z ** (w - half_k) * mp.gammainc(half_k - w, z)
+            acc += shells[n] * (g1 + g2)
+        epstein = mp.pi ** w / mp.gamma(w) * acc
+        return float(epstein / (2 * mp.zeta(2 * w)))
+
+
+class TestThetaRoute:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.floats(-7.0, math.log10(80.0)))
+    def test_matches_30_digit_reference(self, m, log_gap):
+        # s from 1e-7 to 80 above the pole s = m + 1
+        s = m + 1 + 10.0 ** log_gap
+        want = _zetaP_theta_mp(m, s)
+        assert abs(zetaP_theta(m, s) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("m,s", [(10, 40.0), (50, 52.0), (400, 402.0)])
+    def test_high_dimension_matches_30_digit_reference(self, m, s):
+        assert not _height_one_dominates(m, s)
+        want = _zetaP_theta_mp(m, s)
+        assert abs(zetaP_theta(m, s) - want) <= 1e-13 * want
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.5 + 1e-7, 60.0))
+    def test_epstein_of_z_is_twice_zeta(self, w):
+        # E_1(w) = sum over nonzero n of n^(-2w) = 2 zeta(2w)
+        with mp.workdps(30):
+            want = float(2 * mp.zeta(2 * mp.mpf(w)))
+        assert abs(_epstein(1, w) - want) <= 1e-13 * want
 
 
 class TestSchanuel:
