@@ -211,6 +211,11 @@ def quad(f, points) -> tuple[float, float]:
     return val, err
 
 
+def _quad_limit(val: float, quad_tol: float) -> float:
+    """The largest error estimate `_pic_integrals` accepts for a value."""
+    return max(quad_tol, 1e-8 * abs(val))
+
+
 def _pic_integrals(c1: float, c2: float, rank: int,
                    quad_tol: float) -> float:
     """integral over [-inf, 0] of (e^{c1 x} + e^{c2 x}) ((1+phi)^rank - 1) dx,
@@ -226,7 +231,7 @@ def _pic_integrals(c1: float, c2: float, rank: int,
     peaks = sorted({max(-_X0 + 1e-9, -0.5 * math.log(-c / (2.0 * math.pi)))
                     for c in (c1, c2) if c < -2.0 * math.pi})
     val, err = quad(integrand, [-_X0, *peaks, 0.0])
-    if err > max(quad_tol, 1e-8 * abs(val)):
+    if err > _quad_limit(val, quad_tol):
         raise QuadratureFailure(
             f"quadrature error estimate {err:.3e} exceeds tolerance")
     return val + _certified_tail(c1, rank) + _certified_tail(c2, rank)
@@ -246,8 +251,14 @@ def xi_integral(s: float, quad_tol: float = 1e-10) -> float:
     return _pic_integrals(-s, s - 1.0, 1, quad_tol) + 1.0 / (s - 1.0) - 1.0 / s
 
 
-def prop5_identity_check(n: int, s: float,
-                         quad_tol: float = 1e-9) -> tuple[float, float, float]:
+# the tail bound of the lhs zeta sum, and the quadrature tolerance, of the
+# rank-(n+1) identity check
+_IDENTITY_ZETA_TOL = 1e-6
+_IDENTITY_QUAD_TOL = 1e-9
+
+
+def prop5_identity_check(n: int, s: float, quad_tol: float = _IDENTITY_QUAD_TOL
+                         ) -> tuple[float, float, float]:
     """Check the rank-(n+1) integral identity for the height zeta of P^n:
 
       lhs = 2 xi(s) Z_{P^n}(s)
@@ -264,13 +275,24 @@ def prop5_identity_check(n: int, s: float,
     if s <= n + 1:
         raise ValueError(f"identity needs s > n + 1, got s = {s}")
     try:
-        z = zetaP_numeric(n, s, tol=1e-6)
+        z = zetaP_numeric(n, s, tol=_IDENTITY_ZETA_TOL)
     except TooCloseToPoleError:
         z = zetaP_theta(n, s)
     lhs = 2.0 * xi_K(s) * z
     rhs = (_pic_integrals(-s, s - (n + 1.0), n + 1, quad_tol)
            + 1.0 / (s - (n + 1.0)) - 1.0 / s)
     return lhs, rhs, lhs - rhs
+
+
+def prop5_identity_tolerance(n: int, s: float, rhs: float) -> float:
+    """How far `prop5_identity_check(n, s)` may miss, given its rhs:
+    2 xi(s) times the absolute tail bound of the lhs zeta sum, plus the
+    quadrature's acceptance threshold on the rhs integral, plus 4 ulps of
+    the rhs for the rounding of the two sums.  The theta route, taken next
+    to the pole, is far closer than the tail bound."""
+    integral = rhs - 1.0 / (s - (n + 1.0)) + 1.0 / s
+    return (2.0 * xi_K(s) * _IDENTITY_ZETA_TOL
+            + _quad_limit(integral, _IDENTITY_QUAD_TOL) + 4.0 * math.ulp(rhs))
 
 
 def maruyama_residue_check() -> float:

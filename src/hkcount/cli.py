@@ -45,6 +45,14 @@ from .enumeration import CountRequest, count_hk, count_projective_moebius, \
 from .geometry import HKVariety, LineBundleClass, NotBigError, anticanonical
 from .heights import Region, cleared_height_sq, format_point
 
+# No count makes a BLAS call (its arrays are int64), yet OpenBLAS starts a
+# thread pool when numpy loads.  One BLAS thread (2-vCPU VM, numpy 2.4 with
+# scipy-openblas, median of 9 fresh interpreters) takes `import numpy`
+# after this module from 0.136 to 0.067 s and a numpy-loading process from
+# 2 threads to 1.  Only the CLI process gets this default; a caller's own
+# value wins, and none of the package imports above loads numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFINITE = 3
@@ -375,9 +383,9 @@ def _suite_integral() -> list[dict]:
         want = 2.0 * xi_K(s)
         checks.append(_check(f"integral representation of 2*xi({s:g})",
                              abs(got - want), 1e-8))
-    _, _, diff = arakelov.prop5_identity_check(1, 4.0)
-    checks.append(_check("rank-2 integral identity at (n,s)=(1,4)",
-                         abs(diff), 1e-6))
+    _, rhs, diff = arakelov.prop5_identity_check(1, 4.0)
+    checks.append(_check("rank-2 integral identity at (n,s)=(1,4)", abs(diff),
+                         arakelov.prop5_identity_tolerance(1, 4.0, rhs)))
     return checks
 
 

@@ -74,15 +74,16 @@ two); no floating point enters any count.
 numpy is imported inside the functions that use it, and the process
 pool only on the pooled branch, so importing this module costs neither.
 A count loads numpy only when an array step has enough work to repay
-the import (about 0.15 s).  A walk bounded by fewer than _NUMPY_WALK_MIN
-vectors takes the `_canonical_vectors` stream, and over such a base an
-r = 1 count whose fibers with S_max < 2^62 have fewer than
-_NUMPY_ROWS_MIN y_0 rows goes to the per-norm path whole.  The count
-reads which walk was taken off the histogram's type (lists or arrays).
-Both choices depend only on the input's size, and both sides give the
-same counts.  Bigness is checked before either.  r = 1 counts run in the
-calling process; only the per-norm path of an r >= 2 count is split over
-a process pool, of at most one worker per CPU the process may run on.
+the import (about 0.07 s with the one BLAS thread the CLI sets).  A walk
+bounded by fewer than _NUMPY_WALK_MIN vectors takes the
+`_canonical_vectors` stream, and over such a base an r = 1 count whose
+fibers with S_max < 2^62 have fewer than _NUMPY_ROWS_MIN y_0 rows goes
+to the per-norm path whole.  The count reads which walk was taken off
+the histogram's type (lists or arrays).  Both choices depend only on the
+input's size, and both sides give the same counts.  Bigness is checked
+before either.  r = 1 counts run in the calling process; only the
+per-norm path of an r >= 2 count is split over a process pool, of at
+most one worker per CPU the process may run on.
 
 A count sums the strata of its region (`region_strata`), so every F
 count runs on the restricted classes and exercises the restriction
@@ -359,14 +360,19 @@ def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[tuple[np.ndarray, n
 # Walks bounded by at least this many vectors build the histogram from the
 # numpy blocks, smaller ones from the `_canonical_vectors` stream.  The
 # bound isqrt(n2max)^(n+1) is 1 to 2.5 times below the walk's size for
-# n <= 3.  With numpy loaded (2-vCPU Xeon VM, Python 3.11, numpy 2.4, best
-# of 3), `_norm_histogram` from the stream took 0.045 s for 115k vectors
-# of P^1, 0.080 s for 272k of P^2 and 0.113 s for 365k of P^3; as arrays
-# from the folded blocks it took 0.0035, 0.0007 and 0.0004 s.  The import
-# costs 0.10 to 0.15 s, what the stream spends on some 3 to 4 * 10^5
-# vectors; the bound sits lower because a base of that size may still need
-# numpy for its r = 1 rows.
-_NUMPY_WALK_MIN = 10 ** 5
+# n <= 3.  With numpy loaded (2-vCPU VM, Python 3.11, numpy 2.4, best of
+# 3), `_norm_histogram` from the stream took 0.053 s at the bound 65,536
+# of P^1 (63k vectors), 0.045 s at 54,872 of P^2 (101k) and 0.069 s at
+# 50,625 of P^3 (143k); as arrays from the folded blocks it took 0.003,
+# 0.0008 and 0.0007 s.  The import costs 0.06 to 0.08 s after `import
+# hkcount.cli` (which pins one BLAS thread), what the stream spends up to
+# a bound of 5 * 10^4 (P^3) to 8 * 10^4 (P^1, P^2).  The bound sits at
+# the low end because a base of that size may still need numpy for its
+# r = 1 rows: from the CLI (median of 9 fresh processes each), X_2(1) -K
+# at B = 1.5 * 10^7 (bound 60,516) took 0.234 s with the blocks and
+# 0.252 s with the stream, and X_2(1) with bundle (1, 1) at B = 254
+# (bound 64,516, few rows) 0.289 s against 0.312 s.
+_NUMPY_WALK_MIN = 5 * 10 ** 4
 
 
 def _numpy_walk(n: int, n2max: int) -> bool:
@@ -837,17 +843,20 @@ def _good_chunk_worker(args: tuple) -> tuple[int, int]:
 # r = 1 counts over a small base whose norms with S_max < 2^62 have fewer
 # y_0 rows than this are counted per norm, which needs no numpy.  With numpy
 # loaded (2-vCPU VM, Python 3.11, numpy 2.4, best of 5 with a cold divisor
-# cache; bundle (1, 6) on X_2(1)), 14.2k rows took 0.059 s per norm against
-# 0.004 s batched, 29.5k rows 0.148 s against 0.008 s and 38.6k rows
-# 0.209 s against 0.011 s.  The import costs 0.11 to 0.16 s after
-# `import hkcount.cli`; added to the batched side, the two meet between 2.2
-# and 3.3 * 10^4 rows, and below 3 * 10^4 they differ by less than the
-# import's own spread.  The row count includes the norms outside the int64
-# band; it chose the same side as a count of the band's rows alone on all
-# 119,448 small r = 1 inputs (t in {2, 3}, a <= 20, lam, mu <= 6,
-# B = 1, 3/2, ..., 40), and the batched side is the one measured here, so
-# the crossover still holds.
-_NUMPY_ROWS_MIN = 2 * 10 ** 4
+# cache, two runs; bundle (1, 6) on X_2(1)), 9.1k rows took 0.062 to
+# 0.065 s per norm against 0.004 s batched, 11.3k rows 0.071 to 0.081 s
+# against 0.005 s and 14.2k rows 0.096 to 0.108 s against 0.005 to
+# 0.006 s.  The import costs 0.06 to 0.08 s after `import hkcount.cli`
+# (which pins one BLAS thread); added to the batched side, the two meet
+# between 1.0 and 1.2 * 10^4 rows.  From the CLI (median of 9 fresh
+# processes each), B = 10^4 (11.3k rows) took 0.244 s batched against
+# 0.263 s per norm, and B = 12,500 (14.2k rows) 0.250 s against 0.267 s.
+# The row count includes the norms outside the int64 band; it chose the
+# same side as a count of the band's rows alone on all 119,448 small
+# r = 1 inputs (t in {2, 3}, a <= 20, lam, mu <= 6, B = 1, 3/2, ..., 40),
+# and the batched side is the one measured here, so the crossover still
+# holds.
+_NUMPY_ROWS_MIN = 10 ** 4
 
 
 def _few_r1_rows(args: tuple, norms: Sequence[int]) -> bool:

@@ -16,6 +16,7 @@ from hkcount.arakelov import (
     phi,
     phi_oplus,
     prop5_identity_check,
+    prop5_identity_tolerance,
     xi_integral,
 )
 from hkcount.constants import xi_K, zetaP1_closed
@@ -218,6 +219,14 @@ class TestRankIdentity:
         lhs, rhs, diff = prop5_identity_check(n, s)
         assert abs(diff) <= tol
         assert lhs > 0 and rhs > 0
+
+    @pytest.mark.parametrize("n,s", [(1, 3.5), (1, 4.0), (1, 6.0), (2, 4.0),
+                                     (2, 5.0), (3, 6.0)])
+    def test_within_stated_tolerance(self, n, s):
+        # the tail bound of the zeta sum, the quadrature's threshold and a
+        # few ulps, and never above 1e-6
+        _, rhs, diff = prop5_identity_check(n, s)
+        assert abs(diff) <= prop5_identity_tolerance(n, s, rhs) <= 1e-6
 
 
 class TestResidue:

@@ -533,6 +533,16 @@ class TestVerify:
         assert "FAIL  [arakelov] direct-sum identity" in out
         assert "observed 1.000e-09" in out
 
+    def test_rank2_identity_tolerance(self, capsys):
+        # 2 xi(4) ~ 0.1097 times the zeta sum's tail bound 1e-6, plus the
+        # quadrature threshold 1e-9: about 1.1e-7, against 4.44e-8 observed
+        code, out, _ = run(capsys, "verify", "--suite", "integral",
+                           "--format", "json")
+        check = json.loads(out)["suites"]["integral"][3]
+        assert code == EXIT_OK and check["name"].startswith("rank-2")
+        assert 1.1e-7 < check["tolerance"] < 1.11e-7
+        assert check["observed"] < check["tolerance"] and check["ok"]
+
     @pytest.mark.parametrize("suite", ["oracle", "integral"])
     def test_suite_prints_only_pass(self, capsys, suite):
         code, out, _ = run(capsys, "verify", "--suite", suite)
@@ -648,20 +658,48 @@ class TestImportCost:
     numerical library; each case runs in a fresh interpreter."""
 
     HEAVY = ("scipy", "numpy", "mpmath")
+    # a numpy-loading command
+    ORACLE = ("from hkcount.cli import main\n"
+              "main(['verify', '--suite', 'oracle'])")
 
-    def loaded(self, code):
+    def child(self, code, result, **env_set):
+        """Run code in a fresh interpreter and return the JSON value of the
+        expression `result` after it.  The child's environment is built
+        here: the caller's thread settings are dropped, so each case tests
+        the defaults unless it sets them in env_set.  (This process has
+        imported hkcount.cli, so its own OPENBLAS_NUM_THREADS is set.)"""
         src = str(Path(hkcount.__file__).resolve().parents[1])
-        env = dict(os.environ)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "HKCOUNT_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        script = (f"import json, sys\n{code}\nprint(json.dumps("
-                  f"[m for m in {self.HEAVY!r} if m in sys.modules]))")
+        env.update(env_set)
+        script = f"import json, os, sys\n{code}\nprint(json.dumps({result}))"
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
         return json.loads(done.stdout.splitlines()[-1])
 
+    def loaded(self, code):
+        return self.child(
+            code, f"[m for m in {self.HEAVY!r} if m in sys.modules]")
+
     def test_import_loads_no_numerical_library(self):
         assert self.loaded("import hkcount, hkcount.cli") == []
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="needs /proc/self/task")
+    def test_numpy_process_runs_one_thread(self):
+        # no count makes a BLAS call, so the CLI starts no OpenBLAS pool
+        assert self.child(self.ORACLE, "['numpy' in sys.modules, "
+                          "len(os.listdir('/proc/self/task'))]") == [True, 1]
+
+    def test_caller_blas_threads_kept(self):
+        assert self.child(self.ORACLE, "os.environ['OPENBLAS_NUM_THREADS']",
+                          OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_library_import_leaves_blas_threads_unset(self):
+        assert self.child("import hkcount",
+                          "os.environ.get('OPENBLAS_NUM_THREADS')") is None
 
     @pytest.mark.parametrize("argv", [
         ["tables"],

@@ -1364,15 +1364,16 @@ _EDGES = [
                  id="int32-table"),
     # _NUMPY_WALK_MIN: the stream's lists or the blocks' arrays, for the
     # histogram and for -K on X_2(1), whose n2max is iroot(B^2, 3)
-    pytest.param("histogram", [(1, 317 ** 2 - 1), (1, 317 ** 2)],
-                 lambda n, n2max: isqrt(n2max) ** (n + 1) >= 10 ** 5,
+    pytest.param("histogram", [(1, 224 ** 2 - 1), (1, 224 ** 2)],
+                 lambda n, n2max: isinstance(
+                     enumeration._norm_histogram(n, n2max)[0], list),
                  id="numpy-walk"),
-    pytest.param("count", [((1, 2, 3), 317 ** 3 - 1), ((1, 2, 3), 317 ** 3)],
+    pytest.param("count", [((1, 2, 3), 224 ** 3 - 1), ((1, 2, 3), 224 ** 3)],
                  lambda args, norms: isinstance(norms, list),
                  id="numpy-walk-count"),
     # _NUMPY_ROWS_MIN: bundle (1, 6) on X_2(1) over a small base, whose
-    # rows reach 2 * 10^4 from B = 17625 to 17626
-    pytest.param("count", [((1, 1, 6), 17625), ((1, 1, 6), 17626)],
+    # rows reach 10^4 from B = 8815 to 8816
+    pytest.param("count", [((1, 1, 6), 8815), ((1, 1, 6), 8816)],
                  lambda args, norms: enumeration._few_r1_rows(args, norms),
                  id="numpy-rows"),
 ]
