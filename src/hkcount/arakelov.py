@@ -27,7 +27,6 @@ terms.  Nothing here loads a numerical library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import (
     TooCloseToPoleError,
@@ -40,17 +39,6 @@ from .constants import (
 
 class QuadratureFailure(ArithmeticError):
     """Adaptive quadrature could not certify the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class ScaledLatticeSum:
-    """Direct sum of rank-1 lattices (Z, c_i * e^{-x}) with scales c_i > 0."""
-
-    scales: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.scales or any(c <= 0 for c in self.scales):
-            raise ValueError("scales must be a nonempty tuple of positive reals")
 
 
 # Direct summation is used for |x| <= this threshold so that the identity
@@ -93,17 +81,19 @@ def phi(x: float) -> float:
     return _theta_excess(math.exp(-2.0 * x))
 
 
-def phi_oplus_check(scales: ScaledLatticeSum, x: float) -> tuple[float, float]:
-    """(phi of the direct sum +_i (Z, c_i e^{-x}), relative gap of its two
-    forms).
+def phi_oplus_check(scales: tuple[float, ...], x: float) -> tuple[float, float]:
+    """(phi of the direct sum +_i (Z, c_i e^{-x}) of rank-1 lattices with
+    scales c_i, relative gap of its two forms).
 
-    The forms are the telescoped product prod_i (1 + phi_i) - 1, which is
-    the value, and the expansion into elementary symmetric polynomials of
-    the phi_i; the gap is |product - symmetric| / max(1, |product|).
+    The scales must be a nonempty tuple of reals c_i > 0 (ValueError
+    otherwise).  The forms are the telescoped product
+    prod_i (1 + phi_i) - 1, which is the value, and the expansion into
+    elementary symmetric polynomials of the phi_i; the gap is
+    |product - symmetric| / max(1, |product|).
     """
-    if isinstance(scales, (tuple, list)):
-        scales = ScaledLatticeSum(tuple(scales))
-    phis = [phi(x - math.log(c)) for c in scales.scales]
+    if not scales or not all(c > 0 for c in scales):
+        raise ValueError("scales must be a nonempty tuple of positive reals")
+    phis = [phi(x - math.log(c)) for c in scales]
     product = 1.0
     for p in phis:
         product *= 1.0 + p
@@ -117,7 +107,7 @@ def phi_oplus_check(scales: ScaledLatticeSum, x: float) -> tuple[float, float]:
     return product, abs(product - symmetric) / max(1.0, abs(product))
 
 
-def phi_oplus(scales: ScaledLatticeSum, x: float) -> float:
+def phi_oplus(scales: tuple[float, ...], x: float) -> float:
     """phi of the direct sum +_i (Z, c_i e^{-x}); raises ArithmeticError
     unless its two forms (`phi_oplus_check`) agree to 1e-12 (relative)."""
     value, gap = phi_oplus_check(scales, x)

@@ -297,6 +297,9 @@ def cmd_tables(args) -> int:
         intro = threefold_intro(inv)
     except DomainError as exc:
         return _field_gap(exc)
+    except OverflowError as exc:  # one line, as predict
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     cases = threefold_cases()
     payload = {
         "hirzebruch": [{**row, "a_l": str(row["a_l"])} for row in hz],

@@ -80,7 +80,9 @@ class FieldInvariants:
     """Number-field data entering the constants: (r1, r2, w, |disc|, R, h).
 
     zeta_k is an evaluator for the field zeta function at real s > 1;
-    None means the rational field (internal Riemann zeta is used).
+    None means the rational field (internal Riemann zeta is used).  A value
+    no field has (r1 or r2 < 0, degree 0, w, |disc| or h < 1, or R not
+    finite and > 0) raises ValueError.
     """
 
     r1: int
@@ -96,8 +98,14 @@ class FieldInvariants:
         return self.r1 + 2 * self.r2
 
     def __post_init__(self) -> None:
+        if self.r1 < 0 or self.r2 < 0:
+            raise ValueError("r1 and r2 must be >= 0")
         if self.degree < 1:
             raise ValueError("field degree must be >= 1")
+        if min(self.w, self.abs_disc, self.class_number) < 1:
+            raise ValueError("w, absDisc and classNumber must be >= 1")
+        if not (math.isfinite(self.regulator) and self.regulator > 0):
+            raise ValueError("regulator must be finite and > 0")
 
 
 QQ = FieldInvariants(r1=1, r2=0, w=2, abs_disc=1, regulator=1.0, class_number=1)
@@ -108,7 +116,8 @@ def load_invariants(path: str) -> FieldInvariants:
 
     Recognized keys: r1, r2, w, absDisc, regulator, classNumber, and
     optional zetaK.<s>=<value> sample lines giving the field zeta at the
-    exact arguments the formulas will request.
+    exact arguments the formulas will request; s must be finite and the
+    value finite and > 0.  A bad line or value raises ValueError.
     """
     data: dict[str, str] = {}
     samples: dict[float, float] = {}
@@ -121,7 +130,11 @@ def load_invariants(path: str) -> FieldInvariants:
                 raise ValueError(f"bad invariants line {line!r}")
             key, val = (x.strip() for x in line.split("=", 1))
             if key.startswith("zetaK."):
-                samples[float(key[6:])] = float(val)
+                s, z = float(key[6:]), float(val)
+                if not (math.isfinite(s) and math.isfinite(z) and z > 0):
+                    raise ValueError(f"zetaK sample {line!r} must be a finite "
+                                     "s with a finite value > 0")
+                samples[s] = z
             else:
                 data[key] = val
     try:

@@ -51,39 +51,38 @@ the weight-1 coordinate is not the innermost.  The innermost coordinate
 is resolved by a Mobius/inclusion-exclusion coprimality count instead of
 a per-point gcd.
 
-Every r = 1 base norm takes one route, `_count_r1`, over slices of at
-most _CHUNK norms, so that no array spans every norm.  An int64 guard
-(`_r1_batch_band`) splits each slice once: the norms in its band, for
-which every intermediate value provably stays below 2^62, take their
-caps in int64, and the others take (c_0, S_max) in Python ints; c_1 = 1.
-A norm with S_max >= 2^62 is left to the per-norm path, and one with
-c_0 > S_max has no fiber point.  One counter (`_count_r1_mobius`) takes
-each slice's other fibers as int64 (c_0, S_max, mult) in one call: the
-identity of the P^n sieve counts a fiber as sum over d of
-mu(d) E(c_0, S_max // d^2), where E counts every lattice point with
-y_0 >= 1 and tests no gcd.  Each y_0 row takes one isqrt,
-M(y_0) = isqrt(S_max - c_0 y_0^2), and the term of a squarefree d and a
-multiple y_0 = d k is read off it as M(d k) // d; mu comes from a
-vectorised integer sieve, `_mobius_array`.  The norms with
-S_max >= 2^62, and every r >= 2 count, go through the per-norm Python
-path with unbounded integers.  All bound comparisons are integer-exact,
-integer roots included (Newton from above, seeded for square roots from
-a table of isqrt over 16-bit integers and otherwise from a power of
-two); no floating point enters any count.
+`_count_good_open` dispatches on r.  `_count_r1` counts every r = 1
+base norm and returns (count, rows), as the per-norm path does.  It
+takes the norms in slices of at most _CHUNK, so that no array spans
+every norm, and splits each slice once by an int64 guard
+(`_r1_batch_band`); the norms with S_max >= 2^62 take one call of the
+per-norm path.  One counter (`_count_r1_mobius`) takes each slice's
+other fibers as int64 (c_0, S_max, mult) in one call: the identity of
+the P^n sieve counts a fiber as sum over d of mu(d) E(c_0, S_max // d^2),
+where E counts every lattice point with y_0 >= 1 and tests no gcd.  Each
+y_0 row takes one isqrt, M(y_0) = isqrt(S_max - c_0 y_0^2), and the term
+of a squarefree d and a multiple y_0 = d k is read off it as
+M(d k) // d; mu comes from a vectorised integer sieve, `_mobius_array`.
+Every r >= 2 norm goes through the per-norm Python path
+(`_good_chunk_worker`) with unbounded integers.  All bound comparisons
+are integer-exact, integer roots included (Newton from above, seeded for
+square roots from a table of isqrt over 16-bit integers and otherwise
+from a power of two); no floating point enters any count.
 
 numpy is imported inside the functions that use it, and the process
 pool only on the pooled branch, so importing this module costs neither.
 A count loads numpy only when an array step has enough work to repay
 the import (about 0.07 s with the one BLAS thread the CLI sets).  A walk
 bounded by fewer than _NUMPY_WALK_MIN vectors takes the
-`_canonical_vectors` stream, and over such a base an r = 1 count whose
-fibers with S_max < 2^62 have fewer than _NUMPY_ROWS_MIN y_0 rows goes
-to the per-norm path whole.  The count reads which walk was taken off
-the histogram's type (lists or arrays).  Both choices depend only on the
-input's size, and both sides give the same counts.  Bigness is checked
-before either.  r = 1 counts run in the calling process; only the
-per-norm path of an r >= 2 count is split over a process pool, of at
-most one worker per CPU the process may run on.
+`_canonical_vectors` stream.  Over such a base, an r = 1 count whose
+fibers with S_max < 2^62 have fewer than _NUMPY_ROWS_MIN y_0 rows is
+counted per norm by `_count_r1` (`_few_r1_rows`), before numpy loads;
+it reads which walk was taken off the histogram's type (lists or
+arrays).  Both choices depend only on the input's size,
+and both sides give the same counts.  Bigness is checked before either.
+r = 1 counts run in the calling process at any thread count; only an
+r >= 2 count splits its norms over a process pool, of at most one worker
+per CPU the process may run on.
 
 A count sums the strata of its region (`region_strata`), so every F
 count runs on the restricted classes and exercises the restriction
@@ -130,6 +129,10 @@ class CountRequest:
 
 @dataclass(frozen=True)
 class CountResult:
+    """points_visited sums over the strata: for an open stratum the rows of
+    the last fiber coordinate that `_count_fiber_good` visits, summed over
+    the base norms (the y_0 rows for r = 1); for a P^n stratum the count.
+    No CLI output prints it; the benchmark's tracer and the tests read it."""
     count: int
     elapsed: float
     points_visited: int
@@ -610,8 +613,8 @@ def _fiber_params(X_weights: tuple[int, ...], ar: int, lam: int, mu: int,
     return cs, smax
 
 
-def _r1_batch_band(weights: tuple[int, ...], ar: int, lam: int, mu: int,
-                   p: int, q: int) -> tuple[int, int]:
+def _r1_batch_band(ar: int, lam: int, mu: int, p: int, q: int
+                   ) -> tuple[int, int]:
     """Band [lo, hi] of base norms m whose r = 1 fiber step provably fits
     in int64.
 
@@ -639,8 +642,6 @@ def _r1_batch_band(weights: tuple[int, ...], ar: int, lam: int, mu: int,
             return 0
         return top if k == 0 else iroot(top // base, k)
 
-    if len(weights) != 2:
-        return 1, 0
     if e == 0:
         return 1, largest(1, ar) if iroot(p // q, lam) <= top else 0
     if lam > 62 or (e > 0 and q > top):
@@ -765,27 +766,27 @@ def _count_r1_mobius(c0: np.ndarray, smax: np.ndarray,
 
 
 def _count_r1(args: tuple, norms: Sequence[int], mults: Sequence[int]
-              ) -> tuple[int, int, list[int], list[int]]:
-    """`_fiber_params` and `_count_fiber_good` for r = 1, over slices of at
-    most _CHUNK norms, each split once by `_r1_batch_band`.
+              ) -> tuple[int, int]:
+    """`_fiber_params` and `_count_fiber_good` for r = 1 over every base
+    norm: the sum of mult * fiber count, and the y_0 rows,
+    isqrt(S_max // c_0) per norm, that `_count_fiber_good` reports.
 
-    The norms outside the band take (c_0, S_max) in Python ints from
-    `_fiber_params`.  The norms in the band, if the slice has any, take
-    their caps in int64 (a cap p // q // m^k with p // q >= 2^62 is divided
-    in Python ints and only its quotient enters int64; for e = 0 the one
-    S_max = iroot(p // q, lam) is broadcast), and c_0 = m^ar.
+    A small base (lists from the per-vector stream) with few rows
+    (`_few_r1_rows`) goes to the per-norm path whole, before numpy loads.
+    Otherwise each slice of at most _CHUNK norms is split once by
+    `_r1_batch_band`: the norms outside the band take (c_0, S_max) in
+    Python ints from `_fiber_params`, those in it their caps in int64 (a
+    cap p // q // m^k with p // q >= 2^62 is divided in Python ints and
+    only its quotient enters int64; for e = 0 the one S_max is broadcast).
     Each slice's fibers with c_0 <= S_max < 2^62 go to `_count_r1_mobius`
-    in one call; a norm with c_0 > S_max has no fiber point.
-
-    Returns (count, rows, norms, mults): the sum of mult * fiber count over
-    the norms with S_max < 2^62; their y_0 rows, isqrt(S_max // c_0) per
-    norm, which `_count_fiber_good` reports as rows_visited; and the norms
-    with S_max >= 2^62 with their mults, as lists of Python ints for the
-    per-norm path.  The slices' sums add as Python ints.
+    in one call, and the norms with S_max >= 2^62 to one per-norm call; a
+    norm with c_0 > S_max has no fiber point.
     """
+    if isinstance(norms, list) and _few_r1_rows(args, norms):
+        return _good_chunk_worker((*args, norms, mults))
     import numpy as np
 
-    lo, hi = _r1_batch_band(*args)
+    lo, hi = _r1_batch_band(*args[1:])
     _, ar, lam, mu, p, q = args
     e = lam * ar - mu
     P = p // q
@@ -822,19 +823,18 @@ def _count_r1(args: tuple, norms: Sequence[int], mults: Sequence[int]
         count, r = _count_r1_mobius(*fibers)
         total += count
         rows += r
-    return total, rows, *big
+    count, r = _good_chunk_worker((*args, *big))
+    return total + count, rows + r
 
 
 def _good_chunk_worker(args: tuple) -> tuple[int, int]:
-    """Process-pool worker: count one chunk of base norms one by one with
-    unbounded integers; the chunk is given as lists of Python ints (norms
-    and multiplicities), never as int64 arrays, whose elements wrap on
-    overflow."""
-    weights, ar, lam, mu, p, q, norms, mults = args
-    count = 0
-    visited = 0
+    """The per-norm path and pool worker: count a chunk of base norms one by
+    one with unbounded integers, given as lists of Python ints (norms and
+    multiplicities), never as int64 arrays, whose elements wrap on overflow."""
+    *params, norms, mults = args
+    count = visited = 0
     for m, mult in zip(norms, mults):
-        c, v = _count_fiber_good(*_fiber_params(weights, ar, lam, mu, p, q, m))
+        c, v = _count_fiber_good(*_fiber_params(*params, m))
         count += mult * c
         visited += v
     return count, visited
@@ -893,21 +893,16 @@ def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
     n2max = iroot(p // q, L.mu)
     args = (X.fiber_weights, X.a[-1], L.lam, L.mu, p, q)
     norms, mults = _norm_histogram(X.t - 1, n2max)
-    small = isinstance(norms, list)  # the walk took the per-vector stream
-    count = visited = 0
-    r1 = len(X.fiber_weights) == 2
-    if r1 and not (small and _few_r1_rows(args, norms)):
-        count, visited, norms, mults = _count_r1(args, norms, mults)
-    elif not small:
+    # r = 1 counts never pool: the pool costs about 20 ms plus a fork per
+    # worker on 2 CPUs, more than the per-norm work it would split (the
+    # r = 1 count `--variety 1,2:19 --bundle 5,1 --B 90 --threads 2` took
+    # 0.22 s pooled and 0.17 s in one process).
+    if X.r == 1:
+        return _count_r1(args, norms, mults)
+    if not isinstance(norms, list):
         norms, mults = norms.tolist(), mults.tolist()
-    # The per-norm path takes what is left: every r >= 2 norm, and for
-    # r = 1 a small base or the norms with S_max >= 2^62.  Only r >= 2
-    # splits it over a pool, of at most one worker per CPU this process
-    # may run on: the pool costs about 20 ms plus a fork per worker on
-    # 2 CPUs, more than the r = 1 per-norm work it would split (the r = 1
-    # count `--variety 1,2:19 --bundle 5,1 --B 90 --threads 2` took 0.22 s
-    # pooled and 0.17 s in one process).
-    workers = 1 if r1 else min(threads, _cpus())
+    # Every r >= 2 norm goes per norm, over at most one worker per CPU.
+    workers = min(threads, _cpus())
     if workers == 1 or len(norms) < 4 * workers:
         parts = [_good_chunk_worker((*args, norms, mults))]
     else:
@@ -917,8 +912,7 @@ def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
                   for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_good_chunk_worker, chunks))
-    return (count + sum(c for c, _ in parts),
-            visited + sum(v for _, v in parts))
+    return sum(c for c, _ in parts), sum(v for _, v in parts)
 
 
 def _finite_strata(space: Union[HKVariety, ProjectiveSpace],
@@ -938,6 +932,10 @@ def count_hk(req: CountRequest) -> CountResult:
     twisted P^n is the Mobius sieve.  The result is independent of the
     thread count: per-chunk integer subtotals are summed, an associative
     and commutative reduction.
+
+    An r >= 2 count with threads >= 2 forks its pool: a caller whose numpy
+    already runs a BLAS thread pool should set OPENBLAS_NUM_THREADS=1
+    first, or pass threads=1, since forking a threaded process is unsafe.
     """
     t0 = time.perf_counter()
     B = Fraction(req.bound)

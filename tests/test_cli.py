@@ -200,6 +200,22 @@ class TestCount:
         assert run(capsys, "count", *argv, "--stream") == (code, out, err)
 
 
+# the invariants of Q as a field file; a later line overrides an earlier one
+_Q_FIELD = "r1=1\nr2=0\nw=2\nabsDisc=1\nregulator=1.0\nclassNumber=1\n"
+
+# values no number field has, each of which used to give a traceback or
+# pass: by id, the lines that override _Q_FIELD
+_DEGENERATE_FIELDS = {
+    "regulator-negative": "regulator=-1\n",
+    "regulator-nan": "regulator=nan\n",
+    "w-zero": "w=0\n",
+    "absDisc-zero": "absDisc=0\n",
+    "classNumber-zero": "classNumber=0\n",
+    "zetaK-negative": "zetaK.2=-1\n",
+    "r1-negative": "r1=-1\nr2=1\n",
+}
+
+
 class TestInputErrors:
     """Each bad input exits 2 with a one-line message, never a traceback."""
 
@@ -271,9 +287,11 @@ class TestInputErrors:
         ["sweep", "--variety", "1,2:1", "--grid", "2,3", "--threads", "1"],
         ["zeta", "--what", "xi", "--s", "2"],
     ], ids=["predict", "tables", "sweep", "zeta"])
-    @pytest.mark.parametrize("content", [None, "r1=1\nno equals sign\n",
-                                         "r1=one\n"],
-                             ids=["missing", "malformed", "bad-value"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, "r1=1\nno equals sign\n", "r1=one\n"]
+        + [_Q_FIELD + bad for bad in _DEGENERATE_FIELDS.values()],
+        ids=["missing", "malformed", "bad-value", *_DEGENERATE_FIELDS])
     def test_bad_field_file(self, capsys, tmp_path, argv, content):
         path = tmp_path / "field.txt"
         if content is not None:
@@ -304,6 +322,16 @@ class TestInputErrors:
         err = err.strip()
         assert err.startswith("hkcount: error: --field:") and message in err
         assert len(err.splitlines()) == 1
+
+    def test_tables_constant_past_double_range(self, capsys, tmp_path):
+        # regulator 1e300 is a valid field value, but it takes the leading
+        # constants past the double range: one line and exit 2, as predict
+        path = tmp_path / "field.txt"
+        path.write_text(_Q_FIELD + "regulator=1e300\n")
+        for argv in (["tables"], ["predict", "--variety", "1,2:1"]):
+            code, out, err = run(capsys, *argv, "--field", str(path))
+            assert (code, out) == (2, "")
+            assert err == "error: the leading constant is beyond double range\n"
 
     def test_field_sample_is_used(self, capsys, tmp_path):
         # the anticanonical surface needs only xi_K(2), which the file has

@@ -427,6 +427,16 @@ class TestInvariantsFile:
         with pytest.raises(ValueError):
             load_invariants(str(path))
 
+    @pytest.mark.parametrize("line", ["zetaK.2=nan", "zetaK.2=inf",
+                                      "zetaK.2=0", "zetaK.nan=1",
+                                      "zetaK.inf=1", "regulator=inf"])
+    def test_rejects_values_no_field_has(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text("r1=1\nr2=0\nw=2\nabsDisc=1\nregulator=1.0\n"
+                        f"classNumber=1\n{line}\n")
+        with pytest.raises(ValueError):
+            load_invariants(str(path))
+
     def test_rational_field_constants(self):
         assert (QQ.r1, QQ.r2, QQ.w, QQ.abs_disc) == (1, 0, 2, 1)
         assert QQ.degree == 1

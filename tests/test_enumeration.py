@@ -635,36 +635,36 @@ class TestBatchedFiberStep:
                 *_squared_cap(B))
         norms = np.arange(1, 301, dtype=np.int64)
         mults = norms % 7 + 1
-        count, rows, big, big_mults = _count_r1(args, norms, mults)
-        # the route leaves the norms whose S_max reaches 2^62, as Python
-        # ints, and the per-norm path counts them as _count_good_open does
-        assert big == [m for m in norms.tolist()
-                       if enumeration._fiber_params(*args, m)[1] >= 2 ** 62]
-        assert all(type(k) is int for k in big + big_mults)
-        c, v = _per_norm(args, big, big_mults)
-        assert (count + c, rows + v) == _per_norm(args, norms, mults)
+        assert _count_r1(args, norms, mults) == _per_norm(args, norms, mults)
 
     def test_guard_splits_large_twist(self, monkeypatch):
         # m^119 passes 2^62 from m = 2 on: only m = 1 is in the band, and
         # every other norm takes its S_max in Python ints
         X = HKVariety(1, 2, (20,))
         args = (X.fiber_weights, 20, 6, 1, *_squared_cap(Fraction(89)))
-        assert enumeration._r1_batch_band(*args) == (1, 1)
+        assert enumeration._r1_batch_band(*args[1:]) == (1, 1)
         norms = np.arange(1, 50, dtype=np.int64)
+        want = _per_norm(args, norms, np.ones_like(norms))
+        # the cap 7921 m^119 gives S_max >= 2^62 from m = 9 on; norms 2..8
+        # stay in the int64 kernel, and the others take S_max again when
+        # they are counted per norm
+        big = [m for m in range(2, 50) if _smax(args, m) >= _T]
+        assert big == list(range(9, 50))
         calls = _python_params(monkeypatch)
-        count, rows, big, big_mults = _count_r1(args, norms,
-                                                np.ones_like(norms))
-        assert calls == list(range(2, 50))
-        c, v = _per_norm(args, big, big_mults)
-        assert (count + c, rows + v) == _per_norm(args, norms,
-                                                  np.ones_like(norms))
+        assert _count_r1(args, norms, np.ones_like(norms)) == want
+        assert calls == list(range(2, 50)) + big
 
     @staticmethod
     def batched_equals_per_norm(args, norms):
         mults = norms % 7 + 1
-        count, rows, *big = _count_r1(args, norms, mults)
-        assert big == [[], []]
-        assert (count, rows) == _per_norm(args, norms, mults)
+        want = _per_norm(args, norms, mults)
+        worker = enumeration._good_chunk_worker
+        per_norm = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "_good_chunk_worker",
+                       lambda a: per_norm.extend(a[-2]) or worker(a))
+            assert _count_r1(args, norms, mults) == want
+        assert per_norm == []  # every norm went to the int64 kernel
 
     @pytest.mark.parametrize("B, lo", [(Fraction(3 * 2 ** 31 - 1, 3), 1),
                                        (2 ** 31, 2)],
@@ -678,7 +678,7 @@ class TestBatchedFiberStep:
         p, q = _squared_cap(B)
         assert (p // q < 2 ** 62, q) == ((True, 9) if lo == 1 else (False, 1))
         args = (X.fiber_weights, 1, L.lam, L.mu, p, q)
-        assert enumeration._r1_batch_band(*args)[0] == lo
+        assert enumeration._r1_batch_band(*args[1:])[0] == lo
         self.batched_equals_per_norm(args, np.concatenate(
             [np.arange(lo, lo + 6), np.arange(10 ** 6, 2 ** 21, 9973)]))
 
@@ -692,7 +692,8 @@ class TestBatchedFiberStep:
         args = (X.fiber_weights, 1, L.lam, L.mu, *_squared_cap(B))
         small = np.arange(1, 11)
         calls = _python_params(monkeypatch)
-        assert _count_r1(args, small, small)[2:] == ([], [])
+        _count_r1(args, small, small)
+        # a norm counted per norm would take its S_max a second time
         assert calls == list(range(1, python_caps + 1))
         self.batched_equals_per_norm(args, np.arange(1000, 1100))
 
@@ -708,18 +709,18 @@ class TestBatchedFiberStep:
         calls = _python_params(monkeypatch)
         for B in (2 ** 31 - 1, 2 ** 31, 10 ** 10, Fraction(2 ** 32 + 1, 2 ** 32)):
             args = (X.fiber_weights, 1, 3, 3, *_squared_cap(B))
-            assert enumeration._r1_batch_band(*args) == (1, 2 ** 62 - 1)
-            assert _count_r1(args, norms, norms)[2:] == ([], [])
+            assert enumeration._r1_batch_band(*args[1:]) == (1, 2 ** 62 - 1)
+            _count_r1(args, norms, norms)
         assert calls == []
         args = (X.fiber_weights, 1, 1, 1, *_squared_cap(2 ** 31))
-        assert enumeration._r1_batch_band(*args) == (1, 0)
+        assert enumeration._r1_batch_band(*args[1:]) == (1, 0)
 
     def test_cap_beyond_int64_square_divisor(self):
         # bundle (1, 3): the cap is P // m^2 with P = 2^64, divided in
         # Python ints, here with divisors m^2 of 31 bits and more
         X = HKVariety(1, 2, (1,))
         args = (X.fiber_weights, 1, 1, 3, *_squared_cap(2 ** 32))
-        assert enumeration._r1_batch_band(*args)[0] == 3  # 2^64 // 2^62 < 3^2
+        assert enumeration._r1_batch_band(*args[1:])[0] == 3  # 2^64 // 2^62 < 3^2
         self.batched_equals_per_norm(args, np.arange(46000, 47000, 10))
 
     @settings(max_examples=200, deadline=None)
@@ -731,9 +732,7 @@ class TestBatchedFiberStep:
         # for e < 0 the band starts at the first m with P // m^-e < 2^62,
         # so the quotients the batched step turns into int64 are exact
         p = P * q + data.draw(st.integers(0, q - 1))
-        weights = HKVariety(1, 2, (ar,)).fiber_weights
-        lo = enumeration._r1_batch_band(weights, ar, lam, lam * ar - e,
-                                        p, q)[0]
+        lo = enumeration._r1_batch_band(ar, lam, lam * ar - e, p, q)[0]
         assert P // lo ** -e < 2 ** 62
         assert lo == 1 or P // (lo - 1) ** -e >= 2 ** 62
 
@@ -768,8 +767,7 @@ class TestBatchedFiberStep:
             fiber = enumeration._count_projective_n2(1, B * B) - 1
             # a multiplicity of 2^45 puts the sum past 2^63, into Python ints
             for mult in (3, 1 << 45):
-                assert _count_r1(args, norm, norm * mult) == (mult * fiber, B,
-                                                              [], [])
+                assert _count_r1(args, norm, norm * mult) == (mult * fiber, B)
         assert seen == [[1]] * 4
 
     @settings(max_examples=25, deadline=None)
@@ -973,11 +971,11 @@ class TestBoundedMemory:
             return kernel(*a)
 
         monkeypatch.setattr(enumeration, "_count_r1_mobius", spy)
-        assert _count_r1(args, norms, mults) == (*want, [], [])
+        assert _count_r1(args, norms, mults) == want
         assert len(norms) > 3 * 64
         assert len(sizes) > 3 and max(sizes) <= 64
         sizes.clear()
-        assert _count_r1(args, norms[::-1], mults[::-1]) == (*want, [], [])
+        assert _count_r1(args, norms[::-1], mults[::-1]) == want
         assert len(sizes) > 3 and max(sizes) <= 64
         res = count_hk(CountRequest(X, L, Fraction(B), Region.GOOD_OPEN))
         assert (res.count, res.points_visited) == want
@@ -1127,7 +1125,7 @@ class TestSizeSelection:
         args = (X.fiber_weights, 1, L.lam, L.mu, p, q)
         norms, mults = enumeration._norm_histogram(1, iroot(p // q, L.mu))
         rows = enumeration._good_chunk_worker((*args, norms, mults))[1]
-        assert enumeration._r1_batch_band(*args)[0] == 1
+        assert enumeration._r1_batch_band(*args[1:])[0] == 1
         monkeypatch.setattr(enumeration, "_NUMPY_ROWS_MIN", rows + 1)
         assert enumeration._few_r1_rows(args, norms)
         monkeypatch.setattr(enumeration, "_NUMPY_ROWS_MIN", rows)
@@ -1257,14 +1255,9 @@ def _smax(args, m):
 
 
 def _check_r1(case, side):
-    """`_count_r1` plus the per-norm path on the norms it leaves, against
-    the per-norm path on every norm."""
+    """`_count_r1` against the per-norm path on every norm."""
     args, norms, mults = case
-    count, rows, big, big_mults = _count_r1(args, norms, mults)
-    assert big == [m for m in norms.tolist() if _smax(args, m) >= _T]
-    assert all(type(k) is int for k in big + big_mults)
-    c, v = _per_norm(args, big, big_mults)
-    assert (count + c, rows + v) == _per_norm(args, norms, mults)
+    assert _count_r1(args, norms, mults) == _per_norm(args, norms, mults)
     return {side(args, m, k) for m, k in zip(norms.tolist(), mults.tolist())}
 
 
