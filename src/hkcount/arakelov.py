@@ -120,7 +120,7 @@ _X0 = 3.0  # quadrature cutoff; phi decays like e^{-pi e^{-2x}} beyond it
 _GS_BETA = 2.001  # certified constant in phi(x) <= beta e^{-pi e^{-2x}}, x <= 0
 
 
-def _certified_tail(c: float, rank: int = 1) -> float:
+def _certified_tail(c: float, rank: int) -> float:
     """Bound on integral over x <= -X0 of e^{c x} ((1+phi)^rank - 1) dx.
 
     Using (1+phi)^rank - 1 <= rank (1+phi(-X0))^{rank-1} phi and
@@ -201,13 +201,21 @@ def quad(f, points) -> tuple[float, float]:
     return val, err
 
 
-def _quad_limit(val: float, quad_tol: float) -> float:
-    """The largest error estimate `_pic_integrals` accepts for a value."""
-    return max(quad_tol, 1e-8 * abs(val))
+# the quadrature tolerances of `xi_integral` (rank 1) and of the
+# rank-(n+1) identity check, and the tail bound of the latter's lhs zeta sum
+_XI_QUAD_TOL = 1e-10
+_IDENTITY_QUAD_TOL = 1e-9
+_IDENTITY_ZETA_TOL = 1e-6
 
 
-def _pic_integrals(c1: float, c2: float, rank: int,
-                   quad_tol: float) -> float:
+def _quad_limit(val: float, rank: int) -> float:
+    """The largest error estimate `_pic_integrals` accepts for a value of
+    this rank."""
+    tol = _XI_QUAD_TOL if rank == 1 else _IDENTITY_QUAD_TOL
+    return max(tol, 1e-8 * abs(val))
+
+
+def _pic_integrals(c1: float, c2: float, rank: int) -> float:
     """integral over [-inf, 0] of (e^{c1 x} + e^{c2 x}) ((1+phi)^rank - 1) dx,
     as tanh-sinh quadrature on [-X0, 0] plus certified tails."""
     def integrand(x: float) -> float:
@@ -221,13 +229,13 @@ def _pic_integrals(c1: float, c2: float, rank: int,
     peaks = sorted({max(-_X0 + 1e-9, -0.5 * math.log(-c / (2.0 * math.pi)))
                     for c in (c1, c2) if c < -2.0 * math.pi})
     val, err = quad(integrand, [-_X0, *peaks, 0.0])
-    if err > _quad_limit(val, quad_tol):
+    if err > _quad_limit(val, rank):
         raise QuadratureFailure(
             f"quadrature error estimate {err:.3e} exceeds tolerance")
     return val + _certified_tail(c1, rank) + _certified_tail(c2, rank)
 
 
-def xi_integral(s: float, quad_tol: float = 1e-10) -> float:
+def xi_integral(s: float) -> float:
     """2 xi(s) through its integral representation, s > 1:
 
         2 xi(s) = int_{-inf}^0 (e^{-s x} + e^{(s-1) x}) phi(x) dx
@@ -238,17 +246,10 @@ def xi_integral(s: float, quad_tol: float = 1e-10) -> float:
     """
     if s <= 1:
         raise ValueError(f"xi_integral needs s > 1, got {s}")
-    return _pic_integrals(-s, s - 1.0, 1, quad_tol) + 1.0 / (s - 1.0) - 1.0 / s
+    return _pic_integrals(-s, s - 1.0, 1) + 1.0 / (s - 1.0) - 1.0 / s
 
 
-# the tail bound of the lhs zeta sum, and the quadrature tolerance, of the
-# rank-(n+1) identity check
-_IDENTITY_ZETA_TOL = 1e-6
-_IDENTITY_QUAD_TOL = 1e-9
-
-
-def prop5_identity_check(n: int, s: float, quad_tol: float = _IDENTITY_QUAD_TOL
-                         ) -> tuple[float, float, float]:
+def prop5_identity_check(n: int, s: float) -> tuple[float, float, float]:
     """Check the rank-(n+1) integral identity for the height zeta of P^n:
 
       lhs = 2 xi(s) Z_{P^n}(s)
@@ -269,7 +270,7 @@ def prop5_identity_check(n: int, s: float, quad_tol: float = _IDENTITY_QUAD_TOL
     except TooCloseToPoleError:
         z = zetaP_theta(n, s)
     lhs = 2.0 * xi_K(s) * z
-    rhs = (_pic_integrals(-s, s - (n + 1.0), n + 1, quad_tol)
+    rhs = (_pic_integrals(-s, s - (n + 1.0), n + 1)
            + 1.0 / (s - (n + 1.0)) - 1.0 / s)
     return lhs, rhs, lhs - rhs
 
@@ -282,7 +283,7 @@ def prop5_identity_tolerance(n: int, s: float, rhs: float) -> float:
     to the pole, is far closer than the tail bound."""
     integral = rhs - 1.0 / (s - (n + 1.0)) + 1.0 / s
     return (2.0 * xi_K(s) * _IDENTITY_ZETA_TOL
-            + _quad_limit(integral, _IDENTITY_QUAD_TOL) + 4.0 * math.ulp(rhs))
+            + _quad_limit(integral, n + 1) + 4.0 * math.ulp(rhs))
 
 
 def maruyama_residue_check() -> float:

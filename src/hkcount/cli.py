@@ -5,7 +5,8 @@ Exit codes: 0 success; 2 argument/parse error (argparse convention), or
 a value beyond reach (a zeta next to its pole or past the double range,
 a bound whose sieve or histogram table cannot be allocated);
 3 requested count is infinite (non-big bundle on the requested region);
-4 a verification suite reported a failure.
+4 a verification suite reported a failure.  `_refuse` prints the one
+stderr line of every exit 2 or 3 that argparse itself does not.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .constants import (
     QQ,
     AsymptoticPrediction,
     DomainError,
+    FieldGapError,
     FieldInvariants,
     L_minus4,
     TooCloseToPoleError,
@@ -133,9 +135,7 @@ def _default_threads(value: Optional[int]) -> int:
         try:
             return _parse_threads(env)
         except argparse.ArgumentTypeError as exc:
-            # argparse's convention for a bad argument: one line, exit 2
-            print(f"hkcount: error: HKCOUNT_THREADS: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_PARSE) from None
+            raise SystemExit(_refuse(exc, "HKCOUNT_THREADS")) from None
     return os.cpu_count() or 1
 
 
@@ -145,24 +145,29 @@ def _field(args) -> FieldInvariants:
     try:
         return load_invariants(args.field)
     except (OSError, ValueError) as exc:
-        # argparse's convention for a bad argument: one line, exit 2
-        print(f"hkcount: error: --field: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE) from None
+        raise SystemExit(_refuse(exc, "--field")) from None
 
 
-def _field_gap(exc: DomainError) -> int:
-    """A value the command needs that the --field file does not supply (a
-    zeta_K sample, or a height zeta over a field other than Q): one line,
-    exit 2, as for a bad file."""
-    print(f"hkcount: error: --field: {exc}", file=sys.stderr)
-    return EXIT_PARSE
-
-
-def _beyond_reach(exc: MemoryError) -> int:
-    """A bound whose sieve or histogram table cannot be allocated: one
-    line, exit 2."""
-    print(f"error: bound beyond reach: {exc or 'out of memory'}",
-          file=sys.stderr)
+def _refuse(exc: BaseException, arg: Optional[str] = None) -> int:
+    """Print the one stderr line of a refused request and return its exit
+    code.  A class that is not big on the region gives 3 (`infinite: ...`).
+    Everything else gives 2: a bad value of argument `arg`, or one that the
+    --field file does not supply (`FieldGapError`), takes argparse's
+    `hkcount: error: ARG: ...`; a table that cannot be allocated,
+    `error: bound beyond reach: ...`; any other value beyond reach (a pole,
+    the double range), `error: ...`."""
+    if isinstance(exc, NotBigError):
+        print(f"infinite: {exc}", file=sys.stderr)
+        return EXIT_INFINITE
+    if isinstance(exc, FieldGapError):
+        arg = "--field"
+    if arg is not None:
+        line = f"hkcount: error: {arg}: {exc}"
+    elif isinstance(exc, MemoryError):
+        line = f"error: bound beyond reach: {str(exc) or 'out of memory'}"
+    else:
+        line = f"error: {exc}"
+    print(line, file=sys.stderr)
     return EXIT_PARSE
 
 
@@ -192,14 +197,9 @@ def cmd_predict(args) -> int:
     try:
         main = predict(X, L, inv)
         strata = stratum_predictions(X, L, inv)
-    except NotBigError as exc:
-        print(f"infinite: {exc}", file=sys.stderr)
-        return EXIT_INFINITE
-    except DomainError as exc:
-        return _field_gap(exc)
-    except (OverflowError, TooCloseToPoleError) as exc:  # one line, as zeta
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except (NotBigError, DomainError, OverflowError,
+            TooCloseToPoleError) as exc:
+        return _refuse(exc)
     chain = []
     for sp in strata:
         entry = {
@@ -239,11 +239,8 @@ def cmd_count(args) -> int:
                 print(format_point(pt))
             return EXIT_OK
         res = count_hk(req)
-    except NotBigError as exc:
-        print(f"infinite: {exc}", file=sys.stderr)
-        return EXIT_INFINITE
-    except MemoryError as exc:
-        return _beyond_reach(exc)
+    except (NotBigError, MemoryError) as exc:
+        return _refuse(exc)
     payload = {"variety": str(X), "bundle": str(L), "B": str(args.B),
                "region": region.value, "count": res.count,
                "elapsed": res.elapsed}
@@ -260,20 +257,15 @@ def cmd_sweep(args) -> int:
     threads = _default_threads(args.threads)
     inv = _field(args)
     try:
-        prediction = (None if args.no_predict
-                      else region_prediction(X, L, region, inv))
-    except (TooCloseToPoleError, OverflowError):
-        prediction = None
-    except DomainError as exc:
-        return _field_gap(exc)
-    try:
+        try:  # a prediction beyond reach leaves the columns empty
+            prediction = (None if args.no_predict
+                          else region_prediction(X, L, region, inv))
+        except (TooCloseToPoleError, OverflowError):
+            prediction = None
         rows = sweep(CountRequest(X, L, args.grid[0], region=region,
                                   threads=threads), args.grid, prediction)
-    except NotBigError as exc:
-        print(f"infinite: {exc}", file=sys.stderr)
-        return EXIT_INFINITE
-    except MemoryError as exc:
-        return _beyond_reach(exc)
+    except (NotBigError, DomainError, MemoryError) as exc:
+        return _refuse(exc)
     if args.format == "json":
         print(json.dumps([{**r, "B": str(r["B"])} for r in rows], indent=2))
     elif args.format == "text":
@@ -295,11 +287,8 @@ def cmd_tables(args) -> int:
     try:
         hz = hirzebruch_table(inv)
         intro = threefold_intro(inv)
-    except DomainError as exc:
-        return _field_gap(exc)
-    except OverflowError as exc:  # one line, as predict
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except (DomainError, OverflowError) as exc:
+        return _refuse(exc)
     cases = threefold_cases()
     payload = {
         "hirzebruch": [{**row, "a_l": str(row["a_l"])} for row in hz],
@@ -343,8 +332,7 @@ def cmd_zeta(args) -> int:
         else:
             val = L_minus4(args.s)
     except (ValueError, OverflowError, TooCloseToPoleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _refuse(exc)
     payload = {"what": args.what, "m": args.m, "s": args.s, "value": val}
     _emit(args, payload, [f"{val!r}"])
     return EXIT_OK

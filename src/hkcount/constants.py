@@ -61,6 +61,11 @@ class DomainError(ValueError):
     """Argument outside the convergence domain of the evaluator."""
 
 
+class FieldGapError(DomainError):
+    """A value that the field's invariants do not supply: a zeta_K sample
+    the invariants file lacks, or a height zeta over a field other than Q."""
+
+
 class TooCloseToPoleError(ArithmeticError):
     """The requested tolerance is unreachable this close to a pole."""
 
@@ -152,7 +157,7 @@ def load_invariants(path: str) -> FieldInvariants:
             for key, val in _table.items():
                 if abs(key - s) < 1e-9:
                     return val
-            raise DomainError(f"no zetaK sample provided for s = {s}")
+            raise FieldGapError(f"no zetaK sample provided for s = {s}")
     return FieldInvariants(**args, zeta_k=zeta_k)
 
 
@@ -569,7 +574,7 @@ def _zp(zeta_proj: Optional[Callable[[int, float], float]],
     if zeta_proj is not None:
         return zeta_proj(m, s)
     if inv.zeta_k is not None:
-        raise DomainError(
+        raise FieldGapError(
             "projective height zeta values over a general field must be "
             "supplied via zeta_proj")
     return zetaP_best(m, s)

@@ -1033,19 +1033,14 @@ def sweep(req: CountRequest, grid: Sequence[Union[int, Fraction]],
 def estimate_exponent(table: Sequence, exponent: Optional[float] = None) -> ExponentFit:
     """Log-log slope plus a two-parameter fit N ~ C B^a log B + C2 B^a.
 
-    `table` rows are (B, count) pairs or dicts with those keys.  The slope
-    comes from least squares on (log B, log N); the two-parameter fit uses
-    the given exponent `a` (default: slope rounded to the nearest integer)
-    and returns C as log_coefficient and C2 as coefficient.
+    `table` rows are (B, count) pairs.  The slope comes from least squares
+    on (log B, log N); the two-parameter fit uses the given exponent `a`
+    (default: slope rounded to the nearest integer) and returns C as
+    log_coefficient and C2 as coefficient.
     """
     import numpy as np
 
-    pairs = []
-    for row in table:
-        if isinstance(row, dict):
-            pairs.append((float(row["B"]), float(row["count"])))
-        else:
-            pairs.append((float(row[0]), float(row[1])))
+    pairs = [(float(b), float(n)) for b, n in table]
     if len(pairs) < 4:
         raise DegenerateFitError("need at least 4 grid points")
     bs = np.array([b for b, _ in pairs])

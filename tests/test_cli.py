@@ -267,6 +267,15 @@ class TestInputErrors:
         assert err.startswith("error: bound beyond reach: ")
         assert err.count("\n") == 1
 
+    def test_allocator_refusal_without_a_message(self, capsys, monkeypatch):
+        # a list the allocator refuses raises a MemoryError with no text
+        def refuse(req):
+            raise MemoryError()
+        monkeypatch.setattr(hkcount.cli, "count_hk", refuse)
+        assert run(capsys, "count", "--variety", "1,2:1", "--B", "5",
+                   "--threads", "1") == (
+            EXIT_PARSE, "", "error: bound beyond reach: out of memory\n")
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     @pytest.mark.parametrize("argv", [
         ["count", "--variety", "1,2:1", "--B", "5"],
@@ -313,7 +322,9 @@ class TestInputErrors:
         (["predict", "--variety", "1,2:1", "--bundle", "1,3"], "zeta_proj"),
         (["sweep", "--variety", "1,2:1", "--bundle", "1,3", "--grid", "2,4",
           "--threads", "1"], "zeta_proj"),
-    ], ids=["tables", "predict", "sweep"])
+        (["zeta", "--what", "xi", "--s", "3"],
+         "no zetaK sample provided for s = 3.0"),
+    ], ids=["tables", "predict", "sweep", "zeta"])
     def test_field_lacks_a_needed_value(self, capsys, tmp_path, argv, message):
         path = tmp_path / "field.txt"
         path.write_text(self.README_FIELD)
@@ -340,6 +351,96 @@ class TestInputErrors:
         code, out, err = run(capsys, "predict", "--variety", "1,2:1",
                              "--field", str(path))
         assert (code, err) == (EXIT_OK, "") and "C = " in out
+
+
+@st.composite
+def _varieties(draw):
+    # t = 1 is not a variety; argparse refuses it
+    r, t = draw(st.integers(1, 3)), draw(st.sampled_from([2, 3, 2, 3, 1]))
+    a = sorted(draw(st.lists(st.integers(0, 4), min_size=r, max_size=r)))
+    return ["--variety", f"{r},{t}:{','.join(map(str, a))}"]
+
+
+def _bounds(top):
+    """Positive integers and fractions up to `top`, and three bad bounds."""
+    fractions = st.integers(1, 3).flatmap(
+        lambda q: st.integers(1, top * q).map(lambda p: f"{p}/{q}"))
+    return st.one_of(st.integers(1, top).map(str), fractions,
+                     st.integers(1, top).map(str),
+                     st.sampled_from(["0", "-1", "x"]))
+
+
+def _opt(*choices):
+    return st.sampled_from([list(c) for c in choices])
+
+
+_BUNDLES = st.one_of(st.just([]), st.tuples(
+    st.integers(-3, 9), st.integers(-3, 9)).map(
+        lambda b: [f"--bundle={b[0]},{b[1]}"]))
+_REGION = _opt(["--region", "u"], ["--region", "x"], ["--region", "f"])
+# one worker, or a bad count: no process pool forks inside pytest
+_THREADS = _opt(["--threads", "1"], ["--threads", "1"], ["--threads", "0"])
+_JSON = _opt([], ["--format", "json"])
+_FIELD = _opt([], ["--field", "FIELD"])
+_GRIDS = st.lists(st.integers(1, 20), min_size=1, max_size=3,
+                  unique=True).map(lambda g: ",".join(map(str, sorted(g))))
+
+# one command at a time, each about as often as the others
+_ARGVS = st.sampled_from([
+    st.tuples(st.just(["predict"]), _varieties(), _BUNDLES, _FIELD, _JSON),
+    st.tuples(st.just(["count"]), _varieties(), _BUNDLES, _REGION, _THREADS,
+              _bounds(12).map(lambda b: ["--B", b]), _JSON),
+    st.tuples(st.just(["count", "--stream"]), _varieties(), _BUNDLES, _REGION,
+              _THREADS, _bounds(6).map(lambda b: ["--B", b])),
+    st.tuples(st.just(["sweep"]), _varieties(), _BUNDLES, _REGION, _THREADS,
+              _GRIDS.map(lambda g: ["--grid", g]), _FIELD,
+              _opt([], ["--format", "json"], ["--format", "text"])),
+    st.tuples(st.just(["zeta"]),
+              st.sampled_from(["zetaP", "zeta", "xi", "L4"]).map(
+                  lambda w: ["--what", w]),
+              st.integers(-2, 5).map(lambda m: ["--m", str(m)]),
+              st.floats(-1e308, 1e308).map(lambda s: ["--s", repr(s)]),
+              _opt([], ["--numeric", "--tol", "1e-3"]), _FIELD, _JSON),
+    st.tuples(st.just(["tables"]), _FIELD, _JSON),
+]).flatmap(lambda command: command).map(
+    lambda parts: [tok for part in parts for tok in part])
+
+
+class TestRefusalContract:
+    """Random small argv through `main`: every run answers, or refuses
+    with a documented exit code and one stderr line."""
+
+    @pytest.fixture(scope="class")
+    def field_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("field") / "field.txt"
+        path.write_text(TestInputErrors.README_FIELD)
+        return str(path)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(_ARGVS)
+    def test_every_exit_is_documented(self, field_path, argv):
+        argv = [field_path if tok == "FIELD" else tok for tok in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse, or a bad --field file
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_INFINITE, EXIT_VERIFY)
+        err = err.getvalue()
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        if lines and lines[0].startswith("usage:"):
+            # argparse's usage block: its first line and indented ones
+            lines = lines[1:]
+            while lines and lines[0].startswith(" "):
+                lines = lines[1:]
+        if code in (EXIT_PARSE, EXIT_INFINITE):
+            assert len(lines) == 1
+        elif code == EXIT_OK:
+            assert err == ""
+            if "json" in argv and "--stream" not in argv:
+                json.loads(out.getvalue())
 
 
 class TestSweep:

@@ -253,6 +253,7 @@ class TestPrimitives:
 
 
 def _stream_histogram(dim, n2max):
+    """Norm^2 histogram of the per-vector `_canonical_vectors` stream."""
     counts: dict[int, int] = {}
     for _, m in _canonical_vectors(dim, n2max):
         counts[m] = counts.get(m, 0) + 1
@@ -810,14 +811,6 @@ class TestBatchedFiberStep:
                                         Region.GOOD_OPEN, threads))
             assert res.count == expected
             assert time.perf_counter() - t0 < 5.0
-
-
-def _stream_histogram(dim, n2max):
-    """Norm^2 histogram of the per-vector `_canonical_vectors` stream."""
-    hist: dict[int, int] = {}
-    for _, m in _canonical_vectors(dim, n2max):
-        hist[m] = hist.get(m, 0) + 1
-    return hist
 
 
 def _gcd_reference(fibers):
