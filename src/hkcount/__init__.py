@@ -37,7 +37,6 @@ from .enumeration import (
     count_hk,
     count_projective_moebius,
     enum_hk_points,
-    estimate_exponent,
     sweep,
 )
 from .constants import (

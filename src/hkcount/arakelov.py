@@ -202,7 +202,7 @@ def quad(f, points) -> tuple[float, float]:
 
 
 # the quadrature tolerances of `xi_integral` (rank 1) and of the
-# rank-(n+1) identity check, and the tail bound of the latter's lhs zeta sum
+# rank-(n+1) identity check, and the error bound of the latter's lhs zeta sum
 _XI_QUAD_TOL = 1e-10
 _IDENTITY_QUAD_TOL = 1e-9
 _IDENTITY_ZETA_TOL = 1e-6
@@ -277,10 +277,10 @@ def prop5_identity_check(n: int, s: float) -> tuple[float, float, float]:
 
 def prop5_identity_tolerance(n: int, s: float, rhs: float) -> float:
     """How far `prop5_identity_check(n, s)` may miss, given its rhs:
-    2 xi(s) times the absolute tail bound of the lhs zeta sum, plus the
+    2 xi(s) times the absolute error bound of the lhs zeta sum, plus the
     quadrature's acceptance threshold on the rhs integral, plus 4 ulps of
     the rhs for the rounding of the two sums.  The theta route, taken next
-    to the pole, is far closer than the tail bound."""
+    to the pole, is far closer than the error bound."""
     integral = rhs - 1.0 / (s - (n + 1.0)) + 1.0 / s
     return (2.0 * xi_K(s) * _IDENTITY_ZETA_TOL
             + _quad_limit(integral, n + 1) + 4.0 * math.ulp(rhs))

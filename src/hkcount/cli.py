@@ -321,6 +321,10 @@ def cmd_tables(args) -> int:
 
 def cmd_zeta(args) -> int:
     inv = _field(args)
+    if args.field and args.what != "xi":
+        return _refuse(FieldGapError(
+            f"--what {args.what} is evaluated over Q only; --what xi reads "
+            "the field"))
     try:
         if args.what == "zetaP":
             val = (zetaP_numeric(args.m, args.s, args.tol)

@@ -15,9 +15,9 @@ The height zeta function of P^m over Q,
     Z_{P^m}(s) = sum over P in P^m(Q) of H(P)^{-s},
 
 has three independent evaluation routes:
-  * zetaP_numeric -- direct summation over enumerated points with a
-    rigorous Schanuel-type tail bound (slow; raises TooCloseToPoleError
-    when the tail cannot be controlled within the work budget);
+  * zetaP_numeric -- direct summation over enumerated points plus
+    Schanuel's main term of the tail, with a rigorous bound on the rest
+    (raises TooCloseToPoleError past the work budget);
   * zetaP1_closed -- the closed form 2 zeta(s/2) L_{-4}(s/2) / zeta(s)
     for m = 1 (note Z_{P^1}(s) -> 2 as s -> infinity: exactly the two
     height-1 points [1:0] and [0:1] survive, which pins the additive
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .enumeration import _primitive_norm_blocks
+from .enumeration import _numpy_walk, _orbit_fold, _primitive_norm_blocks
 from .geometry import (
     CaseTag,
     HKVariety,
@@ -264,6 +264,13 @@ def xi_K(s: float, inv: FieldInvariants = QQ) -> float:
 _ZP_BUDGET = 20_000_000  # max points the direct summation may enumerate
 
 
+def _log_half_vk(k: int) -> float:
+    """log(V_k / 2), V_k = pi^(k/2) / Gamma(k/2 + 1) the volume of the unit
+    ball of R^k."""
+    return (k / 2.0 * math.log(math.pi) - math.lgamma(k / 2.0 + 1.0)
+            - math.log(2.0))
+
+
 def _log_kappa(k: int, x: float) -> float:
     """log kappa(X), a safe over-estimate with N(P^{k-1}, H) <= kappa(X) H^k
     for every H >= X >= 2; finite for every k, and for X = inf.
@@ -282,73 +289,111 @@ def _log_kappa(k: int, x: float) -> float:
     """
     r = math.sqrt(k) / x
     log_a = k * math.log1p(r / 2.0)
-    log_half_vk = (k / 2.0 * math.log(math.pi) - math.lgamma(k / 2.0 + 1.0)
-                   - math.log(2.0))
+    log_half_vk = _log_half_vk(k)
     if r >= 1.0:
         return log_half_vk + log_a
     log_b = k * (math.log1p(-r) - math.log(2.0))
     return log_half_vk + log_a + math.log1p(-math.exp(log_b - log_a))
 
 
-# The bound X of `zetaP_numeric` aims at a tail of tol e^-_X_MARGIN, so that
-# rounding in the logarithms cannot push the certified tail above tol.
+# The bound X of `zetaP_numeric` aims at an error of tol e^-_X_MARGIN, so
+# that rounding in the logarithms cannot push the certified bound above tol.
 _X_MARGIN = 1e-9
-_X_STEPS = 5  # odd: every odd step of the decreasing map stays above its root
+
+
+def _zeta_k(k: int) -> tuple[float, float]:
+    """(z, h) with |zeta(k) - z| <= h, for an integer k >= 2, without
+    `zeta`: pi^2 / 6 for k = 2, else the sum of d^-k over d <= D = 1000,
+    whose tail lies between (D + 1)^(1-k) / (k - 1) and D^(1-k) / (k - 1);
+    z is the middle.  h adds 2^-50 for rounding."""
+    if k == 2:
+        return math.pi ** 2 / 6.0, 2.0 ** -50
+    d = 1000
+    lo, hi = ((x ** (1 - k) / (k - 1)) for x in (d + 1.0, float(d)))
+    head = math.fsum(n ** -float(k) for n in range(1, d + 1))
+    return head + (lo + hi) / 2.0, (hi - lo) / 2.0 + 2.0 ** -50
+
+
+def _zetaP_error(k: int, s: float) -> Callable[[float], float]:
+    """log R(log X), R bounding |Z_{P^(k-1)}(s) - (the sum to height X) -
+    (Schanuel's main term c k / (s - k) X^(k-s), c = V_k / (2 zeta(k)))|
+    for every X >= 2.  Abel summation over N(H) = c H^k + E(H) leaves
+    -E(X) X^-s + s int_X^inf E(H) H^(-s-1) dH.  The unit cubes of the
+    nonzero vectors of norm <= h lie in the ball of radius h + delta, delta
+    = sqrt(k) / 2, and cover the one of radius h - delta, so their count is
+    V_k h^k within V_k ((h + delta)^k - h^k) + 1; Mobius over the gcd then
+    gives |E(H)| <= F(H) = (1/2) [sum_{j=1..k} V_k binom(k, j) delta^j
+    H^(k-j) S_(k-j)(H) + H + V_k (1 + H / (k - 1))], S_i(H) = sum_{d <= H}
+    d^-i at most H, 1 + log H or i / (i - 1).  A term a H^p of F adds
+    a X^(p-s) (1 + q), q = s / (s - p), to R, a term a H^p log H adds
+    a X^(p-s) ((1 + q) log X + q / (s - p)), and the error h of `_zeta_k`
+    adds (V_k / 2) h k / (s - k) X^(k-s).  All in logarithms."""
+    log_hv = _log_half_vk(k)
+    log_delta = 0.5 * math.log(k) - math.log(2.0)
+    j1 = log_hv + math.log(k) + (k - 1) * log_delta  # j = k - 1: S_1
+    # (log a, p, with log H) of each term of F
+    terms = [(log_hv + k * log_delta, 1, False), (math.log(0.5), 1, False),
+             (log_hv, 0, False), (log_hv - math.log(k - 1), 1, False),
+             (j1, 1, False), (j1, 1, True)] + [
+        (log_hv + math.log(math.comb(k, j)) + math.log((k - j) / (k - j - 1))
+         + j * log_delta, k - j, False) for j in range(1, k - 1)]
+    log_zeta_err = log_hv + math.log(_zeta_k(k)[1]) + math.log(k / (s - k))
+
+    def log_error(log_x: float) -> float:
+        logs = [log_zeta_err + (k - s) * log_x]
+        for log_a, p, with_log in terms:
+            q = s / (s - p)
+            factor = (1.0 + q) * log_x + q / (s - p) if with_log else 1.0 + q
+            logs.append(log_a + (p - s) * log_x + math.log(factor))
+        top = max(logs)
+        if top == -math.inf:
+            return top
+        return top + math.log(math.fsum(math.exp(v - top) for v in logs))
+
+    return log_error
 
 
 def _zetaP_n2max(m: int, s: float, tol: float) -> int:
-    """The summation bound n2max = ceil(X^2) of `zetaP_numeric`: the points
-    of height <= X, whose tail kappa(X) s / (s - k) X^(k - s), k = m + 1,
-    is at most tol.
-
-    X solves X = (kappa(X) s / ((s - k) tol))^(1/(s - k)), clamped at X >= 2,
-    by _X_STEPS fixed-point steps from X = 2; the first step gives the X of
-    kappa(2).  The map decreases in X (kappa does), so its odd steps stay
-    above the root and every one of them meets the tail bound.  All of it
-    runs in logarithms, since X and the point count overflow near the pole.
-    Raises TooCloseToPoleError when the points up to X, at most
-    kappa(X) (X + 1)^k, pass _ZP_BUDGET.  Before returning, checks the tail
-    at sqrt(n2max) in log space.
-    """
+    """The summation bound n2max = ceil(X^2) of `zetaP_numeric`: the
+    smallest X >= 2 (to 1e-12 in log X) whose certified error
+    `_zetaP_error` is at most tol, by bisection in log X, which the
+    decreasing bound allows.  Raises TooCloseToPoleError when the points
+    up to X, at most kappa(X) (X + 1)^k, k = m + 1 (`_log_kappa`), pass
+    _ZP_BUDGET.  Before returning, checks the bound at sqrt(n2max)."""
     k = m + 1
-    excess = s - k  # > 0
-    log_c = math.log(s) - math.log(excess) - math.log(tol)
-
-    def log_kappa(log_x: float) -> float:
-        # kappa decreases, so its value at the capped X bounds any X beyond
-        return _log_kappa(k, math.exp(min(log_x, 700.0)))
-
-    def log_tail(log_x: float) -> float:  # log(tail / tol)
-        return log_kappa(log_x) + log_c - excess * log_x
-
-    log_x = math.log(2.0)
-    for _ in range(_X_STEPS):
-        log_x = max(log_x + (log_tail(log_x) + _X_MARGIN) / excess,
-                    math.log(2.0))
-    log_points = log_kappa(log_x) + k * (log_x + math.log1p(math.exp(-log_x)))
+    log_error = _zetaP_error(k, s)
+    target = math.log(tol) - _X_MARGIN
+    lo = hi = math.log(2.0)
+    while log_error(hi) > target:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (lo, mid) if log_error(mid) <= target else (mid, hi)
+    log_points = (_log_kappa(k, math.exp(min(hi, 700.0)))
+                  + k * (hi + math.log1p(math.exp(-hi))))
     if log_points > math.log(_ZP_BUDGET):
         raise TooCloseToPoleError(
             f"direct summation of Z_(P^{m})({s}) to tol {tol} needs ~"
             f"10^{log_points / math.log(10):.1f} points; over budget {_ZP_BUDGET}")
-    n2max = math.ceil(math.exp(2.0 * log_x))
-    if log_tail(0.5 * math.log(n2max)) > 0.0:
-        raise ArithmeticError(f"tail bound of Z_(P^{m})({s}) at n2max "
+    n2max = math.ceil(math.exp(2.0 * hi))
+    if log_error(0.5 * math.log(n2max)) > math.log(tol):
+        raise ArithmeticError(f"error bound of Z_(P^{m})({s}) at n2max "
                               f"{n2max} is above tol {tol}")
     return n2max
 
 
 def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
-    """Z_{P^m}(s) by direct summation with a rigorous tail bound.
+    """Z_{P^m}(s) by direct summation plus the main term of its tail.
 
-    The partial sum over points of height <= X misses at most
-    kappa(X) s / (s - m - 1) X^{m+1-s}; `_zetaP_n2max` chooses X to push
-    that below `tol`, with kappa(X) taken at the summation bound itself
-    (`_log_kappa`).  Raises TooCloseToPoleError when the required X implies
-    more points than the work budget allows.  The points come from the
-    enumeration module's primitive-vector walk, one int64 block of
-    (norms^2, weights) at a time: a representative of each orbit under
-    signs and permutations, weighted by the number of points in it.  Each
-    block adds sum w * norm^(-s/2) in float64.
+    The points of height <= X = sqrt(n2max) are summed, and the tail is
+    Schanuel's main term c k / (s - k) X^(k-s), k = m + 1, c =
+    V_k / (2 zeta(k)) (Schanuel 1979), zeta(k) from `_zeta_k`, never from
+    `zeta`.  The certified error of the rest (`_zetaP_error`) is
+    O(X^(k-1-s) log X), and `_zetaP_n2max` takes X where it meets `tol`,
+    or raises TooCloseToPoleError past the work budget.  The points come
+    from the primitive-vector walk of the base histogram, one weighted
+    representative per orbit (numpy blocks, or `_orbit_fold` for a small
+    walk); fsum adds the terms w * norm^(-s/2).
     """
     if m == -1:
         return 0.0
@@ -358,10 +403,16 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
         raise DomainError("m must be >= -1")
     if s <= m + 1:
         raise DomainError(f"Z_(P^{m}) diverges for s <= {m + 1}")
-    total = 0.0
-    for norms, weights in _primitive_norm_blocks(m + 1, _zetaP_n2max(m, s, tol)):
-        total += float((weights * norms ** (-0.5 * s)).sum())
-    return total
+    k = m + 1
+    n2max = _zetaP_n2max(m, s, tol)
+    if _numpy_walk(m, n2max):
+        terms = (float((w * v ** (-0.5 * s)).sum())
+                 for v, w in _primitive_norm_blocks(k, n2max))
+    else:
+        terms = (w * v ** (-0.5 * s) for v, w in _orbit_fold(k, n2max))
+    main = math.exp(_log_half_vk(k) - math.log(_zeta_k(k)[0])
+                    + math.log(k / (s - k)) + (k - s) / 2.0 * math.log(n2max))
+    return math.fsum(terms) + main
 
 
 def zetaP1_closed(s: float) -> float:
@@ -403,8 +454,8 @@ def _height_one_dominates(m: int, s: float) -> bool:
     With k = m + 1, the heights in [sqrt 2, 2] belong to at most
     N(P^m, 2) <= kappa(2) 2^k points (`_log_kappa` at X = 2), each adding at
     most 2^(-s/2); the heights above 2 add at most
-    kappa(2) s / (s - k) 2^(k - s), the tail bound of `zetaP_numeric` at
-    X = 2.  For k >= 4, kappa(2) is V_k (1 + sqrt(k)/4)^k / 2, half the
+    kappa(2) s / (s - k) 2^(k - s) by Abel summation over that count.
+    For k >= 4, kappa(2) is V_k (1 + sqrt(k)/4)^k / 2, half the
     bound on all nonzero vectors; for k = 2 and 3 the multiples of 2 lower
     it.  The test runs in logarithms, so it holds up to the largest
     double s.

@@ -9,29 +9,29 @@ a diagonal form sum c_i y_i^2 <= S: with unit weights
 (`_canonical_vectors`) the base points of P^(t-1), with the fiber
 weights the fiber points of the `enum_hk_points` stream.
 
-The histogram of a large base comes from the folded walk over canonical
-primitive vectors (`_primitive_norm_blocks`); a small one comes from the
-per-vector `_canonical_vectors` stream.  Norm^2 and gcd do not change
-under signs and permutations of the coordinates, so the block walk
-visits one representative per orbit, the nondecreasing vectors
-0 <= u_1 <= ... <= u_dim, and weights each by the number of canonical
-vectors in its orbit.  It runs depth-first over the leading coordinates
-and expands each coordinate for a whole batch of prefixes at once with
-numpy, so it yields int64 blocks of at most about _CHUNK
-(norms^2, weights) and never holds every prefix.  Each representative
-gets its own np.gcd test, and its weight is the closed-form size of its
-orbit: the walk still enumerates the primitive vectors themselves, and
-shares no code with the Mobius sieve over `_ball_count` it is checked
-against, which counts every lattice point of a ball and never tests a
-gcd.  zetaP_numeric sums w * norm^(-s/2) over the same blocks, and
-count_enum_projective sums the weights.  The unfolded stream stays the
-small-walk path and the reference the fold is tested against.  A count
-takes the histogram as a pair (norms, mults) from `_norm_histogram`:
-int64 arrays gathered from the blocks' np.add.at histogram (an int32
-table wherever its entries provably fit) reach the fiber step without a
-dict, and a small walk gives the same pair as lists
-of Python ints.  `projective_norm_histogram` is the dict of that pair,
-for the oracles and the tests.
+The histogram of a base comes from a folded walk over canonical
+primitive vectors.  Norm^2 and gcd do not change under signs and
+permutations of the coordinates, so the walk visits one representative
+per orbit, the nondecreasing vectors 0 <= u_1 <= ... <= u_dim, tests its
+gcd and weights it by the number of canonical vectors in its orbit: it
+still enumerates the primitive vectors themselves, and shares no code
+with the Mobius sieve over `_ball_count` it is checked against, which
+counts every lattice point of a ball and never tests a gcd.  A large
+walk runs in numpy (`_primitive_norm_blocks`): depth-first over the
+leading coordinates, each coordinate expanded for a whole batch of
+prefixes at once, so it yields int64 blocks of at most about _CHUNK
+(norms^2, weights) and never holds every prefix.  A small one runs in
+Python ints (`_orbit_fold`), one representative at a time.
+zetaP_numeric sums w * norm^(-s/2) over the same walk, and
+count_enum_projective sums the histogram.  The unfolded
+`_canonical_vectors` stream fixes the order of `enum_hk_points` and is
+the reference both folds are tested against.  A count takes the
+histogram as a pair (norms, mults) from `_norm_histogram`: int64 arrays
+gathered from the blocks' np.add.at histogram (an int32 table wherever
+its entries provably fit) reach the fiber step without a dict, and the
+Python fold gives the same pair as lists of Python ints.
+`projective_norm_histogram` is the dict of that pair, for the oracles
+and the tests.
 
 Counts on P^n, and so every F count, come from the Mobius sieve over
 lattice balls (Schanuel 1979): twice N(P^n) is sum over d of
@@ -72,9 +72,9 @@ from a power of two); no floating point enters any count.
 numpy is imported inside the functions that use it, and the process
 pool only on the pooled branch, so importing this module costs neither.
 A count loads numpy only when an array step has enough work to repay
-the import (about 0.07 s with the one BLAS thread the CLI sets).  A walk
-bounded by fewer than _NUMPY_WALK_MIN vectors takes the
-`_canonical_vectors` stream.  Over such a base, an r = 1 count whose
+the import (about 0.05 s with the one BLAS thread the CLI sets).  A walk
+of fewer than about _NUMPY_WALK_MIN orbit representatives (`_numpy_walk`)
+takes the Python fold.  Over such a base, an r = 1 count whose
 fibers with S_max < 2^62 have fewer than _NUMPY_ROWS_MIN y_0 rows is
 counted per norm by `_count_r1` (`_few_r1_rows`), before numpy loads;
 it reads which walk was taken off the histogram's type (lists or
@@ -97,19 +97,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import gcd, isqrt, log
+from math import factorial, gamma, gcd, isqrt, log, pi
 from operator import mul
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .geometry import HKVariety, LineBundleClass, ProjectiveSpace, Stratum, require_big
 from .heights import HKRationalPoint, ProjectivePoint, Region, height_L_sq, region_strata
-
-
-class DegenerateFitError(ValueError):
-    """Not enough (or collinear) data for the requested fit."""
 
 
 @dataclass(frozen=True)
@@ -136,13 +132,6 @@ class CountResult:
     count: int
     elapsed: float
     points_visited: int
-
-
-@dataclass(frozen=True)
-class ExponentFit:
-    slope: float
-    log_coefficient: float
-    coefficient: float  # the companion pure-power coefficient of the 2-param fit
 
 
 def iroot(n: int, k: int) -> int:
@@ -189,9 +178,9 @@ def _squared_cap(B: Union[int, Fraction]) -> tuple[int, int]:
 
 # Elements per block of the primitive-vector walk, and rows per block of
 # the batched fiber step.  Larger blocks save no time and raise peak
-# memory: `verify --suite oracle` (the P^3 walk to norm^2 2500) peaked at
-# 90.7 MB with 2^16 and 84.3 MB with 2^14 (84.5 MB with the per-vector
-# Python walk), at the same speed.
+# memory: the numpy walk of P^3 to norm^2 2500 (`verify --suite oracle`
+# then) peaked at 90.7 MB with 2^16 and 84.3 MB with 2^14 (84.5 MB with
+# the per-vector Python walk), at the same speed.
 _CHUNK = 1 << 14
 _INT64_SAFE = 1 << 62  # every int64 intermediate stays below this
 
@@ -306,6 +295,35 @@ def _canonical_vectors(dim: int, n2max: int) -> Iterator[tuple[tuple[int, ...], 
     return _canonical_walk((1,) * dim, n2max)
 
 
+def _orbit_fold(dim: int, n2max: int) -> Iterator[tuple[int, int]]:
+    """(norm^2, weight) over the gcd-1 representatives that
+    `_primitive_norm_blocks` yields, with the same weights, one at a time
+    in Python ints, so it needs no numpy.  A u equal to the one before
+    extends its run, a larger u starts one, and a nonzero u after a
+    nonzero one doubles the weight."""
+    last = dim - 1
+
+    def rec(depth, rem, g, prev, run, w):
+        top = isqrt(rem // (dim - depth))
+        same = w * (depth + 1) // (run + 1) << (prev > 0)  # u = prev
+        new = w * (depth + 1) << (prev > 0)  # u > prev
+        if depth < last:
+            if prev <= top:
+                yield from rec(depth + 1, rem - prev * prev, g, prev, run + 1,
+                               same)
+            for u in range(prev + 1, top + 1):
+                yield from rec(depth + 1, rem - u * u, gcd(g, u), u, 1, new)
+            return
+        done = n2max - rem
+        if g == 1 and prev <= top:  # gcd(g, prev) = g
+            yield done + prev * prev, same
+        for u in range(prev + 1, top + 1):
+            if g == 1 or gcd(g, u) == 1:
+                yield done + u * u, new
+
+    yield from rec(0, n2max, 0, 0, 0, 1)
+
+
 def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """int64 blocks (norms^2, weights) that together count the canonical
     primitive vectors in Z^dim with norm^2 <= n2max, the vectors
@@ -329,17 +347,16 @@ def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[tuple[np.ndarray, n
     and so does a histogram entry or the sum of a block's weights: all stay
     below (2k + 1)^dim, every partial w too (each factor is >= 1), and
     w * (i + 1) below dim times that.  Where this reaches 2^62 the blocks
-    come from the `_canonical_vectors` stream with weight 1 instead.
+    come from `_orbit_fold` instead, and a weight past int64 raises
+    OverflowError.
     """
     import numpy as np
 
     if (2 * isqrt(n2max) + 1) ** dim * dim >= _INT64_SAFE:
-        stream = (m for _, m in _canonical_vectors(dim, n2max))
-        while True:
-            norms = np.fromiter(islice(stream, _CHUNK), dtype=np.int64)
-            if not norms.size:
-                return
-            yield norms, np.ones_like(norms)
+        fold = _orbit_fold(dim, n2max)
+        while block := list(islice(fold, _CHUNK)):
+            yield tuple(np.array(block, dtype=np.int64).T)
+        return
 
     def expand(depth, rem, g, prev, run, w):
         top = _iroot_array(rem // (dim - depth), 2)
@@ -360,49 +377,56 @@ def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[tuple[np.ndarray, n
     yield from expand(0, zero + n2max, zero, zero, zero, zero + 1)
 
 
-# Walks bounded by at least this many vectors build the histogram from the
-# numpy blocks, smaller ones from the `_canonical_vectors` stream.  The
-# bound isqrt(n2max)^(n+1) is 1 to 2.5 times below the walk's size for
-# n <= 3.  With numpy loaded (2-vCPU VM, Python 3.11, numpy 2.4, best of
-# 3), `_norm_histogram` from the stream took 0.053 s at the bound 65,536
-# of P^1 (63k vectors), 0.045 s at 54,872 of P^2 (101k) and 0.069 s at
-# 50,625 of P^3 (143k); as arrays from the folded blocks it took 0.003,
-# 0.0008 and 0.0007 s.  The import costs 0.06 to 0.08 s after `import
-# hkcount.cli` (which pins one BLAS thread), what the stream spends up to
-# a bound of 5 * 10^4 (P^3) to 8 * 10^4 (P^1, P^2).  The bound sits at
-# the low end because a base of that size may still need numpy for its
-# r = 1 rows: from the CLI (median of 9 fresh processes each), X_2(1) -K
-# at B = 1.5 * 10^7 (bound 60,516) took 0.234 s with the blocks and
-# 0.252 s with the stream, and X_2(1) with bundle (1, 1) at B = 254
-# (bound 64,516, few rows) 0.289 s against 0.312 s.
-_NUMPY_WALK_MIN = 5 * 10 ** 4
+# A base walk of P^n takes the numpy blocks from about this many orbit
+# representatives on, and `_orbit_fold` below: n2max 254,648 on P^1,
+# 10,951 on P^2 and 2,790 on P^3.  There (2-vCPU VM, Python 3.11, numpy
+# 2.4, best of 5, numpy loaded) `_norm_histogram` took 0.028, 0.024 and
+# 0.034 s folded against 0.007, 0.004 and 0.005 s from the blocks, an
+# excess of about half of `import numpy` after `import hkcount.cli`
+# (0.049 s, median of 9): a base the fold takes may still need numpy for
+# its r = 1 rows.  From the CLI (median of 9 fresh processes each), bundle
+# (6, 1) on X_2(1) at the P^1 bound (35,703 rows, numpy either way) took
+# 0.383 s folded and 0.341 s from the blocks; on X_3(1) and X_4(1) at the
+# P^2 and P^3 bounds (no numpy for their rows) 0.195 and 0.162 s folded
+# against 0.209 and 0.189 s.
+_NUMPY_WALK_MIN = 10 ** 5
 
 
 def _numpy_walk(n: int, n2max: int) -> bool:
-    return isqrt(n2max) ** (n + 1) >= _NUMPY_WALK_MIN
+    """Whether the walk of P^n to n2max takes the numpy blocks: its about
+    V_k n2max^(k/2) / (2^k k!) representatives, k = n + 1, reach
+    _NUMPY_WALK_MIN, and the box bound of `_primitive_norm_blocks` keeps
+    every int64 and table entry below 2^62.  Python ints fold the rest."""
+    k = n + 1
+    if (2 * isqrt(n2max) + 1) ** k * k >= _INT64_SAFE:
+        return False
+    reps = (pi * n2max / 4) ** (k / 2) / gamma(k / 2 + 1) / factorial(k)
+    return reps >= _NUMPY_WALK_MIN
 
 
 def _norm_histogram(n: int, n2max: int) -> tuple[Sequence[int], Sequence[int]]:
     """(norms, mults): the distinct norm^2, ascending, of the canonical
     primitive vectors in Z^{n+1} with norm^2 <= n2max, and how many
     vectors have each.  int64 arrays from the numpy walk, lists of Python
-    ints from the small one.
+    ints from `_orbit_fold`.  A bound past any table of n2max + 1 entries
+    raises MemoryError on either walk.
 
     The dense table over 0..n2max is int32 when the box bound of
     `_primitive_norm_blocks`, (2 isqrt(n2max) + 1)^(n+1), is below 2^31:
     no entry can exceed it (P^1 through n2max of about 5 * 10^8).  Larger
     walks keep an int64 table."""
+    size = _table_length(n2max)
     if not _numpy_walk(n, n2max):
         counts: dict[int, int] = {}
-        for _, m in _canonical_vectors(n + 1, n2max):
-            counts[m] = counts.get(m, 0) + 1
+        for m, w in _orbit_fold(n + 1, n2max):
+            counts[m] = counts.get(m, 0) + w
         norms = sorted(counts)
         return norms, [counts[m] for m in norms]
     import numpy as np
 
     box = (2 * isqrt(n2max) + 1) ** (n + 1)
     dtype = np.int32 if box < 1 << 31 else np.int64
-    hist = np.zeros(_table_length(n2max), dtype=dtype)
+    hist = np.zeros(size, dtype=dtype)
     for norms, weights in _primitive_norm_blocks(n + 1, n2max):
         # np.add.at casts mixed dtypes element by element, 20x slower
         np.add.at(hist, norms, weights.astype(dtype, copy=False))
@@ -422,14 +446,13 @@ def projective_norm_histogram(n: int, n2max: int) -> dict[int, int]:
 
 
 def count_enum_projective(n: int, B: Union[int, Fraction]) -> int:
-    """N(P^n, B) by direct enumeration (reference path): the weights of the
-    primitive-vector walk summed, one gcd-tested representative per orbit
-    under signs and permutations."""
+    """N(P^n, B) by direct enumeration (reference path): the sum of the
+    base histogram, whose walk tests the gcd of one representative per
+    orbit under signs and permutations."""
     if n < 1:
         raise ValueError("n must be >= 1")
     p, q = _squared_cap(B)
-    return sum(int(weights.sum())
-               for _, weights in _primitive_norm_blocks(n + 1, p // q))
+    return int(sum(_norm_histogram(n, p // q)[1]))
 
 
 def _ball_count(k: int, m: int) -> int:
@@ -1028,28 +1051,3 @@ def sweep(req: CountRequest, grid: Sequence[Union[int, Fraction]],
             row["ratio"] = res.count / pred if pred > 0 else float("nan")
         rows.append(row)
     return rows
-
-
-def estimate_exponent(table: Sequence, exponent: Optional[float] = None) -> ExponentFit:
-    """Log-log slope plus a two-parameter fit N ~ C B^a log B + C2 B^a.
-
-    `table` rows are (B, count) pairs.  The slope comes from least squares
-    on (log B, log N); the two-parameter fit uses the given exponent `a`
-    (default: slope rounded to the nearest integer) and returns C as
-    log_coefficient and C2 as coefficient.
-    """
-    import numpy as np
-
-    pairs = [(float(b), float(n)) for b, n in table]
-    if len(pairs) < 4:
-        raise DegenerateFitError("need at least 4 grid points")
-    bs = np.array([b for b, _ in pairs])
-    ns = np.array([n for _, n in pairs])
-    if np.any(bs <= 1) or np.any(ns <= 0):
-        raise DegenerateFitError("fit needs B > 1 and positive counts")
-    slope, _ = np.polyfit(np.log(bs), np.log(ns), 1)
-    a = float(exponent) if exponent is not None else float(round(slope))
-    design = np.column_stack([bs ** a * np.log(bs), bs ** a])
-    sol, *_ = np.linalg.lstsq(design, ns, rcond=None)
-    return ExponentFit(slope=float(slope), log_coefficient=float(sol[0]),
-                       coefficient=float(sol[1]))

@@ -14,7 +14,6 @@ are decided as integer inequalities after clearing denominators.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -162,11 +161,6 @@ def height_le(X: HKVariety, L: LineBundleClass, P: HKRationalPoint,
     return n * b2.denominator <= b2.numerator * d
 
 
-def region_of(P: HKRationalPoint) -> Region:
-    """GoodOpen iff the distinguished fiber coordinate y_0 is nonzero."""
-    return Region.GOOD_OPEN if P.fiber.coords[0] != 0 else Region.SUBBUNDLE_F
-
-
 def region_strata(space: Union[HKVariety, ProjectiveSpace],
                   bundle: Union[LineBundleClass, int],
                   region: Region) -> tuple[Stratum, ...]:
@@ -178,19 +172,6 @@ def region_strata(space: Union[HKVariety, ProjectiveSpace],
     if region is Region.GOOD_OPEN:
         return chain[:1]
     return chain[1:]
-
-
-_POINT_RE = re.compile(r"\s*\[([^\]]*)\]\s*;\s*\[([^\]]*)\]\s*")
-
-
-def parse_point(text: str) -> HKRationalPoint:
-    """Parse the point literal '[q0:...:q_{t-1}];[y0:...:y_r]'."""
-    m = _POINT_RE.fullmatch(text)
-    if m is None:
-        raise ValueError(f"bad point literal {text!r}")
-    base = canonicalize(Fraction(x) for x in m.group(1).split(":"))
-    fiber = canonicalize(Fraction(x) for x in m.group(2).split(":"))
-    return HKRationalPoint(base=base, fiber=fiber)
 
 
 def format_point(P: HKRationalPoint) -> str:

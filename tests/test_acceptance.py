@@ -55,7 +55,6 @@ from hkcount.enumeration import (
     CountRequest,
     count_enum_projective,
     count_hk,
-    estimate_exponent,
 )
 from hkcount.geometry import (
     CaseTag,
@@ -68,6 +67,7 @@ from hkcount.geometry import (
     is_big,
 )
 from hkcount.heights import Region
+from support import estimate_exponent
 
 CATALAN = 0.9159655941772190150546
 

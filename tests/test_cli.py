@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 import hkcount
 from hkcount.cli import EXIT_INFINITE, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, \
     _direct_counts, main
-from hkcount.constants import _ZP_BUDGET
+from hkcount.constants import _ZP_BUDGET, zetaP1_closed
 from hkcount.enumeration import enum_hk_points
 from hkcount.geometry import HKVariety, LineBundleClass, anticanonical
-from hkcount.heights import Region, height_L_sq, parse_point
+from hkcount.heights import Region, height_L_sq
+from support import parse_point
 
 
 def run(capsys, *argv):
@@ -324,7 +325,15 @@ class TestInputErrors:
           "--threads", "1"], "zeta_proj"),
         (["zeta", "--what", "xi", "--s", "3"],
          "no zetaK sample provided for s = 3.0"),
-    ], ids=["tables", "predict", "sweep", "zeta"])
+        # only xi reads the field; the other values are over Q
+        (["zeta", "--what", "zetaP", "--m", "1", "--s", "3"],
+         "--what zetaP is evaluated over Q only"),
+        (["zeta", "--what", "zeta", "--s", "3"],
+         "--what zeta is evaluated over Q only"),
+        (["zeta", "--what", "L4", "--s", "3"],
+         "--what L4 is evaluated over Q only"),
+    ], ids=["tables", "predict", "sweep", "zeta", "zeta-zetaP", "zeta-zeta",
+            "zeta-L4"])
     def test_field_lacks_a_needed_value(self, capsys, tmp_path, argv, message):
         path = tmp_path / "field.txt"
         path.write_text(self.README_FIELD)
@@ -430,13 +439,19 @@ class TestRefusalContract:
         err = err.getvalue()
         assert "Traceback" not in err
         lines = err.splitlines()
-        if lines and lines[0].startswith("usage:"):
+        usage = bool(lines) and lines[0].startswith("usage:")
+        if usage:
             # argparse's usage block: its first line and indented ones
             lines = lines[1:]
             while lines and lines[0].startswith(" "):
                 lines = lines[1:]
         if code in (EXIT_PARSE, EXIT_INFINITE):
             assert len(lines) == 1
+        if (argv[0] == "zeta" and "--field" in argv and argv[2] != "xi"
+                and not usage):
+            # zetaP, zeta and L4 are over Q: a field is refused
+            assert code == EXIT_PARSE
+            assert lines[0].startswith("hkcount: error: --field: --what")
         elif code == EXIT_OK:
             assert err == ""
             if "json" in argv and "--stream" not in argv:
@@ -544,6 +559,14 @@ class TestZeta:
         assert (code, err) == (EXIT_OK, "")
         assert abs(float(out) - 945 * 1.2020569031595943
                    / (16 * math.pi ** 3)) <= 1e-6
+
+    def test_numeric_near_the_pole(self, capsys):
+        # the main term of the tail brings Z_(P^1)(3) to 1e-4 within the
+        # budget (it needed 10^9.2 points with the whole tail bounded)
+        code, out, err = run(capsys, "zeta", "--what", "zetaP", "--m", "1",
+                             "--s", "3", "--numeric", "--tol", "1e-4")
+        assert (code, err) == (EXIT_OK, "")
+        assert abs(float(out) - zetaP1_closed(3.0)) <= 1e-4
 
     def test_xi(self, capsys):
         code, out, _ = run(capsys, "zeta", "--what", "xi", "--s", "2")
@@ -787,9 +810,11 @@ class TestImportCost:
     numerical library; each case runs in a fresh interpreter."""
 
     HEAVY = ("scipy", "numpy", "mpmath")
-    # a numpy-loading command
-    ORACLE = ("from hkcount.cli import main\n"
-              "main(['verify', '--suite', 'oracle'])")
+    # a numpy-loading command: X_2(1) -K at B = 2^25, whose 66,844 r = 1
+    # fiber rows take the numpy kernel
+    NUMPY_COUNT = ("from hkcount.cli import main\n"
+                   "main(['count', '--variety', '1,2:1', '--B', '33554432',"
+                   " '--region', 'u', '--threads', '1'])")
 
     def child(self, code, result, **env_set):
         """Run code in a fresh interpreter and return the JSON value of the
@@ -819,11 +844,11 @@ class TestImportCost:
                         reason="needs /proc/self/task")
     def test_numpy_process_runs_one_thread(self):
         # no count makes a BLAS call, so the CLI starts no OpenBLAS pool
-        assert self.child(self.ORACLE, "['numpy' in sys.modules, "
+        assert self.child(self.NUMPY_COUNT, "['numpy' in sys.modules, "
                           "len(os.listdir('/proc/self/task'))]") == [True, 1]
 
     def test_caller_blas_threads_kept(self):
-        assert self.child(self.ORACLE, "os.environ['OPENBLAS_NUM_THREADS']",
+        assert self.child(self.NUMPY_COUNT, "os.environ['OPENBLAS_NUM_THREADS']",
                           OPENBLAS_NUM_THREADS="2") == "2"
 
     def test_library_import_leaves_blas_threads_unset(self):
@@ -850,8 +875,15 @@ class TestImportCost:
         ["sweep", "--variety", "1,2:1", "--grid", "5,10,20", "--threads", "1"],
         # two streams and 60 small counts, none with enough norms to pool
         ["verify", "--suite", "partition", "--threads", "2"],
+        # the P^1 to P^3 histograms to norm^2 2500 take the Python fold
+        ["verify", "--suite", "oracle"],
+        # Z_(P^1)(4) to 1e-6 sums the points to norm^2 123,160 in the fold
+        ["verify", "--suite", "integral"],
+        ["zeta", "--what", "zetaP", "--m", "1", "--s", "4", "--numeric",
+         "--tol", "1e-6"],
     ], ids=["tables", "zeta", "count-f", "count-infinite", "count-x-t1",
-            "count-x-t2", "count-pooled", "sweep", "verify-partition-t2"])
+            "count-x-t2", "count-pooled", "sweep", "verify-partition-t2",
+            "verify-oracle", "verify-integral", "zetaP-numeric"])
     def test_command_loads_no_numpy(self, argv):
         code = f"from hkcount.cli import main\nmain({argv!r})"
         assert "numpy" not in self.loaded(code)
@@ -862,15 +894,12 @@ class TestImportCost:
         ["zeta", "--what", "zetaP", "--m", "3", "--s", "8"],
         ["sweep", "--variety", "1,3:1", "--bundle", "1,4", "--grid", "5,10",
          "--threads", "1"],
-    ], ids=["predict-theta", "zeta-theta", "sweep-predicted"])
+        # the quadratures, their tails and the theta route run in doubles,
+        # and the oracle and integral suites walk in the Python fold
+        ["verify", "--suite", "all", "--threads", "1"],
+    ], ids=["predict-theta", "zeta-theta", "sweep-predicted", "verify-all"])
     def test_command_loads_no_numerical_library(self, argv):
         assert self.loaded(f"from hkcount.cli import main\nmain({argv!r})") == []
-
-    def test_verify_all_loads_numpy_only(self):
-        # the quadratures, their tails and the theta route run in doubles
-        argv = ["verify", "--suite", "all", "--threads", "1"]
-        assert self.loaded(f"from hkcount.cli import main\nmain({argv!r})") == [
-            "numpy"]
 
     def test_partition_suite_starts_no_pool(self):
         argv = ["verify", "--suite", "partition", "--threads", "2"]
@@ -922,9 +951,9 @@ class TestBenchHooks:
                   "--threads", "1"],
         "stream": ["count", "--variety", "1,2:1", "--B", "30", "--region", "f",
                    "--stream"],
-        # X_2(1) -K at B = 2^25: a base above _NUMPY_WALK_MIN, whose
-        # histogram reaches the fiber step as arrays
-        "arrays": ["count", "--variety", "1,2:1", "--B", "33554432",
+        # X_2(1) -K at B = 2^25: a base below _NUMPY_WALK_MIN, whose lists
+        # of norms reach the numpy kernel of the r = 1 step
+        "kernel": ["count", "--variety", "1,2:1", "--B", "33554432",
                    "--region", "u", "--threads", "1"],
     }
 
@@ -956,6 +985,6 @@ class TestBenchHooks:
         # fibers do not go through the traced base walk
         assert [w for s in spans["stream"] for w in s[4].get("walks", [])] \
             == [[2, 900]]
-        good = [s[4] for s in spans["arrays"]
+        good = [s[4] for s in spans["kernel"]
                 if s[0] == "enumeration.good_open"]
         assert [(g["count"], g["rows"]) for g in good] == [(411668916, 66844)]

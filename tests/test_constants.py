@@ -20,6 +20,8 @@ from hkcount.constants import (
     _height_one_dominates,
     _log_kappa,
     _shell_counts,
+    _zeta_k,
+    _zetaP_error,
     _zetaP_n2max,
     hirzebruch_table,
     hurwitz_zeta,
@@ -219,8 +221,52 @@ class TestProjectiveZeta:
 
     def test_summation_bound_is_taken_at_x(self):
         # Z_(P^1)(4) at tol 1e-6, the sum of the rank-2 identity check:
-        # n2max is 5,755,733 with kappa(2), 2,360,533 with kappa(X)
-        assert _zetaP_n2max(1, 4.0, 1e-6) < 2_500_000
+        # n2max was 5,755,733 with the whole tail bounded by kappa(2),
+        # 2,360,533 with kappa(X), and is 123,160 with Schanuel's main term
+        assert _zetaP_n2max(1, 4.0, 1e-6) == 123_160
+
+    # (m, s, tol): the rank-2 identity's sum, far from and close to the
+    # pole, and the first inputs the budget refused before the main term
+    @pytest.mark.parametrize("m, s, tol", [
+        (1, 4.0, 1e-6), (1, 6.0, 1e-8), (2, 8.0, 1e-8), (3, 12.0, 1e-8),
+        (1, 3.0, 1e-4), (1, 3.5, 1e-6), (2, 6.0, 1e-5), (2, 5.0, 1e-4),
+        (3, 7.0, 1e-4), (3, 8.0, 1e-6), (4, 10.0, 1e-6)])
+    def test_error_within_certified_bound(self, m, s, tol):
+        # observed error <= the certified bound at the summation bound
+        # sqrt(n2max) <= tol, against the closed form for m = 1 and the
+        # theta route otherwise
+        want = zetaP1_closed(s) if m == 1 else zetaP_theta(m, s)
+        n2max = _zetaP_n2max(m, s, tol)
+        bound = math.exp(_zetaP_error(m + 1, s)(0.5 * math.log(n2max)))
+        assert abs(zetaP_numeric(m, s, tol) - want) <= bound <= tol
+
+    def test_near_pole_within_budget(self):
+        # Z_(P^1)(3) to 1e-4 needs 10^9.2 points with the whole tail
+        # bounded, and n2max 508,496 with the main term; Z_(P^2)(4) to
+        # 1e-4 still needs 10^8.5
+        assert _zetaP_n2max(1, 3.0, 1e-4) == 508_496
+        with pytest.raises(TooCloseToPoleError, match=r"10\^8\.5 points"):
+            zetaP_numeric(2, 4.0, 1e-4)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 40])
+    def test_schanuel_zeta_is_bracketed(self, k):
+        z, h = _zeta_k(k)
+        with mp.workdps(30):
+            assert abs(mp.zeta(k) - z) <= h
+        assert h <= 1e-9
+
+    def test_main_term_needs_no_euler_maclaurin_zeta(self, monkeypatch):
+        # the constant c = V_k / (2 zeta(k)) of the main term must not come
+        # from `zeta`, which the closed form it is checked against uses
+        import hkcount.constants as constants
+
+        def refuse(s):
+            raise AssertionError("zetaP_numeric called zeta")
+
+        monkeypatch.setattr(constants, "zeta", refuse)
+        monkeypatch.setattr(constants, "hurwitz_zeta", refuse)
+        for m, s in ((1, 4.0), (2, 8.0), (3, 12.0)):
+            zetaP_numeric(m, s, 1e-6)
 
     def test_domain(self):
         with pytest.raises(DomainError):

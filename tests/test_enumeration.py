@@ -18,13 +18,13 @@ from hkcount import enumeration
 from hkcount.constants import _shell_counts
 from hkcount.enumeration import (
     CountRequest,
-    DegenerateFitError,
     _ball_count,
     _canonical_vectors,
     _canonical_walk,
     _count_r1,
     _iroot_array,
     _mobius_sieve,
+    _orbit_fold,
     _primitive_norm_blocks,
     _squared_cap,
     count_enum_projective,
@@ -32,7 +32,6 @@ from hkcount.enumeration import (
     count_projective_moebius,
     count_subbundle_direct,
     enum_hk_points,
-    estimate_exponent,
     iroot,
     projective_norm_histogram,
     sweep,
@@ -49,8 +48,8 @@ from hkcount.heights import (
     ProjectivePoint,
     Region,
     height_le,
-    region_of,
 )
+from support import DegenerateFitError, estimate_exponent, region_of
 
 
 class TestPrimitives:
@@ -269,9 +268,28 @@ def _fold_histogram(dim, n2max):
     return counts
 
 
+def _python_fold_histogram(dim, n2max):
+    counts: dict[int, int] = {}
+    for m, w in _orbit_fold(dim, n2max):
+        assert type(m) is type(w) is int
+        counts[m] = counts.get(m, 0) + w
+    return counts
+
+
+def _first_numpy_walk(n):
+    """The least n2max whose walk of P^n takes the numpy blocks (for
+    n <= 3 the choice is monotone up to 10^7)."""
+    lo, hi = 1, 10 ** 7
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enumeration._numpy_walk(n, mid) else (mid + 1, hi)
+    return lo
+
+
 class TestOrbitFold:
     """The walk over one weighted representative per orbit under signs
-    and permutations, against the unfolded `_canonical_vectors` stream."""
+    and permutations, in numpy blocks and in Python ints, against the
+    unfolded `_canonical_vectors` stream."""
 
     TOP = {2: 2000, 3: 150, 4: 40, 5: 20, 6: 12}
 
@@ -288,7 +306,35 @@ class TestOrbitFold:
             st.builds(lambda j, u, e: j * u * u + e, st.integers(2, dim),
                       st.integers(1, isqrt(top // dim)), st.integers(0, 2)),
             st.integers(0, top)), label="n2max")
-        assert _fold_histogram(dim, n2max) == _stream_histogram(dim, n2max)
+        stream = _stream_histogram(dim, n2max)
+        assert _fold_histogram(dim, n2max) == stream
+        assert _python_fold_histogram(dim, n2max) == stream
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_walks_agree_across_the_crossover(self, n):
+        # at the last n2max of the Python fold and the first of the numpy
+        # blocks, each walk gives the same histogram, and the one taken
+        # has its type; P^1 is checked against the stream in full, P^2
+        # and P^3 to norm^2 300, and all of them by prefix sums against
+        # the Mobius sieve (the full streams take 1 s and 10 s)
+        top = _first_numpy_walk(n)
+        stream_top = top if n == 1 else 300
+        stream = _stream_histogram(n + 1, stream_top)
+        for n2max, kind in ((top - 1, list), (top, np.ndarray)):
+            assert isinstance(enumeration._norm_histogram(n, n2max)[0], kind)
+            walks = []
+            for walk_min in (0, 10 ** 30):  # the blocks, then the fold
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(enumeration, "_NUMPY_WALK_MIN", walk_min)
+                    walks.append(projective_norm_histogram(n, n2max))
+            assert walks[0] == walks[1]
+            assert {m: k for m, k in walks[0].items() if m <= stream_top} \
+                == {m: k for m, k in stream.items() if m <= n2max}
+            cum = list(itertools.accumulate(walks[0].values()))
+            norms = list(walks[0])
+            for bound in (n2max // 7, n2max // 2, n2max):
+                at = np.searchsorted(norms, bound, side="right") - 1
+                assert cum[at] == enumeration._count_projective_n2(n, bound)
 
     def test_one_representative_per_orbit(self):
         # Z^3, norm^2 <= 3: (0,0,1) stands for 3 canonical vectors,
@@ -298,23 +344,28 @@ class TestOrbitFold:
         weights = np.concatenate([w for _, w in blocks]).tolist()
         assert sorted(zip(norms, weights)) == [(1, 3), (2, 6), (3, 4)]
 
-    def test_box_over_int64_takes_the_stream(self, monkeypatch):
+    def test_box_over_int64_takes_the_python_fold(self, monkeypatch):
         calls = []
-        stream = enumeration._canonical_vectors
+        fold = enumeration._orbit_fold
 
         def spy(dim, n2max):
             calls.append((dim, n2max))
-            return stream(dim, n2max)
+            return fold(dim, n2max)
 
-        monkeypatch.setattr(enumeration, "_canonical_vectors", spy)
+        monkeypatch.setattr(enumeration, "_orbit_fold", spy)
         # a box of 3^40 >= 2^62 points; and 3^36, where w * (i + 1) can
         # reach 36 times the box before the division
         for dim in (40, 36):
             assert 3 ** dim * dim >= 2 ** 62
             assert _fold_histogram(dim, 1) == {1: dim}
             assert calls.pop() == (dim, 1)
+        assert _fold_histogram(36, 2) == _stream_histogram(36, 2)
+        assert calls.pop() == (36, 2)
+        # the count and the histogram fold such a box in Python ints
         assert count_enum_projective(39, 1) == 40
         assert calls.pop() == (40, 1)
+        assert projective_norm_histogram(35, 2) == _stream_histogram(36, 2)
+        assert calls.pop() == (36, 2)
         # high dimension, small norm: the fold runs and equals the stream
         for dim, n2max in ((35, 1), (30, 3)):
             assert _fold_histogram(dim, n2max) == _stream_histogram(dim, n2max)
@@ -587,9 +638,9 @@ class TestNumpyImports:
                 "from hkcount.geometry import HKVariety, anticanonical\n"
                 "from hkcount.heights import Region\n"
                 "X = HKVariety(1, 2, (1,))\n"
-                "req = E.CountRequest(X, anticanonical(X), Fraction(2 ** 26),"
+                "req = E.CountRequest(X, anticanonical(X), Fraction(2 ** 29),"
                 " Region.GOOD_OPEN, 1)\n"
-                "assert E._numpy_walk(1, E.iroot(2 ** 52, 3))\n"
+                "assert E._numpy_walk(1, E.iroot(2 ** 58, 3))\n"
                 "print(E.count_hk(req).count, 'numpy' in sys.modules,"
                 " 'numpy.ma' in sys.modules)")
         src = str(Path(enumeration.__file__).resolve().parents[1])
@@ -601,7 +652,7 @@ class TestNumpyImports:
         count, numpy, numpy_ma = done.stdout.split()
         X = HKVariety(1, 2, (1,))
         assert int(count) == count_hk(CountRequest(
-            X, anticanonical(X), Fraction(2 ** 26), Region.GOOD_OPEN)).count
+            X, anticanonical(X), Fraction(2 ** 29), Region.GOOD_OPEN)).count
         assert (numpy, numpy_ma) == ("True", "False")
 
 
@@ -1348,13 +1399,17 @@ _EDGES = [
     pytest.param("histogram", [(3, 107 ** 2), (3, 108 ** 2)],
                  lambda n, n2max: (2 * isqrt(n2max) + 1) ** (n + 1) >= 2 ** 31,
                  id="int32-table"),
-    # _NUMPY_WALK_MIN: the stream's lists or the blocks' arrays, for the
-    # histogram and for -K on X_2(1), whose n2max is iroot(B^2, 3)
-    pytest.param("histogram", [(1, 224 ** 2 - 1), (1, 224 ** 2)],
+    # _NUMPY_WALK_MIN: the fold's lists or the blocks' arrays, for the
+    # histogram and for bundle (6, 1) on X_2(1), whose n2max is
+    # floor(B^2) and whose fibers have a few rows each
+    pytest.param("histogram", [(1, _first_numpy_walk(1) - 1),
+                               (1, _first_numpy_walk(1))],
                  lambda n, n2max: isinstance(
                      enumeration._norm_histogram(n, n2max)[0], list),
                  id="numpy-walk"),
-    pytest.param("count", [((1, 2, 3), 224 ** 3 - 1), ((1, 2, 3), 224 ** 3)],
+    pytest.param("count", [((1, 6, 1), Fraction(isqrt(m * 10 ** 8) + 1, 10 ** 4))
+                           for m in (_first_numpy_walk(1) - 1,
+                                     _first_numpy_walk(1))],
                  lambda args, norms: isinstance(norms, list),
                  id="numpy-walk-count"),
     # _NUMPY_ROWS_MIN: bundle (1, 6) on X_2(1) over a small base, whose

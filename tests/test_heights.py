@@ -26,9 +26,8 @@ from hkcount.heights import (
     format_point,
     height_L_sq,
     height_le,
-    parse_point,
-    region_of,
 )
+from support import parse_point, region_of
 
 
 class TestProjectivePoint:
