@@ -5,8 +5,9 @@ Exit codes: 0 success; 2 argument/parse error (argparse convention), or
 a value beyond reach (a zeta next to its pole or past the double range,
 a bound whose sieve or histogram table cannot be allocated);
 3 requested count is infinite (non-big bundle on the requested region);
-4 a verification suite reported a failure.  `_refuse` prints the one
-stderr line of every exit 2 or 3 that argparse itself does not.
+4 a verification suite reported a failure; 141 stdout closed before the
+output ended (a pipe into `head`).  `_refuse` prints the one stderr line
+of every exit 2 or 3 that argparse itself does not.
 """
 from __future__ import annotations
 
@@ -544,7 +545,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # no reader is left: devnull takes the final flush at exit, and the
+        # code is the shell's for a process that SIGPIPE ended, 128 + 13
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    return code
 
 
 if __name__ == "__main__":

@@ -178,12 +178,9 @@ def hurwitz_zeta(s: float, a: float = 1.0) -> float:
     """zeta(s, a) = sum_{k>=0} (k+a)^{-s} by Euler-Maclaurin, s > 1, a > 0.
 
     The truncation parameters are fixed so the remainder (first omitted
-    Bernoulli term) is far below 1e-14 for 1 < s < ~60.
+    Bernoulli term) is far below 1e-14 for 1 < s < ~60.  Its callers,
+    `zeta` and `L_minus4`, refuse s <= 1 in their own names.
     """
-    if s <= 1:
-        raise DomainError(f"hurwitz_zeta needs s > 1, got {s}")
-    if a <= 0:
-        raise DomainError("hurwitz_zeta needs a > 0")
     n = _EM_N
     total = sum((k + a) ** (-s) for k in range(n))
     x = n + a
@@ -204,6 +201,8 @@ def hurwitz_zeta(s: float, a: float = 1.0) -> float:
 
 def zeta(s: float) -> float:
     """Riemann zeta for s > 1."""
+    if s <= 1:
+        raise DomainError(f"zeta needs s > 1, got {s}")
     return hurwitz_zeta(s, 1.0)
 
 
@@ -215,8 +214,11 @@ def L_minus4(s: float) -> float:
     the two Hurwitz poles at s = 1 cancel, so values just above 1 remain
     accurate.  The second form takes the terms 1 and 3^{-s} out of the
     sums, so no Hurwitz value overflows for large s (zeta(s, 1/4) passes
-    4^s), and L_{-4}(s) tends to 1.
+    4^s), and L_{-4}(s) tends to 1.  The Hurwitz sums need s > 1.
     """
+    if s <= 1:
+        raise DomainError(f"L_-4 is evaluated for s > 1 only, got {s}; "
+                          "L_-4(s) itself is finite for every s > 0")
     return 1.0 - 3.0 ** (-s) + 4.0 ** (-s) * (hurwitz_zeta(s, 1.25)
                                              - hurwitz_zeta(s, 1.75))
 
@@ -393,7 +395,10 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
     or raises TooCloseToPoleError past the work budget.  The points come
     from the primitive-vector walk of the base histogram, one weighted
     representative per orbit (numpy blocks, or `_orbit_fold` for a small
-    walk); fsum adds the terms w * norm^(-s/2).
+    walk); fsum adds the terms w * norm^(-s/2).  A tol below 1e-11 raises
+    DomainError: the bound leaves out the rounding of the double terms and
+    sums, at most about 2^-47 Z, and every Z the budget reaches at 1e-11
+    is below 9, so that rounding stays under 1/150 of the floor.
     """
     if m == -1:
         return 0.0
@@ -403,6 +408,9 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
         raise DomainError("m must be >= -1")
     if s <= m + 1:
         raise DomainError(f"Z_(P^{m}) diverges for s <= {m + 1}")
+    if tol < 1e-11:
+        raise DomainError(f"tol {tol} is below 1e-11, where the rounding of "
+                          "the double sum is no longer negligible")
     k = m + 1
     n2max = _zetaP_n2max(m, s, tol)
     if _numpy_walk(m, n2max):

@@ -40,8 +40,9 @@ mu(d) (#{v in Z^{n+1} : |v|^2 <= n2max // d^2} - 1).  The ball count
 0 <= x <= y <= z, so each is a sum of C-level isqrt calls over a
 precomputed list of squares.  Z^4 is a divisor sum from Jacobi's
 four-square theorem, O(sqrt m) steps per ball, and higher dimensions
-recurse down to Z^4.  It is integer-only and needs no numpy, so a P^n or
-F count does not load it.
+recurse down to Z^4.  mu comes from `_mobius_table`, one signed byte per
+d <= dmax sieved by slice operations on a bytearray.  It is integer-only
+and needs no numpy, so a P^n or F count does not load it.
 
 Fiber vectors are counted by a recursive box walk on the integer
 quadratic form sum c_i y_i^2 <= S_max, c_i = m^(a_r - b_i), with the
@@ -62,7 +63,7 @@ the P^n sieve counts a fiber as sum over d of mu(d) E(c_0, S_max // d^2),
 where E counts every lattice point with y_0 >= 1 and tests no gcd.  Each
 y_0 row takes one isqrt, M(y_0) = isqrt(S_max - c_0 y_0^2), and the term
 of a squarefree d and a multiple y_0 = d k is read off it as
-M(d k) // d; mu comes from a vectorised integer sieve, `_mobius_array`.
+M(d k) // d; mu is the P^n sieve's `_mobius_table`, read as int8.
 Every r >= 2 norm goes through the per-norm Python path
 (`_good_chunk_worker`) with unbounded integers.  All bound comparisons
 are integer-exact, integer roots included (Newton from above, seeded for
@@ -96,7 +97,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from math import factorial, gamma, gcd, isqrt, log, pi
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
@@ -157,8 +157,8 @@ def iroot(n: int, k: int) -> int:
 
 
 def _table_length(n: int) -> int:
-    """n + 1, the length of a table indexed 0..n, if its 8-byte entries
-    (list slots or int64) fit in sys.maxsize bytes.  A longer one raises
+    """n + 1, the length of a table indexed 0..n, if 8 bytes an entry (an
+    int64 table's) fit in sys.maxsize bytes.  A longer one raises
     MemoryError before any memory is touched; a shorter one may still be
     refused by the allocator, with a MemoryError of its own."""
     if 8 * (n + 1) > sys.maxsize:
@@ -346,17 +346,14 @@ def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[tuple[np.ndarray, n
     A weight counts lattice points of the box [-k, k]^dim, k = isqrt(n2max),
     and so does a histogram entry or the sum of a block's weights: all stay
     below (2k + 1)^dim, every partial w too (each factor is >= 1), and
-    w * (i + 1) below dim times that.  Where this reaches 2^62 the blocks
-    come from `_orbit_fold` instead, and a weight past int64 raises
-    OverflowError.
+    w * (i + 1) below dim times that.  A walk where this reaches 2^62
+    raises OverflowError: `_numpy_walk` gives every such walk to
+    `_orbit_fold`.
     """
     import numpy as np
 
     if (2 * isqrt(n2max) + 1) ** dim * dim >= _INT64_SAFE:
-        fold = _orbit_fold(dim, n2max)
-        while block := list(islice(fold, _CHUNK)):
-            yield tuple(np.array(block, dtype=np.int64).T)
-        return
+        raise OverflowError(f"the box of Z^{dim} to norm^2 {n2max} passes int64")
 
     def expand(depth, rem, g, prev, run, w):
         top = _iroot_array(rem // (dim - depth), 2)
@@ -514,37 +511,37 @@ def _sigma_prefix(x: int) -> int:
     return total - r * r * (r + 1) // 2
 
 
-def _mobius_sieve(n: int) -> list[int]:
+def _mobius_table(n: int) -> memoryview:
+    """mu(y) at index y = 1..n of a signed-byte memoryview (index 0 reads 0).
+
+    Every byte of y >= 2 starts at 2, "untouched", so the next byte still
+    2 is the next prime p.  `bytes.translate` flips the sign of p's
+    multiples (2 reads as +1) and a zero slice clears the multiples of
+    p^2.  A prime above n / 2 has no other multiple, so the bytes still 2
+    past n / 2 are primes and take -1 in one replace.  Only C-level slice
+    operations touch the bytes: the table is n + 1 bytes, and its slice
+    copies peak at about as many more."""
     size = _table_length(n)
-    mu = [1] * size
-    primes: list[int] = []
-    is_comp = [False] * size
-    for i in range(2, n + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > n:
-                break
-            is_comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
+    mu = bytearray(b"\x02") * size
+    mu[:2] = b"\x00\x01"[:size]
+    flip = bytes.maketrans(b"\x01\x02\xff", b"\xff\xff\x01")
+    half = n // 2 + 1
+    p = mu.find(2, 2, half)
+    while p != -1:
+        mu[p::p] = mu[p::p].translate(flip)
+        if p * p <= n:
+            mu[p * p::p * p] = bytes(n // (p * p))
+        p = mu.find(2, p + 1, half)
+    mu[half:] = mu[half:].replace(b"\x02", b"\xff")
+    return memoryview(mu).cast("b")
 
 
 def _count_projective_n2(n: int, n2max: int) -> int:
     """N(P^n, .) with the bound given as max allowed norm^2 (exact Mobius sieve)."""
     if n2max < 1:
         return 0
-    dmax = isqrt(n2max)
-    mu = _mobius_sieve(dmax)
-    total = 0
-    for d in range(1, dmax + 1):
-        if mu[d] == 0:
-            continue
-        total += mu[d] * (_ball_count(n + 1, n2max // (d * d)) - 1)
+    total = sum(m * (_ball_count(n + 1, n2max // (d * d)) - 1)
+                for d, m in enumerate(_mobius_table(isqrt(n2max))) if m)
     assert total % 2 == 0
     return total // 2
 
@@ -676,27 +673,6 @@ def _r1_batch_band(ar: int, lam: int, mu: int, p: int, q: int
     return lo, min(largest(1, -e), largest(1, ar))
 
 
-def _mobius_array(n: int) -> np.ndarray:
-    """mu(y) for y = 1..n at index y of an int8 array (index 0 unused).
-
-    Each prime p <= sqrt(n) flips the sign of its multiples, zeroes the
-    multiples of p^2 and is divided once out of a remainder that starts as
-    y; p is prime when no smaller prime has divided its remainder.  For a
-    squarefree y what is left is 1 or the one prime factor above sqrt(n),
-    which flips the sign once more.  Integers only."""
-    import numpy as np
-
-    rest = np.arange(n + 1, dtype=np.int32)
-    mu = np.ones(n + 1, dtype=np.int8)
-    for p in range(2, isqrt(n) + 1):
-        if rest[p] == p:
-            mu[p::p] *= -1
-            mu[p * p::p * p] = 0
-            rest[p::p] //= p
-    mu[rest > 1] *= -1
-    return mu
-
-
 def _ragged_chunks(width: np.ndarray,
                    size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(row, k) over the ranges k = 0 .. width[row] - 1, concatenated in
@@ -733,7 +709,7 @@ def _count_r1_mobius(c0: np.ndarray, smax: np.ndarray,
     (d, k) is 2 (M(d k) // d) + 1, since isqrt(N // d^2) = isqrt(N) // d,
     and k runs to Y // d.  So M is taken once per row y_0 = 1 .. Y, and
     the terms are gathered from it: the sum over the multiples of each
-    squarefree d, mu from `_mobius_array`.
+    squarefree d, mu from `_mobius_table`.
 
     The norms are taken in parts of at most _CHUNK rows plus the last
     norm's (`_blocks`); a part's M is one int64 array.  The terms of d = 1
@@ -758,7 +734,7 @@ def _count_r1_mobius(c0: np.ndarray, smax: np.ndarray,
     top0 = _iroot_array(smax // c0, 2)
     if not top0.size:
         return 0, 0
-    mob = _mobius_array(int(top0.max()))
+    mob = np.frombuffer(_mobius_table(int(top0.max())), dtype=np.int8)
     total = 0
     for a, b in _blocks(top0):
         top, c, s, mult = (x[a:b] for x in (top0, c0, smax, mults))
@@ -794,7 +770,7 @@ def _count_r1(args: tuple, norms: Sequence[int], mults: Sequence[int]
     norm: the sum of mult * fiber count, and the y_0 rows,
     isqrt(S_max // c_0) per norm, that `_count_fiber_good` reports.
 
-    A small base (lists from the per-vector stream) with few rows
+    A small base (lists from `_orbit_fold`) with few rows
     (`_few_r1_rows`) goes to the per-norm path whole, before numpy loads.
     Otherwise each slice of at most _CHUNK norms is split once by
     `_r1_batch_band`: the norms outside the band take (c_0, S_max) in

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import hkcount
 from hkcount.cli import EXIT_INFINITE, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, \
     _direct_counts, main
-from hkcount.constants import _ZP_BUDGET, zetaP1_closed
+from hkcount.constants import _ZP_BUDGET, zetaP1_closed, zetaP_theta
 from hkcount.enumeration import enum_hk_points
 from hkcount.geometry import HKVariety, LineBundleClass, anticanonical
 from hkcount.heights import Region, height_L_sq
@@ -657,6 +657,33 @@ class TestZeta:
         assert code == 2
         assert "diverges" in err
 
+    @pytest.mark.parametrize("argv, line", [
+        (["--what", "L4", "--s", "0.5"], "L_-4 is evaluated for s > 1 only, "
+         "got 0.5; L_-4(s) itself is finite for every s > 0"),
+        (["--what", "zeta", "--s", "-3"], "zeta needs s > 1, got -3.0"),
+    ], ids=["L4", "zeta"])
+    def test_domain_names_the_function_asked_for(self, capsys, argv, line):
+        code, out, err = run(capsys, "zeta", *argv)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("m, s", [(1, 8.0), (2, 10.0)])
+    def test_tol_floor(self, capsys, m, s):
+        # at the floor the value is within tol of the closed form (m = 1)
+        # or the theta route; below it the double's own rounding is no
+        # longer negligible, and the request exits 2
+        want = zetaP1_closed(s) if m == 1 else zetaP_theta(m, s)
+        argv = ("zeta", "--what", "zetaP", "--m", str(m), "--s", str(s),
+                "--numeric", "--tol")
+        code, out, err = run(capsys, *argv, "1e-11")
+        assert (code, err) == (EXIT_OK, "")
+        assert abs(float(out) - want) <= 1e-11
+        for tol in ("9.99e-12", "1e-18"):
+            code, out, err = run(capsys, *argv, tol)
+            assert (code, out) == (2, "")
+            assert err == (f"error: tol {tol} is below 1e-11, where the "
+                           "rounding of the double sum is no longer "
+                           "negligible\n")
+
 
 class TestVerify:
     def test_residue_suite_passes(self, capsys):
@@ -939,6 +966,24 @@ def test_benchmark_pins_hold(capsys, argv, payload):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (EXIT_OK, "")
     assert _close(json.loads(out), payload, 1e-12)
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    # the 141 KB of points overfill the pipe, so the writer is still
+    # writing when the reader closes it after the first line
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(hkcount.__file__).resolve().parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hkcount.cli", "count", "--variety", "1,2:1",
+         "--B", "100", "--stream"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+    assert first.startswith(b"[")
 
 
 class TestBenchHooks:

@@ -271,6 +271,8 @@ class TestProjectiveZeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             zetaP_numeric(1, 2.0, 1e-4)
+        with pytest.raises(DomainError, match="below 1e-11"):
+            zetaP_numeric(1, 8.0, 1e-12)
         with pytest.raises(DomainError):
             zetaP_theta(2, 3.0)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -23,7 +24,7 @@ from hkcount.enumeration import (
     _canonical_walk,
     _count_r1,
     _iroot_array,
-    _mobius_sieve,
+    _mobius_table,
     _orbit_fold,
     _primitive_norm_blocks,
     _squared_cap,
@@ -98,27 +99,50 @@ class TestPrimitives:
             assert starts == (0, *stops[:-1]) and stops[-1] == len(width)
             assert all(a < b and sum(width[a:b - 1]) <= c for a, b in slices)
 
-    def test_mobius_sieve(self):
-        # mu(1..12) [DERIVED: textbook values]
-        assert _mobius_sieve(12)[1:] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    def test_mobius_table_equals_trial_division(self):
+        # mu(y) from the prime factors that trial division finds, every
+        # y <= n for every n <= 2000
+        want = [0]
+        for y in range(1, 2001):
+            x, sign, p = y, 1, 2
+            while p * p <= x and sign:
+                if x % p == 0:
+                    x //= p
+                    sign = 0 if x % p == 0 else -sign
+                p += 1
+            want.append(sign if x == 1 or not sign else -sign)
+        for n in range(2001):
+            mu = _mobius_table(n)
+            assert (mu.format, len(mu)) == ("b", n + 1)
+            assert list(mu[1:]) == want[1:n + 1], n
+
+    @pytest.mark.parametrize("n, mertens", [
+        (1000, 2), (10 ** 4, -23), (10 ** 5, -48), (10 ** 6, 212)])
+    def test_mobius_table_gives_mertens(self, n, mertens):
+        # M(n) = sum_{y <= n} mu(y) [DERIVED: OEIS A084237]
+        assert sum(_mobius_table(n)) == mertens
+
+    def test_mobius_table_peak_memory(self):
+        # one byte an entry, and the slice copies of the sieve on top: at
+        # most 2.5 bytes an entry at peak
+        n = 10 ** 6
+        tracemalloc.start()
+        try:
+            _mobius_table(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n
 
     def test_table_past_the_address_space_is_beyond_reach(self):
         # 8 bytes a slot: the last length that fits sys.maxsize bytes is
-        # accepted, the next is refused before any list is built
+        # accepted, the next is refused before any byte is touched
         last = sys.maxsize // 8
         assert enumeration._table_length(last - 1) == last
         with pytest.raises(MemoryError):
             enumeration._table_length(last)
         with pytest.raises(MemoryError):
-            _mobius_sieve(10 ** 20)
-
-    def test_mobius_array_equals_sieve(self):
-        # the vectorised sieve of the r = 1 Mobius kernel against the linear
-        # one, up to 2^17
-        for n in (*range(65), 1 << 17):
-            mu = enumeration._mobius_array(n)
-            assert mu.dtype == np.int8
-            assert mu[1:].tolist() == _mobius_sieve(n)[1:], n
+            _mobius_table(10 ** 20)
 
     # the squarefree divisors and their Mobius signs that the per-norm
     # path's coprime count reads (`_squarefree_divisors`), every y <= ymax
@@ -354,12 +378,17 @@ class TestOrbitFold:
 
         monkeypatch.setattr(enumeration, "_orbit_fold", spy)
         # a box of 3^40 >= 2^62 points; and 3^36, where w * (i + 1) can
-        # reach 36 times the box before the division
+        # reach 36 times the box before the division: `_numpy_walk` gives
+        # them to the Python fold, and the numpy blocks refuse them
         for dim in (40, 36):
             assert 3 ** dim * dim >= 2 ** 62
-            assert _fold_histogram(dim, 1) == {1: dim}
+            assert not enumeration._numpy_walk(dim - 1, 1)
+            assert projective_norm_histogram(dim - 1, 1) == {1: dim}
             assert calls.pop() == (dim, 1)
-        assert _fold_histogram(36, 2) == _stream_histogram(36, 2)
+            with pytest.raises(OverflowError):
+                next(_primitive_norm_blocks(dim, 1))
+        assert enumeration._norm_histogram(35, 2) == tuple(
+            map(list, zip(*sorted(_stream_histogram(36, 2).items()))))
         assert calls.pop() == (36, 2)
         # the count and the histogram fold such a box in Python ints
         assert count_enum_projective(39, 1) == 40
