@@ -5,21 +5,16 @@ projective split toric varieties) over the rationals."""
 from .geometry import (
     CaseTag,
     ExponentData,
-    Fan,
     HKVariety,
     LineBundleClass,
     NotBigError,
     ProjectiveSpace,
     Stratum,
-    alpha_constant,
     anticanonical,
-    build_fan,
     decompose,
     exponents,
-    fan_is_smooth,
     is_big,
     restrict_to_F,
-    strongly_accumulates,
 )
 from .heights import (
     HKRationalPoint,
@@ -63,7 +58,6 @@ from .arakelov import (
     h0,
     maruyama_residue_check,
     phi,
-    phi_oplus,
     prop5_identity_check,
     xi_integral,
 )

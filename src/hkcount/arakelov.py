@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 
 from .constants import (
-    TooCloseToPoleError,
     xi_K,
     zetaP1_closed,
     zetaP_numeric,
@@ -105,15 +104,6 @@ def phi_oplus_check(scales: tuple[float, ...], x: float) -> tuple[float, float]:
                   for i, c in enumerate(coeffs)] + [p * coeffs[-1]]
     symmetric = sum(coeffs[1:])
     return product, abs(product - symmetric) / max(1.0, abs(product))
-
-
-def phi_oplus(scales: tuple[float, ...], x: float) -> float:
-    """phi of the direct sum +_i (Z, c_i e^{-x}); raises ArithmeticError
-    unless its two forms (`phi_oplus_check`) agree to 1e-12 (relative)."""
-    value, gap = phi_oplus_check(scales, x)
-    if gap > 1e-12:
-        raise ArithmeticError(f"direct-sum identity violated: relative gap {gap:.3e}")
-    return value
 
 
 _X0 = 3.0  # quadrature cutoff; phi decays like e^{-pi e^{-2x}} beyond it
@@ -249,26 +239,30 @@ def xi_integral(s: float) -> float:
     return _pic_integrals(-s, s - 1.0, 1) + 1.0 / (s - 1.0) - 1.0 / s
 
 
-def prop5_identity_check(n: int, s: float) -> tuple[float, float, float]:
+def prop5_identity_check(n: int, s: float,
+                         route: str) -> tuple[float, float, float]:
     """Check the rank-(n+1) integral identity for the height zeta of P^n:
 
       lhs = 2 xi(s) Z_{P^n}(s)
       rhs = int_{-inf}^0 (e^{-s x} + e^{(s-n-1) x}) ((1+phi(x))^{n+1} - 1) dx
             + 1/(s-n-1) - 1/s.
 
-    Returns (lhs, rhs, lhs - rhs).  The lhs zeta value comes from direct
-    point summation when feasible within the work budget, otherwise from
-    the theta-accelerated route -- always a code path disjoint from the
-    quadrature on the rhs.
+    Returns (lhs, rhs, lhs - rhs).  `route` names where the lhs zeta value
+    comes from: "numeric", direct point summation to `_IDENTITY_ZETA_TOL`
+    (TooCloseToPoleError past its work budget), or "theta", the
+    theta-accelerated Epstein route.  Either is a code path disjoint from
+    the quadrature on the rhs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if s <= n + 1:
         raise ValueError(f"identity needs s > n + 1, got s = {s}")
-    try:
+    if route == "numeric":
         z = zetaP_numeric(n, s, tol=_IDENTITY_ZETA_TOL)
-    except TooCloseToPoleError:
+    elif route == "theta":
         z = zetaP_theta(n, s)
+    else:
+        raise ValueError(f"route must be 'numeric' or 'theta', got {route!r}")
     lhs = 2.0 * xi_K(s) * z
     rhs = (_pic_integrals(-s, s - (n + 1.0), n + 1)
            + 1.0 / (s - (n + 1.0)) - 1.0 / s)
@@ -276,11 +270,11 @@ def prop5_identity_check(n: int, s: float) -> tuple[float, float, float]:
 
 
 def prop5_identity_tolerance(n: int, s: float, rhs: float) -> float:
-    """How far `prop5_identity_check(n, s)` may miss, given its rhs:
+    """How far `prop5_identity_check(n, s, route)` may miss, given its rhs:
     2 xi(s) times the absolute error bound of the lhs zeta sum, plus the
     quadrature's acceptance threshold on the rhs integral, plus 4 ulps of
-    the rhs for the rounding of the two sums.  The theta route, taken next
-    to the pole, is far closer than the error bound."""
+    the rhs for the rounding of the two sums.  The theta route is far
+    closer than the error bound."""
     integral = rhs - 1.0 / (s - (n + 1.0)) + 1.0 / s
     return (2.0 * xi_K(s) * _IDENTITY_ZETA_TOL
             + _quad_limit(integral, n + 1) + 4.0 * math.ulp(rhs))

@@ -46,7 +46,7 @@ from .constants import (
 from .enumeration import CountRequest, count_hk, count_projective_moebius, \
     count_subbundle_direct, enum_hk_points, projective_norm_histogram, sweep
 from .geometry import HKVariety, LineBundleClass, NotBigError, anticanonical
-from .heights import Region, cleared_height_sq, format_point
+from .heights import Region, cleared_height_sq
 
 # No count makes a BLAS call (its arrays are int64), yet OpenBLAS starts a
 # thread pool when numpy loads.  One BLAS thread (2-vCPU VM, numpy 2.4 with
@@ -126,18 +126,6 @@ def _parse_grid(text: str) -> list[Fraction]:
     if vals[0] <= 0:
         raise argparse.ArgumentTypeError("grid bounds must be positive")
     return vals
-
-
-def _default_threads(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("HKCOUNT_THREADS")
-    if env:
-        try:
-            return _parse_threads(env)
-        except argparse.ArgumentTypeError as exc:
-            raise SystemExit(_refuse(exc, "HKCOUNT_THREADS")) from None
-    return os.cpu_count() or 1
 
 
 def _field(args) -> FieldInvariants:
@@ -232,12 +220,11 @@ def cmd_count(args) -> int:
     X = args.variety
     L = args.bundle if args.bundle is not None else anticanonical(X)
     region = _REGIONS[args.region]
-    threads = _default_threads(args.threads)
-    req = CountRequest(X, L, args.B, region=region, threads=threads)
+    req = CountRequest(X, L, args.B, region=region, threads=args.threads)
     try:
         if args.stream:
             for pt in enum_hk_points(X, L, args.B, region):
-                print(format_point(pt))
+                print(pt)
             return EXIT_OK
         res = count_hk(req)
     except (NotBigError, MemoryError) as exc:
@@ -255,7 +242,6 @@ def cmd_sweep(args) -> int:
     X = args.variety
     L = args.bundle if args.bundle is not None else anticanonical(X)
     region = _REGIONS[args.region]
-    threads = _default_threads(args.threads)
     inv = _field(args)
     try:
         try:  # a prediction beyond reach leaves the columns empty
@@ -264,7 +250,8 @@ def cmd_sweep(args) -> int:
         except (TooCloseToPoleError, OverflowError):
             prediction = None
         rows = sweep(CountRequest(X, L, args.grid[0], region=region,
-                                  threads=threads), args.grid, prediction)
+                                  threads=args.threads),
+                     args.grid, prediction)
     except (NotBigError, DomainError, MemoryError) as exc:
         return _refuse(exc)
     if args.format == "json":
@@ -379,9 +366,13 @@ def _suite_integral() -> list[dict]:
         want = 2.0 * xi_K(s)
         checks.append(_check(f"integral representation of 2*xi({s:g})",
                              abs(got - want), 1e-8))
-    _, rhs, diff = arakelov.prop5_identity_check(1, 4.0)
-    checks.append(_check("rank-2 integral identity at (n,s)=(1,4)", abs(diff),
-                         arakelov.prop5_identity_tolerance(1, 4.0, rhs)))
+    for n, s, route in ((1, 4.0, "numeric"), (2, 5.0, "theta"),
+                        (3, 6.0, "theta")):
+        _, rhs, diff = arakelov.prop5_identity_check(n, s, route)
+        checks.append(_check(
+            f"rank-{n + 1} integral identity at (n,s)=({n},{s:g}), "
+            f"Z_(P^{n}) by the {route} route", abs(diff),
+            arakelov.prop5_identity_tolerance(n, s, rhs)))
     return checks
 
 
@@ -453,7 +444,7 @@ _SUITES = {
     "arakelov": lambda args: _suite_arakelov(),
     "integral": lambda args: _suite_integral(),
     "residue": lambda args: _suite_residue(),
-    "partition": lambda args: _suite_partition(_default_threads(args.threads)),
+    "partition": lambda args: _suite_partition(args.threads),
     "oracle": lambda args: _suite_oracle(),
 }
 
@@ -481,6 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bounded-height rational point counts and asymptotic "
                     "constants on projectivized split bundles.")
     sub = ap.add_subparsers(dest="command", required=True)
+    threads = os.cpu_count() or 1
 
     def common(p, bundle=True, field=True, formats=("text", "json")):
         if bundle:
@@ -504,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=_parse_bound, required=True,
                    help="height bound (rational, e.g. 100 or 5/2)")
     p.add_argument("--region", choices=sorted(_REGIONS), default="x")
-    p.add_argument("--threads", type=_parse_threads, default=None)
+    p.add_argument("--threads", type=_parse_threads, default=threads)
     p.add_argument("--stream", action="store_true",
                    help="print every point instead of the count")
     p.set_defaults(func=cmd_count, field=None)
@@ -514,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_grid, required=True,
                    help="comma-separated strictly increasing bounds")
     p.add_argument("--region", choices=sorted(_REGIONS), default="x")
-    p.add_argument("--threads", type=_parse_threads, default=None)
+    p.add_argument("--threads", type=_parse_threads, default=threads)
     p.add_argument("--no-predict", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -538,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, bundle=False, field=False)
     p.add_argument("--suite", default="all",
                    choices=("all",) + tuple(_SUITES))
-    p.add_argument("--threads", type=_parse_threads, default=None)
+    p.add_argument("--threads", type=_parse_threads, default=threads)
     p.set_defaults(func=cmd_verify)
     return ap
 

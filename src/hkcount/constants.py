@@ -384,6 +384,15 @@ def _zetaP_n2max(m: int, s: float, tol: float) -> int:
     return n2max
 
 
+def _zetaP_convention(m: int) -> float:
+    """Z_{P^m} for m <= 0, over any field: Z_{P^-1} = 0 and Z_{P^0} = 1 by
+    convention, and m < -1 raises DomainError.  Every route takes these
+    values from here."""
+    if m < -1:
+        raise DomainError("m must be >= -1")
+    return float(m + 1)
+
+
 def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
     """Z_{P^m}(s) by direct summation plus the main term of its tail.
 
@@ -400,12 +409,8 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
     sums, at most about 2^-47 Z, and every Z the budget reaches at 1e-11
     is below 9, so that rounding stays under 1/150 of the floor.
     """
-    if m == -1:
-        return 0.0
-    if m == 0:
-        return 1.0
-    if m < -1:
-        raise DomainError("m must be >= -1")
+    if m <= 0:
+        return _zetaP_convention(m)
     if s <= m + 1:
         raise DomainError(f"Z_(P^{m}) diverges for s <= {m + 1}")
     if tol < 1e-11:
@@ -563,10 +568,8 @@ def zetaP_theta(m: int, s: float) -> float:
     evaluation of the same sums to 1e-13 relative (tests).  Where the
     points of height > 1 cannot move the double m + 1, that is the value.
     """
-    if m == -1:
-        return 0.0
-    if m == 0:
-        return 1.0
+    if m <= 0:
+        return _zetaP_convention(m)
     if s <= m + 1:
         raise DomainError(f"Z_(P^{m}) diverges for s <= {m + 1}")
     if _height_one_dominates(m, s):
@@ -577,7 +580,7 @@ def zetaP_theta(m: int, s: float) -> float:
 def zetaP_best(m: int, s: float) -> float:
     """Best available evaluator over Q: conventions, closed form, or theta."""
     if m <= 0:
-        return zetaP_numeric(m, s)
+        return _zetaP_convention(m)
     if m == 1:
         return zetaP1_closed(s)
     return zetaP_theta(m, s)
@@ -629,7 +632,7 @@ def schanuel_constant(n: int, inv: FieldInvariants = QQ) -> AsymptoticPrediction
 def _zp(zeta_proj: Optional[Callable[[int, float], float]],
         inv: FieldInvariants, m: int, s: float) -> float:
     if m <= 0:
-        return float(m + 1) if m in (-1, 0) else 0.0
+        return _zetaP_convention(m)
     if zeta_proj is not None:
         return zeta_proj(m, s)
     if inv.zeta_k is not None:

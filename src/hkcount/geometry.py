@@ -5,9 +5,9 @@ Picard rank 2: for integers r >= 1, t >= 2 and a nondecreasing tuple
 0 <= a_1 <= ... <= a_r, the variety X_d(a_1, ..., a_r) is the
 projectivization of O + O(-a_r) + O(a_1 - a_r) + ... + O(a_{r-1} - a_r)
 over P^{t-1}, of dimension d = r + t - 1.  Everything in this module is
-exact integer/rational arithmetic: the fan, the Picard basis {h, f}, the
+exact integer/rational arithmetic: the Picard basis {h, f}, the
 anticanonical class, bigness, restriction to the projective subbundle F,
-the alpha-constant, growth-exponent data and the stratification chain.
+growth-exponent data and the stratification chain.
 `require_big` is the one place that raises NotBigError.
 """
 from __future__ import annotations
@@ -16,7 +16,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Union
 
 
@@ -130,14 +129,6 @@ class HKVariety:
 
 
 @dataclass(frozen=True)
-class Fan:
-    """Rays (primitive integer vectors in Z^d) and maximal cones (index sets)."""
-
-    rays: tuple[tuple[int, ...], ...]
-    maximal_cones: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class ExponentData:
     """Growth-exponent data of a big class: a(L) = max(lambda_l, mu_l)."""
 
@@ -163,93 +154,6 @@ class Stratum:
     bundle: Union[LineBundleClass, int]
     open_part: bool
     big: bool
-
-
-def _int_det(mat: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def build_fan(X: HKVariety) -> Fan:
-    """Rays and maximal cones of X in Z^{t-1} + Z^r.
-
-    Base rays: u_1, ..., u_{t-1} the standard basis of the first block,
-    u_0 = -sum u_i.  Fiber rays: e_1, ..., e_r the standard basis of the
-    second block, e_0 = -sum e_j.  The twisted ray is
-    w_0 = u_0 - a_r e_1 + (a_1 - a_r) e_2 + ... + (a_{r-1} - a_r) e_r,
-    and w_i = u_i for 1 <= i <= t-1.  Rays are stored in the fixed order
-    (w_0, ..., w_{t-1}, e_0, ..., e_r); each maximal cone omits one w and
-    one e.
-    """
-    r, t, a = X.r, X.t, X.a
-    d = X.d
-
-    def base_vec(i: int) -> list[int]:
-        v = [0] * d
-        if i == 0:
-            for k in range(t - 1):
-                v[k] = -1
-        else:
-            v[i - 1] = 1
-        return v
-
-    def fiber_vec(j: int) -> list[int]:
-        v = [0] * d
-        if j == 0:
-            for k in range(r):
-                v[t - 1 + k] = -1
-        else:
-            v[t - 1 + j - 1] = 1
-        return v
-
-    w0 = base_vec(0)
-    ar = a[-1]
-    twists = [-ar] + [a[k] - ar for k in range(r - 1)]  # coefficients of e_1..e_r
-    for j in range(r):
-        w0[t - 1 + j] += twists[j]
-
-    rays = [tuple(w0)] + [tuple(base_vec(i)) for i in range(1, t)]
-    rays += [tuple(fiber_vec(j)) for j in range(r + 1)]
-
-    cones = []
-    for j in range(t):  # omitted w index
-        for i in range(r + 1):  # omitted e index
-            idx = [k for k in range(t) if k != j]
-            idx += [t + k for k in range(r + 1) if k != i]
-            cones.append(tuple(idx))
-    return Fan(rays=tuple(rays), maximal_cones=tuple(cones))
-
-
-def fan_is_smooth(fan: Fan) -> bool:
-    """All rays primitive and every maximal cone unimodular (det = +-1)."""
-    for ray in fan.rays:
-        g = 0
-        for x in ray:
-            g = gcd(g, x)
-        if g != 1:
-            return False
-    for cone in fan.maximal_cones:
-        mat = [list(fan.rays[i]) for i in cone]
-        if abs(_int_det(mat)) != 1:
-            return False
-    return True
 
 
 def anticanonical(X: HKVariety) -> LineBundleClass:
@@ -278,11 +182,6 @@ def restrict_to_F(
         Xp = HKVariety(X.r - 1, X.t, X.a[:-1])
         return Xp, LineBundleClass(lam, mu - lam * (X.a[-1] - X.a[-2]))
     return ProjectiveSpace(X.t - 1), mu - X.a[0] * lam
-
-
-def alpha_constant(X: HKVariety) -> Fraction:
-    """Effective-cone volume constant 1 / ((r+1) ((r+1) a_r + t - |a|))."""
-    return Fraction(1, (X.r + 1) * ((X.r + 1) * X.a[-1] + X.t - X.abs_a))
 
 
 def exponents(X: HKVariety, L: LineBundleClass) -> ExponentData:
@@ -350,22 +249,3 @@ def decompose(
     strata.append(Stratum(space, bundle, open_part=False,
                           big=_bundle_is_big(space, bundle)))
     return tuple(strata)
-
-
-def strongly_accumulates(X: HKVariety, L: LineBundleClass) -> Optional[bool]:
-    """Does the subbundle F carry asymptotically more points than U?
-
-    True iff max(lambda_l, mu_l) < mu_{L|F}, where mu_{L|F} is the base
-    exponent of the restricted class.  Returns None (not applicable) when
-    the restriction of L to F is not big, in which case F has infinitely
-    many points of bounded height and the comparison is moot.
-    """
-    exp = exponents(X, L)  # raises NotBigError if L itself is not big
-    sub_space, sub_bundle = restrict_to_F(X, L)
-    if not _bundle_is_big(sub_space, sub_bundle):
-        return None
-    if isinstance(sub_space, ProjectiveSpace):
-        mu_lf = Fraction(X.t, sub_bundle)
-    else:
-        mu_lf = exponents(sub_space, sub_bundle).mu_l
-    return exp.a_l < mu_lf

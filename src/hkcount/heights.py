@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Union
 
 from .geometry import HKVariety, LineBundleClass, ProjectiveSpace, Stratum, decompose
 
@@ -73,28 +73,6 @@ class HKRationalPoint:
 
     def __str__(self) -> str:
         return f"{self.base};{self.fiber}"
-
-
-def canonicalize(v: Iterable[Union[int, Fraction]]) -> ProjectivePoint:
-    """Clear denominators, divide by the gcd and fix the sign.
-
-    Idempotent and invariant under scaling by any nonzero rational.
-    """
-    fracs = [Fraction(x) for x in v]
-    if not fracs or all(x == 0 for x in fracs):
-        raise AllZeroError("all coordinates are zero")
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return ProjectivePoint(tuple(ints))
 
 
 def base_height_sq(Q: ProjectivePoint) -> int:
@@ -172,7 +150,3 @@ def region_strata(space: Union[HKVariety, ProjectiveSpace],
     if region is Region.GOOD_OPEN:
         return chain[:1]
     return chain[1:]
-
-
-def format_point(P: HKRationalPoint) -> str:
-    return str(P)

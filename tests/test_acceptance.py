@@ -61,13 +61,11 @@ from hkcount.geometry import (
     HKVariety,
     LineBundleClass,
     anticanonical,
-    build_fan,
     exponents,
-    fan_is_smooth,
     is_big,
 )
 from hkcount.heights import Region
-from support import estimate_exponent
+from support import build_fan, canonicalize, estimate_exponent, fan_is_smooth
 
 CATALAN = 0.9159655941772190150546
 
@@ -216,12 +214,13 @@ def test_criterion_8_thread_determinism(monkeypatch):
 def test_criterion_9_arakelov_suite():
     # the arakelov, integral and residue suites: the theta functional
     # equation, the direct-sum identity and the decay bound on phi; the
-    # integral representation of 2 xi(s) at s = 2, 3, 5 and the rank-2
-    # identity at (n, s) = (1, 4); the residue of Z_(P^1) at s = 2
+    # integral representation of 2 xi(s) at s = 2, 3, 5 and the rank-(n+1)
+    # identity at (n, s) = (1, 4) by the numeric route and at (2, 5) and
+    # (3, 6) by the theta route; the residue of Z_(P^1) at s = 2
     t0 = time.time()
     checks = _suite_arakelov() + _suite_integral() + _suite_residue()
     elapsed = time.time() - t0
-    ok = (len(checks) == 8 and all(c["ok"] for c in checks)
+    ok = (len(checks) == 10 and all(c["ok"] for c in checks)
           and elapsed < 60)
     _report(9, "arakelov identity suite", ok)
     assert ok, (checks, elapsed)
@@ -250,8 +249,7 @@ def test_criterion_10a_fan_properties(X):
 def test_criterion_10b_restriction_heights_and_report():
     # 500 random subbundle points: height on X equals height on F
     from hkcount.geometry import ProjectiveSpace, restrict_to_F
-    from hkcount.heights import (HKRationalPoint, base_height_sq,
-                                 canonicalize, height_L_sq)
+    from hkcount.heights import HKRationalPoint, base_height_sq, height_L_sq
     rng = random.Random(8261)
     checked = 0
     ok = True

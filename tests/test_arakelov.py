@@ -13,12 +13,11 @@ from hkcount.arakelov import (
     h0,
     maruyama_residue_check,
     phi,
-    phi_oplus,
     prop5_identity_check,
     prop5_identity_tolerance,
     xi_integral,
 )
-from hkcount.constants import xi_K, zetaP1_closed
+from hkcount.constants import TooCloseToPoleError, xi_K, zetaP1_closed
 
 
 def _theta_oracle(x: float) -> float:
@@ -79,20 +78,25 @@ class TestPhi:
 
 
 class TestPhiOplus:
+    # the relative gap of the two forms stays within the arakelov suite's
+    # bound of 1e-12
     def test_single_trivial_summand(self):
-        got = phi_oplus((1.0,), -0.4)
+        got, gap = arakelov.phi_oplus_check((1.0,), -0.4)
+        assert gap <= 1e-12
         assert got == pytest.approx(phi(-0.4), rel=1e-12)
 
     def test_two_equal_summands(self):
         want = (1.0 + phi(0.0)) ** 2 - 1.0
-        assert abs(phi_oplus((1.0, 1.0), 0.0) - want) < 1e-14
+        got, gap = arakelov.phi_oplus_check((1.0, 1.0), 0.0)
+        assert gap <= 1e-12
+        assert abs(got - want) < 1e-14
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.2, 5.0), min_size=1, max_size=5),
            st.floats(-3.0, 1.5))
     def test_product_and_symmetric_forms_agree(self, scales, x):
-        # phi_oplus raises internally if the two expansions disagree
-        val = phi_oplus(tuple(scales), x)
+        val, gap = arakelov.phi_oplus_check(tuple(scales), x)
+        assert gap <= 1e-12
         assert val >= 0.0
 
     def test_rejects_bad_scales(self):
@@ -212,11 +216,17 @@ class TestQuad:
             assert got <= 1.001 * want
 
 
+# the Z route each case takes: the numeric sum where it meets its tolerance
+# within the work budget, theta where the sum is over budget
+_ROUTE = {(1, 3.5): "numeric", (1, 4.0): "numeric", (1, 6.0): "numeric",
+          (2, 4.0): "theta", (2, 5.0): "theta", (3, 6.0): "theta"}
+
+
 class TestRankIdentity:
     @pytest.mark.parametrize("n,s,tol", [(1, 4.0, 1e-6), (1, 6.0, 1e-6),
                                          (2, 4.0, 1e-5)])
     def test_identity(self, n, s, tol):
-        lhs, rhs, diff = prop5_identity_check(n, s)
+        lhs, rhs, diff = prop5_identity_check(n, s, _ROUTE[n, s])
         assert abs(diff) <= tol
         assert lhs > 0 and rhs > 0
 
@@ -225,8 +235,18 @@ class TestRankIdentity:
     def test_within_stated_tolerance(self, n, s):
         # the tail bound of the zeta sum, the quadrature's threshold and a
         # few ulps, and never above 1e-6
-        _, rhs, diff = prop5_identity_check(n, s)
+        _, rhs, diff = prop5_identity_check(n, s, _ROUTE[n, s])
         assert abs(diff) <= prop5_identity_tolerance(n, s, rhs) <= 1e-6
+
+    @pytest.mark.parametrize("n,s", [(2, 4.0), (2, 5.0), (3, 6.0)])
+    def test_numeric_route_over_budget_raises(self, n, s):
+        # no silent fallback: the numeric route refuses what it cannot sum
+        with pytest.raises(TooCloseToPoleError):
+            prop5_identity_check(n, s, "numeric")
+
+    def test_rejects_an_unknown_route(self):
+        with pytest.raises(ValueError, match="route"):
+            prop5_identity_check(1, 4.0, "closed")
 
 
 class TestResidue:

@@ -1,4 +1,5 @@
 """CLI contract: subcommands, formats, exit codes, round-trips."""
+import ast
 import contextlib
 import io
 import json
@@ -276,20 +277,6 @@ class TestInputErrors:
         assert run(capsys, "count", "--variety", "1,2:1", "--B", "5",
                    "--threads", "1") == (
             EXIT_PARSE, "", "error: bound beyond reach: out of memory\n")
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    @pytest.mark.parametrize("argv", [
-        ["count", "--variety", "1,2:1", "--B", "5"],
-        ["sweep", "--variety", "1,2:1", "--grid", "2,3"],
-    ], ids=["count", "sweep"])
-    def test_bad_threads_environment(self, capsys, monkeypatch, argv, value):
-        monkeypatch.setenv("HKCOUNT_THREADS", value)
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("hkcount: error: HKCOUNT_THREADS")
-        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         ["predict", "--variety", "1,2:1"],
@@ -722,6 +709,22 @@ class TestVerify:
         assert 1.1e-7 < check["tolerance"] < 1.11e-7
         assert check["observed"] < check["tolerance"] and check["ok"]
 
+    def test_integral_names_the_route_of_each_identity(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "integral")
+        identities = [ln for ln in out.splitlines() if "identity" in ln]
+        assert code == EXIT_OK
+        assert [re.search(r"by the (\w+) route", ln).group(1)
+                for ln in identities] == ["numeric", "theta", "theta"]
+        assert "(n,s)=(2,5)" in identities[1]
+        assert "(n,s)=(3,6)" in identities[2]
+
+    def test_all_suites_print_13_pass_lines(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all",
+                           "--threads", "1")
+        lines = out.splitlines()
+        assert code == EXIT_OK and len(lines) == 13
+        assert all(ln.startswith("PASS") for ln in lines)
+
     @pytest.mark.parametrize("suite", ["oracle", "integral"])
     def test_suite_prints_only_pass(self, capsys, suite):
         code, out, _ = run(capsys, "verify", "--suite", suite)
@@ -851,7 +854,7 @@ class TestImportCost:
         imported hkcount.cli, so its own OPENBLAS_NUM_THREADS is set.)"""
         src = str(Path(hkcount.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "HKCOUNT_THREADS")}
+               if k != "OPENBLAS_NUM_THREADS"}
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
         env.update(env_set)
@@ -1007,7 +1010,6 @@ class TestBenchHooks:
         out = tmp_path / "spans.json"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(root / "src")
-        env.pop("HKCOUNT_THREADS", None)
         done = subprocess.run(
             [sys.executable, str(root / "bench" / "tracer.py"), str(out), "--"]
             + argv, env=env, cwd=root, capture_output=True, text=True)
@@ -1033,3 +1035,23 @@ class TestBenchHooks:
         good = [s[4] for s in spans["kernel"]
                 if s[0] == "enumeration.good_open"]
         assert [(g["count"], g["rows"]) for g in good] == [(411668916, 66844)]
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a name that `hkcount` exports must be used beyond its own def or
+    # class line: in the package, in the README or in the benchmark
+    init = Path(hkcount.__file__).resolve()
+    root = init.parents[2]
+    names = [alias.asname or alias.name
+             for node in ast.parse(init.read_text()).body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    lines = [line for path in sorted((root / "src" / "hkcount").glob("*.py"))
+             + [root / "README.md"] + sorted((root / "bench").glob("*.py"))
+             if path != init for line in path.read_text().splitlines()]
+
+    def used(name):
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"\s*(def|class)\s+{re.escape(name)}\b")
+        return any(word.search(ln) and not own.match(ln) for ln in lines)
+    assert len(names) > 40
+    assert [name for name in names if not used(name)] == []

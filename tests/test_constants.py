@@ -21,6 +21,7 @@ from hkcount.constants import (
     _log_kappa,
     _shell_counts,
     _zeta_k,
+    _zp,
     _zetaP_error,
     _zetaP_n2max,
     hirzebruch_table,
@@ -172,6 +173,19 @@ class TestProjectiveZeta:
     def test_conventions(self):
         assert zetaP_numeric(0, 5.0) == 1.0
         assert zetaP_numeric(-1, 5.0) == 0.0
+
+    @pytest.mark.parametrize("route", [
+        zetaP_numeric, zetaP_theta, zetaP_best,
+        lambda m, s: _zp(None, QQ, m, s)],
+        ids=["numeric", "theta", "best", "predict"])
+    @pytest.mark.parametrize("m", [-2, -1, 0])
+    def test_every_route_shares_the_conventions(self, route, m):
+        # Z_(P^-1) = 0 and Z_(P^0) = 1 at any s; m < -1 is outside the domain
+        if m < -1:
+            with pytest.raises(DomainError, match="m must be >= -1"):
+                route(m, 3.0)
+        else:
+            assert route(m, 3.0) == float(m + 1)
 
     def test_pole_budget(self):
         with pytest.raises(TooCloseToPoleError):

@@ -12,16 +12,14 @@ from hkcount.geometry import (
     LineBundleClass,
     NotBigError,
     ProjectiveSpace,
-    alpha_constant,
     anticanonical,
-    build_fan,
     decompose,
     exponents,
-    fan_is_smooth,
     is_big,
     restrict_to_F,
-    strongly_accumulates,
 )
+from support import (alpha_constant, build_fan, fan_is_smooth,
+                     strongly_accumulates)
 
 varieties = st.builds(
     lambda r, t, a: HKVariety(r, t, tuple(sorted(a[:r]))),

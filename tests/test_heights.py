@@ -21,13 +21,11 @@ from hkcount.heights import (
     ProjectivePoint,
     Region,
     base_height_sq,
-    canonicalize,
     fiber_height_sq,
-    format_point,
     height_L_sq,
     height_le,
 )
-from support import parse_point, region_of
+from support import canonicalize, parse_point, region_of
 
 
 class TestProjectivePoint:
@@ -53,7 +51,7 @@ class TestProjectivePoint:
         pt = parse_point("[1:2];[0:1:-1]")
         assert pt == HKRationalPoint(ProjectivePoint((1, 2)),
                                      ProjectivePoint((0, 1, -1)))
-        assert parse_point(format_point(pt)) == pt
+        assert parse_point(str(pt)) == pt
 
 
 class TestHeights:
