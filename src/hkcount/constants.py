@@ -40,10 +40,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .enumeration import _numpy_walk, _orbit_fold, _primitive_norm_blocks
+from .enumeration import primitive_norm_power_sum
 from .geometry import (
     CaseTag,
     HKVariety,
@@ -68,9 +69,6 @@ class FieldGapError(DomainError):
 
 class TooCloseToPoleError(ArithmeticError):
     """The requested tolerance is unreachable this close to a pole."""
-
-
-from enum import Enum
 
 
 class SourceFormula(Enum):
@@ -402,12 +400,11 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
     `zeta`.  The certified error of the rest (`_zetaP_error`) is
     O(X^(k-1-s) log X), and `_zetaP_n2max` takes X where it meets `tol`,
     or raises TooCloseToPoleError past the work budget.  The points come
-    from the primitive-vector walk of the base histogram, one weighted
-    representative per orbit (numpy blocks, or `_orbit_fold` for a small
-    walk); fsum adds the terms w * norm^(-s/2).  A tol below 1e-11 raises
-    DomainError: the bound leaves out the rounding of the double terms and
-    sums, at most about 2^-47 Z, and every Z the budget reaches at 1e-11
-    is below 9, so that rounding stays under 1/150 of the floor.
+    from the base histogram's walk, one weighted representative per orbit
+    (`primitive_norm_power_sum`).  A tol below 1e-11 raises DomainError:
+    the bound leaves out the rounding of the double terms and sums, at
+    most about 2^-47 Z, and every Z the budget reaches at 1e-11 is below
+    9, so that rounding stays under 1/150 of the floor.
     """
     if m <= 0:
         return _zetaP_convention(m)
@@ -418,14 +415,9 @@ def zetaP_numeric(m: int, s: float, tol: float = 1e-8) -> float:
                           "the double sum is no longer negligible")
     k = m + 1
     n2max = _zetaP_n2max(m, s, tol)
-    if _numpy_walk(m, n2max):
-        terms = (float((w * v ** (-0.5 * s)).sum())
-                 for v, w in _primitive_norm_blocks(k, n2max))
-    else:
-        terms = (w * v ** (-0.5 * s) for v, w in _orbit_fold(k, n2max))
     main = math.exp(_log_half_vk(k) - math.log(_zeta_k(k)[0])
                     + math.log(k / (s - k)) + (k - s) / 2.0 * math.log(n2max))
-    return math.fsum(terms) + main
+    return primitive_norm_power_sum(k, n2max, s) + main
 
 
 def zetaP1_closed(s: float) -> float:

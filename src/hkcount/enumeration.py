@@ -22,8 +22,9 @@ leading coordinates, each coordinate expanded for a whole batch of
 prefixes at once, so it yields int64 blocks of at most about _CHUNK
 (norms^2, weights) and never holds every prefix.  A small one runs in
 Python ints (`_orbit_fold`), one representative at a time.
-zetaP_numeric sums w * norm^(-s/2) over the same walk, and
-count_enum_projective sums the histogram.  The unfolded
+zetaP_numeric sums w * norm^(-s/2) over the same walk
+(`primitive_norm_power_sum`, which makes the same choice between the
+two), and count_enum_projective sums the histogram.  The unfolded
 `_canonical_vectors` stream fixes the order of `enum_hk_points` and is
 the reference both folds are tested against.  A count takes the
 histogram as a pair (norms, mults) from `_norm_histogram`: int64 arrays
@@ -53,18 +54,20 @@ is resolved by a Mobius/inclusion-exclusion coprimality count instead of
 a per-point gcd.
 
 `_count_good_open` dispatches on r.  `_count_r1` counts every r = 1
-base norm and returns (count, rows), as the per-norm path does.  It
-takes the norms in slices of at most _CHUNK, so that no array spans
-every norm, and splits each slice once by an int64 guard
-(`_r1_batch_band`); the norms with S_max >= 2^62 take one call of the
-per-norm path.  One counter (`_count_r1_mobius`) takes each slice's
-other fibers as int64 (c_0, S_max, mult) in one call: the identity of
+base norm and returns (count, rows), as the per-norm path does.  A
+norm's Python-int form (c_0, S_max, mult) is built once, by `_r1_forms`,
+and a form with S_max >= 2^62 is counted per norm (`_count_r1_forms`).
+The norms go in slices of at most _CHUNK, so that no array spans every
+norm, each split once by an int64 guard (`_r1_batch_band`) into caps
+taken in int64 and forms built in Python ints.  One counter
+(`_count_r1_mobius`) takes each slice's fibers with S_max < 2^62 as
+int64 (c_0, S_max, mult) in one call: the identity of
 the P^n sieve counts a fiber as sum over d of mu(d) E(c_0, S_max // d^2),
 where E counts every lattice point with y_0 >= 1 and tests no gcd.  Each
 y_0 row takes one isqrt, M(y_0) = isqrt(S_max - c_0 y_0^2), and the term
 of a squarefree d and a multiple y_0 = d k is read off it as
 M(d k) // d; mu is the P^n sieve's `_mobius_table`, read as int8.
-Every r >= 2 norm goes through the per-norm Python path
+Every r >= 2 norm goes through its own per-norm Python path
 (`_good_chunk_worker`) with unbounded integers.  All bound comparisons
 are integer-exact, integer roots included (Newton from above, seeded for
 square roots from a table of isqrt over 16-bit integers and otherwise
@@ -75,12 +78,12 @@ pool only on the pooled branch, so importing this module costs neither.
 A count loads numpy only when an array step has enough work to repay
 the import (about 0.05 s with the one BLAS thread the CLI sets).  A walk
 of fewer than about _NUMPY_WALK_MIN orbit representatives (`_numpy_walk`)
-takes the Python fold.  Over such a base, an r = 1 count whose
-fibers with S_max < 2^62 have fewer than _NUMPY_ROWS_MIN y_0 rows is
-counted per norm by `_count_r1` (`_few_r1_rows`), before numpy loads;
-it reads which walk was taken off the histogram's type (lists or
-arrays).  Both choices depend only on the input's size,
-and both sides give the same counts.  Bigness is checked before either.
+takes the Python fold.  Over such a base, an r = 1 count whose forms
+with S_max < 2^62 have fewer than _NUMPY_ROWS_MIN y_0 rows is counted
+per norm, before numpy loads; `_count_r1` reads which walk was taken off
+the histogram's type (lists or arrays).  Both choices depend only on the
+input's size, both sides give the same counts, and bigness is checked
+before either.
 r = 1 counts run in the calling process at any thread count; only an
 r >= 2 count splits its norms over a process pool, of at most one worker
 per CPU the process may run on.
@@ -97,7 +100,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gamma, gcd, isqrt, log, pi
+from math import factorial, fsum, gamma, gcd, isqrt, log, pi
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
@@ -431,6 +434,18 @@ def _norm_histogram(n: int, n2max: int) -> tuple[Sequence[int], Sequence[int]]:
     mults = hist[norms]
     del hist  # the table goes before the int64 copy is made
     return norms, mults.astype(np.int64)
+
+
+def primitive_norm_power_sum(dim: int, n2max: int, s: float) -> float:
+    """fsum of norm^(-s) over the canonical primitive vectors of Z^dim with
+    norm^2 <= n2max, from the walk `_norm_histogram` takes: one float sum
+    per numpy block, or one term per orbit representative of the fold."""
+    if _numpy_walk(dim - 1, n2max):
+        terms = (float((w * v ** (-0.5 * s)).sum())
+                 for v, w in _primitive_norm_blocks(dim, n2max))
+    else:
+        terms = (w * v ** (-0.5 * s) for v, w in _orbit_fold(dim, n2max))
+    return fsum(terms)
 
 
 def projective_norm_histogram(n: int, n2max: int) -> dict[int, int]:
@@ -770,19 +785,20 @@ def _count_r1(args: tuple, norms: Sequence[int], mults: Sequence[int]
     norm: the sum of mult * fiber count, and the y_0 rows,
     isqrt(S_max // c_0) per norm, that `_count_fiber_good` reports.
 
-    A small base (lists from `_orbit_fold`) with few rows
-    (`_few_r1_rows`) goes to the per-norm path whole, before numpy loads.
-    Otherwise each slice of at most _CHUNK norms is split once by
-    `_r1_batch_band`: the norms outside the band take (c_0, S_max) in
-    Python ints from `_fiber_params`, those in it their caps in int64 (a
-    cap p // q // m^k with p // q >= 2^62 is divided in Python ints and
-    only its quotient enters int64; for e = 0 the one S_max is broadcast).
-    Each slice's fibers with c_0 <= S_max < 2^62 go to `_count_r1_mobius`
-    in one call, and the norms with S_max >= 2^62 to one per-norm call; a
-    norm with c_0 > S_max has no fiber point.
+    A small base (lists from `_orbit_fold`) is counted per norm
+    (`_count_r1_forms`) from one `_r1_forms` pass, before numpy loads,
+    unless its rows reach _NUMPY_ROWS_MIN.  Otherwise each slice of at
+    most _CHUNK norms is split once by `_r1_batch_band`: the norms outside
+    the band take their forms from `_r1_forms`, those in it their caps in
+    int64 (a cap p // q // m^k with p // q >= 2^62 is divided in Python
+    ints and only its quotient enters int64; for e = 0 the one S_max is
+    broadcast).  Each slice's forms with S_max >= 2^62 are counted per
+    norm, and its other fibers go to `_count_r1_mobius` in one call.
     """
-    if isinstance(norms, list) and _few_r1_rows(args, norms):
-        return _good_chunk_worker((*args, norms, mults))
+    if isinstance(norms, list):
+        forms = _r1_forms(args, norms, mults, _NUMPY_ROWS_MIN)
+        if forms is not None:
+            return _count_r1_forms(forms[0] + forms[1])
     import numpy as np
 
     lo, hi = _r1_batch_band(*args[1:])
@@ -790,20 +806,13 @@ def _count_r1(args: tuple, norms: Sequence[int], mults: Sequence[int]
     e = lam * ar - mu
     P = p // q
     norms, mults = (np.asarray(a, dtype=np.int64) for a in (norms, mults))
-    big: tuple[list[int], list[int]] = ([], [])
     total = rows = 0
     for a in range(0, norms.size, _CHUNK):
         m, mult = norms[a:a + _CHUNK], mults[a:a + _CHUNK]
         inside = (m >= lo) & (m <= hi)
-        rest = []  # (c_0, S_max, mult) of the norms outside the band
-        for n, k in zip(m[~inside].tolist(), mult[~inside].tolist()):
-            (c0, _), smax = _fiber_params(*args, n)
-            if smax >= _INT64_SAFE:
-                big[0].append(n)
-                big[1].append(k)
-            elif c0 <= smax:
-                rest.append((c0, smax, k))
-        fibers = np.array(rest, dtype=np.int64).reshape(-1, 3).T
+        wide, narrow = _r1_forms(args, m[~inside].tolist(),
+                                 mult[~inside].tolist())
+        fibers = np.array(narrow, dtype=np.int64).reshape(-1, 3).T
         m, mult = m[inside], mult[inside]
         if m.size:  # an empty band may have p or q past int64
             if e == 0:  # one cap P for every norm, so one S_max < 2^62
@@ -819,17 +828,16 @@ def _count_r1(args: tuple, norms: Sequence[int], mults: Sequence[int]
             live = c0 <= smax
             fibers = np.concatenate(
                 (fibers, (c0[live], smax[live], mult[live])), axis=1)
-        count, r = _count_r1_mobius(*fibers)
-        total += count
-        rows += r
-    count, r = _good_chunk_worker((*args, *big))
-    return total + count, rows + r
+        for count, r in (_count_r1_mobius(*fibers), _count_r1_forms(wide)):
+            total += count
+            rows += r
+    return total, rows
 
 
 def _good_chunk_worker(args: tuple) -> tuple[int, int]:
-    """The per-norm path and pool worker: count a chunk of base norms one by
-    one with unbounded integers, given as lists of Python ints (norms and
-    multiplicities), never as int64 arrays, whose elements wrap on overflow."""
+    """The r >= 2 per-norm path and pool worker: count a chunk of base
+    norms one by one with unbounded integers, given as lists of Python
+    ints, never as int64 arrays, whose elements wrap on overflow."""
     *params, norms, mults = args
     count = visited = 0
     for m, mult in zip(norms, mults):
@@ -839,43 +847,42 @@ def _good_chunk_worker(args: tuple) -> tuple[int, int]:
     return count, visited
 
 
-# r = 1 counts over a small base whose norms with S_max < 2^62 have fewer
-# y_0 rows than this are counted per norm, which needs no numpy.  With numpy
-# loaded (2-vCPU VM, Python 3.11, numpy 2.4, best of 5 with a cold divisor
-# cache, two runs; bundle (1, 6) on X_2(1)), 9.1k rows took 0.062 to
-# 0.065 s per norm against 0.004 s batched, 11.3k rows 0.071 to 0.081 s
-# against 0.005 s and 14.2k rows 0.096 to 0.108 s against 0.005 to
-# 0.006 s.  The import costs 0.06 to 0.08 s after `import hkcount.cli`
-# (which pins one BLAS thread); added to the batched side, the two meet
-# between 1.0 and 1.2 * 10^4 rows.  From the CLI (median of 9 fresh
-# processes each), B = 10^4 (11.3k rows) took 0.244 s batched against
-# 0.263 s per norm, and B = 12,500 (14.2k rows) 0.250 s against 0.267 s.
-# The row count includes the norms outside the int64 band; it chose the
-# same side as a count of the band's rows alone on all 119,448 small
-# r = 1 inputs (t in {2, 3}, a <= 20, lam, mu <= 6, B = 1, 3/2, ..., 40),
-# and the batched side is the one measured here, so the crossover still
-# holds.
+# r = 1 counts over a small base whose forms with S_max < 2^62 have fewer
+# y_0 rows than this are counted per norm, which needs no numpy.  From the
+# CLI, bundle (1, 6) on X_2(1) (2-vCPU VM, Python 3.11, numpy 2.4; median
+# of 21 fresh processes each, per norm against batched, which pays the
+# import of numpy): 5.0k rows took 0.094 against 0.136 s, 10.0k rows
+# (B = 8815 and 8816) 0.124 to 0.174 s against 0.135 to 0.196 s, 14.7k
+# rows 0.164 against 0.155 s and 20.0k rows 0.237 against 0.167 s.  The
+# two still meet between 1.0 and 1.5 * 10^4 rows.
 _NUMPY_ROWS_MIN = 10 ** 4
 
 
-def _few_r1_rows(args: tuple, norms: Sequence[int]) -> bool:
-    """Whether the r = 1 fibers with S_max < 2^62 over the ascending norms
-    have fewer than _NUMPY_ROWS_MIN y_0 rows in all.  A row count is
-    isqrt(S_max // c_0), from `_fiber_params`; the norms with
-    S_max >= 2^62 go to the per-norm path on either side.  For
-    lam * ar >= mu the cap p m^(lam ar - mu) / q, and so S_max, grows with
-    m, so no norm after the first with S_max >= 2^62 adds a row."""
-    _, ar, lam, mu, _, _ = args
-    rows = 0
-    for m in norms:
-        if rows >= _NUMPY_ROWS_MIN:
-            break
+def _r1_forms(args: tuple, norms: Sequence[int], mults: Sequence[int],
+              rows_min: int | None = None) -> tuple[list, list] | None:
+    """The r = 1 forms (c_0, S_max, mult) of `_fiber_params` over lists of
+    Python ints, one call per norm: (wide, narrow), the forms with
+    S_max >= 2^62 and those with c_0 <= S_max < 2^62.  A norm with
+    c_0 > S_max has no fiber point and no form.  With rows_min, None once
+    the narrow forms' y_0 rows, isqrt(S_max // c_0) each, reach it."""
+    wide, narrow, rows = [], [], 0
+    for m, mult in zip(norms, mults):
         (c0, _), smax = _fiber_params(*args, m)
-        if smax < _INT64_SAFE:
+        if smax >= _INT64_SAFE:
+            wide.append((c0, smax, mult))
+        elif c0 <= smax:
+            narrow.append((c0, smax, mult))
             rows += isqrt(smax // c0)
-        elif lam * ar >= mu:
-            break
-    return rows < _NUMPY_ROWS_MIN
+            if rows_min is not None and rows >= rows_min:
+                return None
+    return wide, narrow
+
+
+def _count_r1_forms(forms: Sequence[tuple[int, int, int]]) -> tuple[int, int]:
+    """The r = 1 per-norm path: the sum of mult * `_count_fiber_good` count,
+    and the y_0 rows, over the Python-int forms of `_r1_forms`."""
+    parts = [(k, *_count_fiber_good((c0, 1), smax)) for c0, smax, k in forms]
+    return sum(k * c for k, c, _ in parts), sum(r for _, _, r in parts)
 
 
 def _cpus() -> int:
@@ -1009,7 +1016,8 @@ def sweep(req: CountRequest, grid: Sequence[Union[int, Fraction]],
     """Counts over an increasing grid of bounds, with optional predicted column.
 
     `prediction` is an AsymptoticPrediction (module constants); predicted(B)
-    = C * B^a * (log B)^e and ratio = count / predicted.
+    = C * B^a * (log B)^e and ratio = count / predicted where predicted(B)
+    is positive, and both are None elsewhere (B <= 1 with a log factor).
     """
     vals = [Fraction(b) for b in grid]
     if any(b2 <= b1 for b1, b2 in zip(vals, vals[1:])):
@@ -1023,7 +1031,7 @@ def sweep(req: CountRequest, grid: Sequence[Union[int, Fraction]],
             pred = prediction.constant * bb ** float(prediction.a_l)
             if prediction.log_exponent:
                 pred *= log(bb) ** prediction.log_exponent
-            row["predicted"] = pred
-            row["ratio"] = res.count / pred if pred > 0 else float("nan")
+            if pred > 0:  # otherwise no prediction: the cells stay empty
+                row["predicted"], row["ratio"] = pred, res.count / pred
         rows.append(row)
     return rows

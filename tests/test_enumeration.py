@@ -704,6 +704,31 @@ def _python_params(monkeypatch):
     return calls
 
 
+def _per_norm_forms(monkeypatch):
+    """The form lists the r = 1 per-norm counter is called with from now
+    on."""
+    counter = enumeration._count_r1_forms
+    calls = []
+
+    def spy(forms):
+        calls.append(list(forms))
+        return counter(forms)
+
+    monkeypatch.setattr(enumeration, "_count_r1_forms", spy)
+    return calls
+
+
+def _kernel_runs(args, norms):
+    """Whether `_count_r1` over these norms calls the int64 kernel."""
+    kernel = enumeration._count_r1_mobius
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_count_r1_mobius",
+                   lambda *a: seen.append(a) or kernel(*a))
+        _count_r1(args, norms, norms)
+    return bool(seen)
+
+
 class TestBatchedFiberStep:
     """The r = 1 route (`_count_r1`) against the per-norm path, on both
     sides of its int64 guard."""
@@ -727,25 +752,47 @@ class TestBatchedFiberStep:
         norms = np.arange(1, 50, dtype=np.int64)
         want = _per_norm(args, norms, np.ones_like(norms))
         # the cap 7921 m^119 gives S_max >= 2^62 from m = 9 on; norms 2..8
-        # stay in the int64 kernel, and the others take S_max again when
-        # they are counted per norm
+        # go to the int64 kernel and the others are counted per norm, each
+        # from the one form built for it
         big = [m for m in range(2, 50) if _smax(args, m) >= _T]
         assert big == list(range(9, 50))
         calls = _python_params(monkeypatch)
         assert _count_r1(args, norms, np.ones_like(norms)) == want
-        assert calls == list(range(2, 50)) + big
+        assert calls == list(range(2, 50))
+
+    @pytest.mark.parametrize("a, bundle, B, walk_min", [
+        (1, (1, 6), 8815, None), (19, (5, 1), 90, None), (19, (5, 1), 90, 0)],
+        ids=["folded", "folded-large-twist", "array-out-of-band"])
+    def test_one_form_per_norm(self, monkeypatch, a, bundle, B, walk_min):
+        # each Python-int route builds a norm's form once, and counts it
+        # from that build: a folded base counted per norm (9,999 rows at
+        # B = 8815, and cli-mix's large twist), and the norms outside the
+        # int64 band of an array base, whose S_max mostly reaches 2^62
+        X = HKVariety(1, 2, (a,))
+        L = LineBundleClass(*bundle)
+        p, q = _squared_cap(Fraction(B))
+        norms = list(projective_norm_histogram(1, iroot(p // q, L.mu)))
+        if walk_min is not None:
+            monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", walk_min)
+            lo, hi = enumeration._r1_batch_band(a, L.lam, L.mu, p, q)
+            norms = [m for m in norms if not lo <= m <= hi]
+        kernel = enumeration._count_r1_mobius
+        batched = []
+        monkeypatch.setattr(enumeration, "_count_r1_mobius",
+                            lambda *f: batched.append(f) or kernel(*f))
+        calls = _python_params(monkeypatch)
+        count_hk(CountRequest(X, L, Fraction(B), Region.GOOD_OPEN))
+        assert calls == norms and len(norms) > 1
+        assert bool(batched) == (walk_min is not None)
 
     @staticmethod
     def batched_equals_per_norm(args, norms):
         mults = norms % 7 + 1
         want = _per_norm(args, norms, mults)
-        worker = enumeration._good_chunk_worker
-        per_norm = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(enumeration, "_good_chunk_worker",
-                       lambda a: per_norm.extend(a[-2]) or worker(a))
+            calls = _per_norm_forms(mp)
             assert _count_r1(args, norms, mults) == want
-        assert per_norm == []  # every norm went to the int64 kernel
+        assert calls and not any(calls)  # every norm went to the int64 kernel
 
     @pytest.mark.parametrize("B, lo", [(Fraction(3 * 2 ** 31 - 1, 3), 1),
                                        (2 ** 31, 2)],
@@ -958,14 +1005,7 @@ class TestMobiusKernel:
                            Region.GOOD_OPEN)
         want = count_hk(req)
         monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", 0)
-        worker = enumeration._good_chunk_worker
-        calls = []
-
-        def spy(args):
-            calls.append(args[-2])
-            return worker(args)
-
-        monkeypatch.setattr(enumeration, "_good_chunk_worker", spy)
+        calls = _per_norm_forms(monkeypatch)
         got = count_hk(req)
         assert (got.count, got.points_visited) == (want.count,
                                                    want.points_visited)
@@ -1190,36 +1230,32 @@ class TestSizeSelection:
                     assert count_hk(req).count == expected
 
     def test_row_sum_is_the_fiber_rows(self, monkeypatch):
-        # the pre-pass sums exactly the y_0 rows the per-norm path visits;
-        # every norm of -K on X_2(1) at B = 300 is in the band
+        # the forms' build sums exactly the y_0 rows the per-norm path
+        # visits, so a limit one above them keeps the small base per norm
+        # and the limit at them sends it to the kernel; every norm of -K
+        # on X_2(1) at B = 300 is in the band
         X = HKVariety(1, 2, (1,))
         L = anticanonical(X)
         p, q = _squared_cap(Fraction(300))
         args = (X.fiber_weights, 1, L.lam, L.mu, p, q)
         norms, mults = enumeration._norm_histogram(1, iroot(p // q, L.mu))
-        rows = enumeration._good_chunk_worker((*args, norms, mults))[1]
+        rows = _per_norm(args, norms, mults)[1]
         assert enumeration._r1_batch_band(*args[1:])[0] == 1
         monkeypatch.setattr(enumeration, "_NUMPY_ROWS_MIN", rows + 1)
-        assert enumeration._few_r1_rows(args, norms)
+        assert not _kernel_runs(args, norms)
         monkeypatch.setattr(enumeration, "_NUMPY_ROWS_MIN", rows)
-        assert not enumeration._few_r1_rows(args, norms)
+        assert _kernel_runs(args, norms)
 
     def test_per_norm_path_gets_the_same_norms(self, monkeypatch):
         # twist 20, bundle (6, 1): the r = 1 band holds only m = 1.  On
-        # both numpy sides the per-norm path gets the norms whose S_max
+        # both numpy sides the per-norm counter gets the forms whose S_max
         # reaches 2^62, and the int64 slices the rest; on the small side
-        # it gets every norm.  Each side calls it once, in this process.
+        # it gets every norm's form.  Each side calls it once, in this
+        # process, with Python ints.
         X = HKVariety(1, 2, (20,))
         req = CountRequest(X, LineBundleClass(6, 1), Fraction(30),
                            Region.GOOD_OPEN, threads=2)
-        worker = enumeration._good_chunk_worker
-        calls: list = []
-
-        def spy(args):
-            calls.append(tuple(args[-2]))
-            return worker(args)
-
-        monkeypatch.setattr(enumeration, "_good_chunk_worker", spy)
+        calls = _per_norm_forms(monkeypatch)
         results = {}
         for side in self.SIDES:
             monkeypatch.setattr(enumeration, "_NUMPY_WALK_MIN", side[0])
@@ -1227,16 +1263,21 @@ class TestSizeSelection:
             calls.clear()
             res = count_hk(req)
             results[side] = (res.count, res.points_visited, calls[:])
-            assert len(calls) == 1 and all(type(m) is int for m in calls[0])
+            assert len(calls) == 1
+            assert all(type(x) is int for form in calls[0] for x in form)
         batched, rows_side, small = (results[side] for side in self.SIDES)
         assert batched == rows_side
         assert batched[:2] == small[:2]
         p, q = _squared_cap(req.bound)
         args = (X.fiber_weights, 20, 6, 1, p, q)
         every = small[2][0]
-        big = tuple(m for m in every
-                    if enumeration._fiber_params(*args, m)[1] >= 2 ** 62)
-        assert 1 in every and batched[2] == [big]
+        norms = projective_norm_histogram(1, iroot(p // q, 1))
+        # c_0 = m^20 names each form's norm; every norm has a fiber point
+        assert sorted(c0 for c0, _, _ in every) == [m ** 20 for m in norms]
+        big = [form for form in every if form[1] >= 2 ** 62]
+        assert batched[2] == [big]
+        assert big == [(m ** 20, _smax(args, m), k) for m, k in norms.items()
+                       if _smax(args, m) >= 2 ** 62]
         assert 0 < len(big) < len(every)
 
     def test_r1_counts_start_no_pool(self):
@@ -1442,10 +1483,9 @@ _EDGES = [
                  lambda args, norms: isinstance(norms, list),
                  id="numpy-walk-count"),
     # _NUMPY_ROWS_MIN: bundle (1, 6) on X_2(1) over a small base, whose
-    # rows reach 10^4 from B = 8815 to 8816
+    # rows reach 10^4 from B = 8815 to 8816, where the kernel takes over
     pytest.param("count", [((1, 1, 6), 8815), ((1, 1, 6), 8816)],
-                 lambda args, norms: enumeration._few_r1_rows(args, norms),
-                 id="numpy-rows"),
+                 _kernel_runs, id="numpy-rows"),
 ]
 
 

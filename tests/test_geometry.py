@@ -1,5 +1,4 @@
 """Symbolic geometry: fans, bigness, exponents, restriction chains."""
-import math
 from fractions import Fraction
 
 import pytest
