@@ -16,12 +16,15 @@ per orbit, the nondecreasing vectors 0 <= u_1 <= ... <= u_dim, tests its
 gcd and weights it by the number of canonical vectors in its orbit: it
 still enumerates the primitive vectors themselves, and shares no code
 with the Mobius sieve over `_ball_count` it is checked against, which
-counts every lattice point of a ball and never tests a gcd.  A large
-walk runs in numpy (`_primitive_norm_blocks`): depth-first over the
-leading coordinates, each coordinate expanded for a whole batch of
-prefixes at once, so it yields int64 blocks of at most about _CHUNK
-(norms^2, weights) and never holds every prefix.  A small one runs in
-Python ints (`_orbit_fold`), one representative at a time.
+counts every lattice point of a ball and never tests a gcd.  One Python
+walk, `_orbit_prefixes`, holds the level rule and the orbit weights: it
+yields each prefix u_1 .. u_(dim-1) with its norm^2, its gcd, the range
+prev .. top of the last coordinate and that coordinate's two weights.
+Two folds expand the last coordinate: `_orbit_fold` in Python ints, one
+representative at a time, for a small walk; `_primitive_norm_blocks`
+in numpy for a large one, a batch of prefixes at a time, so that it
+yields int64 blocks of at most about _CHUNK (norms^2, weights), tests
+gcds only at that coordinate and never holds every prefix.
 zetaP_numeric sums w * norm^(-s/2) over the same walk
 (`primitive_norm_power_sum`, which makes the same choice between the
 two), and count_enum_projective sums the histogram.  The unfolded
@@ -100,7 +103,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, fsum, gamma, gcd, isqrt, log, pi
+from itertools import islice
+from math import factorial, fsum, gamma, gcd, isfinite, isqrt, log, nan, pi
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
@@ -298,97 +302,100 @@ def _canonical_vectors(dim: int, n2max: int) -> Iterator[tuple[tuple[int, ...], 
     return _canonical_walk((1,) * dim, n2max)
 
 
-def _orbit_fold(dim: int, n2max: int) -> Iterator[tuple[int, int]]:
-    """(norm^2, weight) over the gcd-1 representatives that
-    `_primitive_norm_blocks` yields, with the same weights, one at a time
-    in Python ints, so it needs no numpy.  A u equal to the one before
-    extends its run, a larger u starts one, and a nonzero u after a
-    nonzero one doubles the weight."""
-    last = dim - 1
+def _orbit_prefixes(dim: int, n2max: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """The prefixes u_1 <= ... <= u_(dim-1) of the orbit representatives
+    of canonical primitive vectors in Z^dim with norm^2 <= n2max, as
+    (norm^2 so far, gcd so far, prev, top, same, new) in Python ints: the
+    last coordinate runs over prev .. top, with weight `same` at u = prev
+    and `new` above it.  Both folds read this one walk.
 
+    Norm^2 and gcd do not change under signs and permutations of the
+    coordinates, so a fold visits one representative per orbit, the
+    nondecreasing 0 <= u_1 <= ... <= u_dim, and weights it by the number
+    of canonical vectors in its orbit: 2^(nz - 1) dim! / prod m_j!, with
+    nz nonzero coordinates and runs of m_j equal values.  Level i (from
+    0) takes u from prev to top = isqrt(rem // k), rem the budget left and
+    k = dim - i, since the k coordinates left are all at least u.  So
+    k u^2 <= rem, the next level's budget rem - u^2 is at least
+    (k - 1) u^2, and its top is at least u: prev <= top at every level.
+    A u equal to prev extends its run and multiplies w by
+    (i + 1) / (run + 1), a larger u starts a run and multiplies it by
+    i + 1 -- which builds the multinomial -- and a nonzero u after a
+    nonzero one doubles it.  The prefixes come in lexicographic order.
+
+    A weight counts lattice points of the box [-k, k]^dim, k = isqrt(n2max),
+    and so does a histogram entry or the sum of a block's weights: all stay
+    below (2k + 1)^dim, every partial w too (each factor is >= 1), and
+    w * (i + 1) below dim times that.  Where that is below 2^62, every
+    value here fits int64 (`_primitive_norm_blocks`).
+    """
     def rec(depth, rem, g, prev, run, w):
         top = isqrt(rem // (dim - depth))
         same = w * (depth + 1) // (run + 1) << (prev > 0)  # u = prev
         new = w * (depth + 1) << (prev > 0)  # u > prev
-        if depth < last:
-            if prev <= top:
-                yield from rec(depth + 1, rem - prev * prev, g, prev, run + 1,
-                               same)
-            for u in range(prev + 1, top + 1):
-                yield from rec(depth + 1, rem - u * u, gcd(g, u), u, 1, new)
+        if depth == dim - 1:
+            yield n2max - rem, g, prev, top, same, new
             return
-        done = n2max - rem
-        if g == 1 and prev <= top:  # gcd(g, prev) = g
+        yield from rec(depth + 1, rem - prev * prev, g, prev, run + 1, same)
+        for u in range(prev + 1, top + 1):
+            yield from rec(depth + 1, rem - u * u, gcd(g, u), u, 1, new)
+
+    return rec(0, n2max, 0, 0, 0, 1)
+
+
+def _orbit_fold(dim: int, n2max: int) -> Iterator[tuple[int, int]]:
+    """(norm^2, weight) over the gcd-1 representatives of `_orbit_prefixes`,
+    one at a time in Python ints, so it needs no numpy."""
+    for done, g, prev, top, same, new in _orbit_prefixes(dim, n2max):
+        if g == 1:  # gcd(g, prev) = g
             yield done + prev * prev, same
         for u in range(prev + 1, top + 1):
             if g == 1 or gcd(g, u) == 1:
                 yield done + u * u, new
 
-    yield from rec(0, n2max, 0, 0, 0, 1)
-
 
 def _primitive_norm_blocks(dim: int, n2max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """int64 blocks (norms^2, weights) that together count the canonical
-    primitive vectors in Z^dim with norm^2 <= n2max, the vectors
-    `_canonical_vectors` yields.
-
-    Norm^2 and gcd do not change under signs and permutations of the
-    coordinates, so the walk visits one representative per orbit, the
-    nondecreasing 0 <= u_1 <= ... <= u_dim, and weights it by the number of
-    canonical vectors in its orbit: 2^(nz - 1) dim! / prod m_j!, with nz
-    nonzero coordinates and runs of m_j equal values.  A prefix is
-    (rem, g, prev, run, w): budget left, gcd so far, last value, length of
-    its run, weight so far.  Level i (from 0) takes u from prev to
-    isqrt(rem // (dim - i)), since the dim - i coordinates left are all at
-    least u, and multiplies w by (i + 1) / run -- which builds the
-    multinomial -- and by 2 for every nonzero u after the first.  Each
-    level expands a slice of prefixes in one ragged arange and recurses
-    slice by slice, so every level holds about _CHUNK prefixes at a time.
-    Each representative gets the gcd test at the last coordinate.
-
-    A weight counts lattice points of the box [-k, k]^dim, k = isqrt(n2max),
-    and so does a histogram entry or the sum of a block's weights: all stay
-    below (2k + 1)^dim, every partial w too (each factor is >= 1), and
-    w * (i + 1) below dim times that.  A walk where this reaches 2^62
-    raises OverflowError: `_numpy_walk` gives every such walk to
-    `_orbit_fold`.
+    primitive vectors in Z^dim with norm^2 <= n2max: the representatives
+    `_orbit_fold` yields, in the same order.  The prefixes of
+    `_orbit_prefixes` come in batches of _CHUNK // 4; a batch of _CHUNK
+    Python tuples raised the walk's tracemalloc peak of P^2 to 2^18 from
+    2.1 to 6.3 MiB.  The last coordinate of a batch is expanded in one
+    ragged arange per slice of about _CHUNK values and gets its gcd test
+    there.  A box whose bound reaches 2^62 raises OverflowError:
+    `_numpy_walk` gives every such walk to `_orbit_fold`.
     """
     import numpy as np
 
     if (2 * isqrt(n2max) + 1) ** dim * dim >= _INT64_SAFE:
         raise OverflowError(f"the box of Z^{dim} to norm^2 {n2max} passes int64")
-
-    def expand(depth, rem, g, prev, run, w):
-        top = _iroot_array(rem // (dim - depth), 2)
+    prefixes = _orbit_prefixes(dim, n2max)
+    while batch := list(islice(prefixes, _CHUNK // 4)):
+        done, g, prev, top, same, new = np.array(batch, dtype=np.int64).T
         width = top - prev + 1
         for a, b in _blocks(width):
             row, u = _ragged_arange(prev[a:b], width[a:b])
             row += a
-            r = np.where(u == prev[row], run[row] + 1, 1)
-            wu = (w[row] * (depth + 1) // r) << ((u > 0) & (prev[row] > 0))
-            gu = np.gcd(g[row], u)
-            if depth == dim - 1:
-                keep = gu == 1
-                yield n2max - rem[row][keep] + u[keep] * u[keep], wu[keep]
-            else:
-                yield from expand(depth + 1, rem[row] - u * u, gu, u, r, wu)
-
-    zero = np.zeros(1, dtype=np.int64)
-    yield from expand(0, zero + n2max, zero, zero, zero, zero + 1)
+            keep = np.gcd(g[row], u) == 1
+            row, u = row[keep], u[keep]
+            yield done[row] + u * u, np.where(u == prev[row], same[row], new[row])
 
 
 # A base walk of P^n takes the numpy blocks from about this many orbit
 # representatives on, and `_orbit_fold` below: n2max 254,648 on P^1,
 # 10,951 on P^2 and 2,790 on P^3.  There (2-vCPU VM, Python 3.11, numpy
-# 2.4, best of 5, numpy loaded) `_norm_histogram` took 0.028, 0.024 and
-# 0.034 s folded against 0.007, 0.004 and 0.005 s from the blocks, an
-# excess of about half of `import numpy` after `import hkcount.cli`
-# (0.049 s, median of 9): a base the fold takes may still need numpy for
-# its r = 1 rows.  From the CLI (median of 9 fresh processes each), bundle
-# (6, 1) on X_2(1) at the P^1 bound (35,703 rows, numpy either way) took
-# 0.383 s folded and 0.341 s from the blocks; on X_3(1) and X_4(1) at the
-# P^2 and P^3 bounds (no numpy for their rows) 0.195 and 0.162 s folded
-# against 0.209 and 0.189 s.
+# 2.4, best of 5, numpy loaded) `_norm_histogram` took 0.025, 0.020 and
+# 0.027 s folded against 0.005, 0.004 and 0.008 s from the blocks, an
+# excess of about 0.4 of `import numpy` after `import hkcount.cli`
+# (0.047 s, median of 9): a base the fold takes may still need numpy for
+# its r = 1 rows.  From the CLI (median of 11 fresh processes each),
+# bundle (6, 1) on X_2(1) at B = 505 (35,742 rows, numpy either way) took
+# 0.366 s folded and 0.295 s from the blocks; on X_3(1) at B = 105 and
+# X_4(1) at B = 53 (no numpy for their rows) 0.152 and 0.184 s folded
+# against 0.183 and 0.228 s.  At twice the representatives (B = 714 and
+# 63, median of 9) the first took 0.525 against 0.436 s and the last
+# 0.152 against 0.169 s, so the bound stays where the two kinds of base
+# trade about evenly.
 _NUMPY_WALK_MIN = 10 ** 5
 
 
@@ -1017,7 +1024,8 @@ def sweep(req: CountRequest, grid: Sequence[Union[int, Fraction]],
 
     `prediction` is an AsymptoticPrediction (module constants); predicted(B)
     = C * B^a * (log B)^e and ratio = count / predicted where predicted(B)
-    is positive, and both are None elsewhere (B <= 1 with a log factor).
+    is a positive double and the ratio a finite one, and both are None
+    elsewhere (B <= 1 with a log factor, or past the double range).
     """
     vals = [Fraction(b) for b in grid]
     if any(b2 <= b1 for b1, b2 in zip(vals, vals[1:])):
@@ -1027,11 +1035,14 @@ def sweep(req: CountRequest, grid: Sequence[Union[int, Fraction]],
         res = count_hk(CountRequest(req.variety, req.bundle, b, req.region, req.threads))
         row = {"B": b, "count": res.count, "predicted": None, "ratio": None}
         if prediction is not None:
-            bb = float(b)
-            pred = prediction.constant * bb ** float(prediction.a_l)
-            if prediction.log_exponent:
-                pred *= log(bb) ** prediction.log_exponent
-            if pred > 0:  # otherwise no prediction: the cells stay empty
-                row["predicted"], row["ratio"] = pred, res.count / pred
+            try:
+                bb = float(b)
+                pred = (prediction.constant * bb ** float(prediction.a_l)
+                        * log(bb) ** prediction.log_exponent)
+                ratio = res.count / pred
+            except (OverflowError, ZeroDivisionError):  # past doubles, or 0
+                pred = ratio = nan
+            if pred > 0 and isfinite(pred) and isfinite(ratio):
+                row["predicted"], row["ratio"] = pred, ratio
         rows.append(row)
     return rows

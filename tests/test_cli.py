@@ -532,6 +532,40 @@ class TestSweep:
             ("1/2", 0, None, None), ("1", 2, None, None),
             ("2", 6, 0.8427659132721946, 7.119414662493751)]
 
+    def test_no_prediction_past_the_double_range(self, capsys):
+        # bundle (2, 1) on X_2(150): the leading term at B = 200 is past
+        # the double range, and so is its count of 348 digits.  That row has
+        # no prediction and no ratio in any format; B = 2 and 3 keep theirs
+        argv = ("sweep", "--variety", "1,2:150", "--bundle", "2,1",
+                "--grid", "2,3,200", "--region", "u")
+        n2 = "97257213711643301098688"
+        n3 = "123772786601643044913991422969534301647247760755432688"
+        p2 = "10338179744032457643911792845009807441133568"
+        p3 = ("60299742170840681860264305958296371137289439421756767070604"
+              "24659435520")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        lines = out.splitlines()
+        assert lines[:3] == ["B,count,predicted,ratio",
+                             f"2,{n2},{p2}.00000000,0.00000000",
+                             f"3,{n3},{p3}.00000000,0.00000000"]
+        b, n200, pred, ratio = lines[3].split(",")
+        assert (b, len(n200), pred, ratio) == ("200", 348, "", "")
+        code, out, err = run(capsys, *argv, "--format", "text")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == [
+            f"B=2  count={n2}  predicted={p2}.0000  ratio=0.0000",
+            f"B=3  count={n3}  predicted={p3}.0000  ratio=0.0000",
+            f"B=200  count={n200}"]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        rows = json.loads(out, parse_constant=_not_json)
+        assert [(r["B"], r["count"], r["predicted"], r["ratio"])
+                for r in rows] == [
+            ("2", int(n2), 1.0338179744032458e+43, 9.407576200034962e-21),
+            ("3", int(n3), 6.029974217084068e+69, 2.0526254697900882e-17),
+            ("200", int(n200), None, None)]
+
     def test_rejects_bad_grid(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--variety", "1,2:1", "--bundle", "1,1",

@@ -237,7 +237,9 @@ class TestPrimitives:
         assert all(norms.shape == weights.shape for norms, weights in blocks)
         sizes = [norms.size for norms, _ in blocks]
         assert len(sizes) > 1
-        assert max(sizes) <= enumeration._CHUNK + 2 * isqrt(n2max) + 1
+        # a slice of prefixes ends in one whose last coordinate takes at
+        # most isqrt(n2max) + 1 values, and the gcd test only drops some
+        assert max(sizes) <= enumeration._CHUNK + isqrt(n2max) + 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 25))
@@ -359,6 +361,34 @@ class TestOrbitFold:
             for bound in (n2max // 7, n2max // 2, n2max):
                 at = np.searchsorted(norms, bound, side="right") - 1
                 assert cum[at] == enumeration._count_projective_n2(n, bound)
+
+    @pytest.mark.parametrize("dim, n2max", [
+        *TOP.items(),
+        *((n + 1, _first_numpy_walk(n) + e) for n in (1, 2, 3) for e in (-1, 0))])
+    def test_fold_and_blocks_yield_the_same_representatives(self, dim, n2max):
+        # one (norm^2, weight) pair per representative, not only the sums a
+        # histogram keeps, at the stream's sizes and on both sides of the
+        # P^1 - P^3 crossovers
+        blocks = list(_primitive_norm_blocks(dim, n2max))
+        norms = np.concatenate([n for n, _ in blocks]).tolist()
+        weights = np.concatenate([w for _, w in blocks]).tolist()
+        assert sorted(zip(norms, weights)) == sorted(_orbit_fold(dim, n2max))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_prefix_reaches_its_last_value(self, data):
+        # u <= isqrt(rem // k) leaves rem - u^2 >= (k - 1) u^2, so the next
+        # level's top is at least u: the last coordinate can always repeat
+        # prev, which the folds take without a test.  top is that
+        # coordinate's whole range within the budget.
+        dim = data.draw(st.integers(2, 6), label="dim")
+        n2max = data.draw(st.integers(0, 4 * self.TOP[dim]), label="n2max")
+        prefixes = list(enumeration._orbit_prefixes(dim, n2max))
+        assert prefixes
+        for done, g, prev, top, same, new in prefixes:
+            assert 0 <= prev <= top
+            assert done + prev * prev <= n2max < done + (top + 1) ** 2
+            assert 0 < same <= new
 
     def test_one_representative_per_orbit(self):
         # Z^3, norm^2 <= 3: (0,0,1) stands for 3 canonical vectors,
@@ -1111,6 +1141,27 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert got == (15435482828, 600987)
         assert peak < 9 * 2 ** 20, peak / 2 ** 20
+
+    @pytest.mark.parametrize("dim, n2max, mib", [
+        (2, 2 ** 20, 1.38), (3, 2 ** 18, 2.60), (4, 2 ** 14, 2.73)])
+    def test_walk_peak(self, dim, n2max, mib):
+        # tracemalloc peak of draining the numpy walk, numpy loaded: a
+        # batch of _CHUNK // 4 prefixes as Python tuples and the blocks of
+        # its last coordinate.  It read 1.02, 2.12 and 1.96 MiB.  A walk
+        # that expanded every coordinate in numpy read 1.37, 2.60 and
+        # 2.72 MiB, and the bound is that peak rounded up to 0.01 MiB,
+        # 18% or more above the walk's.  A batch of _CHUNK prefixes read
+        # 6.3 MiB on P^2.
+        for _ in _primitive_norm_blocks(dim, 100):
+            pass
+        tracemalloc.start()
+        try:
+            for _ in _primitive_norm_blocks(dim, n2max):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2 ** 20, peak / 2 ** 20
 
     def test_wide_norm_peak(self):
         # tracemalloc peak of `count --variety 1,2:1 --bundle 1,6 --B 1e6
