@@ -5,9 +5,10 @@ Exit codes: 0 success; 2 argument/parse error (argparse convention), or
 a value beyond reach (a zeta next to its pole or past the double range,
 a bound whose sieve or histogram table cannot be allocated);
 3 requested count is infinite (non-big bundle on the requested region);
-4 a verification suite reported a failure; 141 stdout closed before the
-output ended (a pipe into `head`).  `_refuse` prints the one stderr line
-of every exit 2 or 3 that argparse itself does not.
+4 a verification suite reported a failure; 130 interrupted (Ctrl-C), with
+one stderr line; 141 stdout closed before the output ended (a pipe into
+`head`).  `_refuse` prints the one stderr line of every exit 2 or 3 that
+argparse itself does not.
 """
 from __future__ import annotations
 
@@ -60,6 +61,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFINITE = 3
 EXIT_VERIFY = 4
+EXIT_INTERRUPT = 130  # 128 + SIGINT, as the shell reports a Ctrl-C
 
 _REGIONS = {"u": Region.GOOD_OPEN, "f": Region.SUBBUNDLE_F, "x": Region.WHOLE,
             "whole": Region.WHOLE}
@@ -545,6 +547,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # code is the shell's for a process that SIGPIPE ended, 128 + 13
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        code = EXIT_INTERRUPT
     return code
 
 

@@ -15,8 +15,8 @@ permutations of the coordinates, so the walk visits one representative
 per orbit, the nondecreasing vectors 0 <= u_1 <= ... <= u_dim, tests its
 gcd and weights it by the number of canonical vectors in its orbit: it
 still enumerates the primitive vectors themselves, and shares no code
-with the Mobius sieve over `_ball_count` it is checked against, which
-counts every lattice point of a ball and never tests a gcd.  One Python
+with the Mobius sieves it is checked against, which count every lattice
+point of a ball or disk and never test a gcd.  One Python
 walk, `_orbit_prefixes`, holds the level rule and the orbit weights: it
 yields each prefix u_1 .. u_(dim-1) with its norm^2, its gcd, the range
 prev .. top of the last coordinate and that coordinate's two weights.
@@ -39,37 +39,43 @@ and the tests.
 
 Counts on P^n, and so every F count, come from the Mobius sieve over
 lattice balls (Schanuel 1979): twice N(P^n) is sum over d of
-mu(d) (#{v in Z^{n+1} : |v|^2 <= n2max // d^2} - 1).  The ball count
-`_ball_count` folds Z^2 at the diagonal and Z^3 onto the cone
-0 <= x <= y <= z, so each is a sum of C-level isqrt calls over a
-precomputed list of squares.  Z^4 is a divisor sum from Jacobi's
-four-square theorem, O(sqrt m) steps per ball, and higher dimensions
-recurse down to Z^4.  mu comes from `_mobius_table`, one signed byte per
-d <= dmax sieved by slice operations on a bytearray.  It is integer-only
-and needs no numpy, so a P^n or F count does not load it.
+mu(d) (#{v in Z^{n+1} : |v|^2 <= n2max // d^2} - 1).  For n >= 2 the
+ball count `_ball_count` folds Z^3 onto the cone 0 <= x <= y <= z, a
+sum of C-level isqrt calls over a precomputed list of squares; Z^4 is a
+divisor sum from Jacobi's four-square theorem, O(sqrt m) steps per ball,
+and higher dimensions recurse down to Z^4.  mu comes from
+`_mobius_table`, one signed byte per d <= dmax sieved by slice
+operations on a bytearray.  It is integer-only and needs no numpy, so a
+P^n count with n >= 2 does not load it.  P^1 is the r = 1 disk count
+below at c_0 = 1: its points other than [0:1] are the coprime
+(y_0, y_1) with y_0 >= 1 and y_0^2 + y_1^2 <= n2max, which
+`_count_projective_n2` hands to `_count_r1` as one form; so a P^1 or
+surface F count loads numpy only from _NUMPY_ROWS_MIN rows on.
 
-Fiber vectors are counted by a recursive box walk on the integer
-quadratic form sum c_i y_i^2 <= S_max, c_i = m^(a_r - b_i), with the
-coordinates in `fiber_weights` order: y_0 (c_0 = m^a_r, the largest),
-then y_1 (c_1 = 1), then y_i (c_i = m^a_(i-1)) for i >= 2, so for r >= 2
-the weight-1 coordinate is not the innermost.  The innermost coordinate
-is resolved by a Mobius/inclusion-exclusion coprimality count instead of
-a per-point gcd.
+Fiber vectors are counted on the integer quadratic form
+sum c_i y_i^2 <= S_max, c_i = m^(a_r - b_i), with the coordinates in
+`fiber_weights` order: y_0 (c_0 = m^a_r, the largest), then y_1
+(c_1 = 1), then y_i (c_i = m^a_(i-1)) for i >= 2, so for r >= 2 the
+weight-1 coordinate is not the innermost.  For r >= 2 a recursive box
+walk (`_count_fiber_good`) resolves the innermost coordinate by a
+Mobius/inclusion-exclusion coprimality count instead of a per-point gcd.
 
 `_count_good_open` dispatches on r.  `_count_r1` counts every r = 1
-base norm and returns (count, rows), as the per-norm path does.  A
-norm's Python-int form (c_0, S_max, mult) is built once, by `_r1_forms`,
-and a form with S_max >= 2^62 is counted per norm (`_count_r1_forms`).
-The norms go in slices of at most _CHUNK, so that no array spans every
-norm, each split once by an int64 guard (`_r1_batch_band`) into caps
-taken in int64 and forms built in Python ints.  One counter
-(`_count_r1_mobius`) takes each slice's fibers with S_max < 2^62 as
-int64 (c_0, S_max, mult) in one call: the identity of
-the P^n sieve counts a fiber as sum over d of mu(d) E(c_0, S_max // d^2),
-where E counts every lattice point with y_0 >= 1 and tests no gcd.  Each
-y_0 row takes one isqrt, M(y_0) = isqrt(S_max - c_0 y_0^2), and the term
-of a squarefree d and a multiple y_0 = d k is read off it as
-M(d k) // d; mu is the P^n sieve's `_mobius_table`, read as int8.
+base norm and returns (count, rows), the y_0 rows isqrt(S_max // c_0)
+per norm.  Every r = 1 fiber is a disk count, taken by one Mobius sum
+over d = gcd(y_0, y_1) (Schanuel 1979): sum over d of
+mu(d) E(c_0, S_max // d^2), where E counts every lattice point with
+y_0 >= 1 and tests no gcd.  Each y_0 row takes one isqrt,
+M(y_0) = isqrt(S_max - c_0 y_0^2), and the term of a squarefree d and a
+multiple y_0 = d k is read off it as M(d k) // d; mu is the P^n sieve's
+`_mobius_table`.  The sum has a Python-int side (`_count_r1_forms`) and
+an int64 side (`_count_r1_mobius`), and `_count_r1` is the one router
+between them.  A norm's Python-int form (c_0, S_max, mult) is built
+once, by `_r1_forms`, and a form with S_max >= 2^62 takes the Python
+side.  The norms go in slices of at most _CHUNK, so that no array spans
+every norm, each split once by an int64 guard (`_r1_batch_band`) into
+caps taken in int64 and forms built in Python ints, and each slice's
+fibers with S_max < 2^62 go to the int64 side in one call.
 Every r >= 2 norm goes through its own per-norm Python path
 (`_good_chunk_worker`) with unbounded integers.  All bound comparisons
 are integer-exact, integer roots included (Newton from above, seeded for
@@ -82,11 +88,11 @@ A count loads numpy only when an array step has enough work to repay
 the import (about 0.05 s with the one BLAS thread the CLI sets).  A walk
 of fewer than about _NUMPY_WALK_MIN orbit representatives (`_numpy_walk`)
 takes the Python fold.  Over such a base, an r = 1 count whose forms
-with S_max < 2^62 have fewer than _NUMPY_ROWS_MIN y_0 rows is counted
-per norm, before numpy loads; `_count_r1` reads which walk was taken off
-the histogram's type (lists or arrays).  Both choices depend only on the
-input's size, both sides give the same counts, and bigness is checked
-before either.
+with S_max < 2^62 have fewer than _NUMPY_ROWS_MIN y_0 rows takes the
+Python side, before numpy loads, and so does a P^1 stratum; `_count_r1`
+reads which walk was taken off the histogram's type (lists or arrays).
+Both choices depend only on the input's size, both sides give the same
+counts, and bigness is checked before either.
 r = 1 counts run in the calling process at any thread count; only an
 r >= 2 count splits its norms over a process pool, of at most one worker
 per CPU the process may run on.
@@ -105,7 +111,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import factorial, fsum, gamma, gcd, isfinite, isqrt, log, nan, pi
-from operator import mul
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 if TYPE_CHECKING:
@@ -477,19 +482,18 @@ def count_enum_projective(n: int, B: Union[int, Fraction]) -> int:
 def _ball_count(k: int, m: int) -> int:
     """Number of integer vectors in Z^k with norm^2 <= m (origin included).
 
-    k = 2 folds the quadrant at the diagonal: the points with x, y >= 1 are
-    2 sum_{x <= t} isqrt(m - x^2) - t^2, t = isqrt(m // 2), since min(x, y)
-    <= t and the square [1, t]^2 is counted twice.  k = 3 sums over the
-    cone 0 <= x <= y <= z and weights each point by its orbit under signs
-    and permutations: 2^(#nonzero coordinates) times 6, 3 or 1 when the
-    coordinates are distinct, two equal or all equal.  For each x the
-    points with x < y < z come from one isqrt sum over y in
+    k = 3 sums over the cone 0 <= x <= y <= z and weights each point by
+    its orbit under signs and permutations: 2^(#nonzero coordinates) times
+    6, 3 or 1 when the coordinates are distinct, two equal or all equal.
+    For each x the points with x < y < z come from one isqrt sum over y in
     (x, isqrt((m - x^2) // 2)].  k = 4 is Jacobi's four-square theorem,
     r_4(n) = 8 sum_{d | n, 4 not | d} d, summed over n <= m:
     1 + 8 (D(m) - 4 D(m // 4)) with D(x) = sum_{n <= x} sigma(n), so it
-    takes O(sqrt m) steps (`_sigma_prefix`).  k >= 5 recurses over the
-    first coordinate down to k = 4.  Integers only; every lattice point
-    is counted, with no gcd.
+    takes O(sqrt m) steps (`_sigma_prefix`).  k = 2 and k >= 5 recurse
+    over the first coordinate, down to k = 1 and k = 4.  Integers only;
+    every lattice point is counted, with no gcd.  The P^1 count takes the
+    r = 1 disk count instead (`_count_projective_n2`), so k = 2 serves
+    only the tests.
     """
     if m < 0:
         return 0
@@ -497,12 +501,7 @@ def _ball_count(k: int, m: int) -> int:
         return 2 * isqrt(m) + 1
     if k == 4:
         return 1 + 8 * (_sigma_prefix(m) - 4 * _sigma_prefix(m // 4))
-    r = range(isqrt(m) + 1)
-    sq = list(map(mul, r, r))
-    if k == 2:
-        t = isqrt(m // 2)
-        inner = 2 * sum(map(isqrt, map(m.__sub__, sq[1:t + 1]))) - t * t
-        return 1 + 4 * isqrt(m) + 4 * inner
+    sq = [x * x for x in range(isqrt(m) + 1)]
     if k == 3:
         total = 0
         for x in range(isqrt(m // 3) + 1):
@@ -559,9 +558,14 @@ def _mobius_table(n: int) -> memoryview:
 
 
 def _count_projective_n2(n: int, n2max: int) -> int:
-    """N(P^n, .) with the bound given as max allowed norm^2 (exact Mobius sieve)."""
+    """N(P^n, .) with the bound given as max allowed norm^2 (exact Mobius
+    sieve).  The points of P^1 other than [0:1] are the coprime (y_0, y_1)
+    with y_0 >= 1 and y_0^2 + y_1^2 <= n2max: the r = 1 fiber over the
+    base norm 1 for a_r = 0, lam = 1, mu = 0, which `_count_r1` routes."""
     if n2max < 1:
         return 0
+    if n == 1:
+        return _count_r1(((0, 0), 0, 1, 0, n2max, 1), [1], [1])[0] + 1
     total = sum(m * (_ball_count(n + 1, n2max // (d * d)) - 1)
                 for d, m in enumerate(_mobius_table(isqrt(n2max))) if m)
     assert total % 2 == 0
@@ -569,7 +573,8 @@ def _count_projective_n2(n: int, n2max: int) -> int:
 
 
 def count_projective_moebius(n: int, B: Union[int, Fraction]) -> int:
-    """Independent counting oracle: Mobius sieve over lattice-ball counts."""
+    """Independent counting oracle: Mobius sieve over lattice-ball counts,
+    or for P^1 over the rows of the r = 1 disk count; neither tests a gcd."""
     p, q = _squared_cap(B)
     return _count_projective_n2(n, p // q)
 
@@ -718,13 +723,14 @@ def _ragged_chunks(width: np.ndarray,
 
 def _count_r1_mobius(c0: np.ndarray, smax: np.ndarray,
                      mults: np.ndarray) -> tuple[int, int]:
-    """Sum of mult * (the r = 1 fiber count of `_count_fiber_good` for the
-    form c_0 y_0^2 + y_1^2 <= S_max), and its y_0 rows, over int64 arrays
-    with 1 <= c_0 <= S_max < 2^62.
+    """Sum of mult * (the r = 1 fiber count of the form
+    c_0 y_0^2 + y_1^2 <= S_max), and its y_0 rows, over int64 arrays with
+    1 <= c_0 <= S_max < 2^62: the int64 side of `_count_r1_forms`'s sum,
+    which P^1 reaches too (c_0 = 1, through `_count_projective_n2`).
 
     The count of coprime (y_0, y_1) with y_0 >= 1 is, by Mobius inversion
-    over d = gcd(y_0, y_1) (Schanuel 1979, as in `_count_projective_n2`),
-    sum over d of mu(d) E(c_0, S_max // d^2), where E(c, T) =
+    over d = gcd(y_0, y_1) (Schanuel 1979), sum over d of
+    mu(d) E(c_0, S_max // d^2), where E(c, T) =
     sum_{k = 1}^{isqrt(T // c)} (2 isqrt(T - c k^2) + 1) counts every
     lattice point with y_0 >= 1 and tests no gcd.  With Y =
     isqrt(S_max // c_0) and M(y_0) = isqrt(S_max - c_0 y_0^2), the term of
@@ -748,8 +754,7 @@ def _count_r1_mobius(c0: np.ndarray, smax: np.ndarray,
     times its largest fiber count is below 2^62, which bounds every partial
     sum, and a Python-int one otherwise (the multiplicities are histogram
     counts, whose sum, the number of base vectors, is below 2^62 by the
-    bound of `_primitive_norm_blocks`).  The rows reported are Y per norm,
-    the y_0 rows `_count_fiber_good` reports.
+    bound of `_primitive_norm_blocks`).  The rows reported are Y per norm.
     """
     import numpy as np
 
@@ -788,19 +793,20 @@ def _count_r1_mobius(c0: np.ndarray, smax: np.ndarray,
 
 def _count_r1(args: tuple, norms: Sequence[int], mults: Sequence[int]
               ) -> tuple[int, int]:
-    """`_fiber_params` and `_count_fiber_good` for r = 1 over every base
-    norm: the sum of mult * fiber count, and the y_0 rows,
-    isqrt(S_max // c_0) per norm, that `_count_fiber_good` reports.
+    """`_fiber_params` and the r = 1 fiber count over every base norm: the
+    sum of mult * fiber count, and the y_0 rows, isqrt(S_max // c_0) per
+    norm.  The one router between the Python side of the disk count and
+    the int64 one, for U counts and for P^1 (`_count_projective_n2`).
 
-    A small base (lists from `_orbit_fold`) is counted per norm
+    A small base (lists from `_orbit_fold`) takes the Python side
     (`_count_r1_forms`) from one `_r1_forms` pass, before numpy loads,
     unless its rows reach _NUMPY_ROWS_MIN.  Otherwise each slice of at
     most _CHUNK norms is split once by `_r1_batch_band`: the norms outside
     the band take their forms from `_r1_forms`, those in it their caps in
     int64 (a cap p // q // m^k with p // q >= 2^62 is divided in Python
     ints and only its quotient enters int64; for e = 0 the one S_max is
-    broadcast).  Each slice's forms with S_max >= 2^62 are counted per
-    norm, and its other fibers go to `_count_r1_mobius` in one call.
+    broadcast).  Each slice's forms with S_max >= 2^62 take the Python
+    side, and its other fibers go to `_count_r1_mobius` in one call.
     """
     if isinstance(norms, list):
         forms = _r1_forms(args, norms, mults, _NUMPY_ROWS_MIN)
@@ -854,15 +860,17 @@ def _good_chunk_worker(args: tuple) -> tuple[int, int]:
     return count, visited
 
 
-# r = 1 counts over a small base whose forms with S_max < 2^62 have fewer
-# y_0 rows than this are counted per norm, which needs no numpy.  From the
-# CLI, bundle (1, 6) on X_2(1) (2-vCPU VM, Python 3.11, numpy 2.4; median
-# of 21 fresh processes each, per norm against batched, which pays the
-# import of numpy): 5.0k rows took 0.094 against 0.136 s, 10.0k rows
-# (B = 8815 and 8816) 0.124 to 0.174 s against 0.135 to 0.196 s, 14.7k
-# rows 0.164 against 0.155 s and 20.0k rows 0.237 against 0.167 s.  The
-# two still meet between 1.0 and 1.5 * 10^4 rows.
-_NUMPY_ROWS_MIN = 10 ** 4
+# r = 1 counts over a small base, and P^1 strata, whose forms with
+# S_max < 2^62 have fewer y_0 rows than this are counted in Python ints
+# (`_count_r1_forms`), which needs no numpy.  From the CLI, bundle (1, 6)
+# on X_2(1) (2-vCPU VM, Python 3.11, numpy 2.4; median of 21 to 25 fresh
+# processes each, Python ints against int64, which pays the import of
+# numpy): 19.3k rows took 0.121 against 0.181 s, 74.9k rows
+# 0.199 against 0.231 s, 89.7k rows 0.204 against 0.215 s, 99.9k and
+# 110.1k rows 0.197 and 0.212 s against 0.196 and 0.208 s, and 204.3k
+# rows 0.373 against 0.291 s.  The P^1 F count of X_2(1) -K at B = 10^5
+# (10^5 rows) took 0.193 against 0.196 s.  The two meet near 10^5 rows.
+_NUMPY_ROWS_MIN = 10 ** 5
 
 
 def _r1_forms(args: tuple, norms: Sequence[int], mults: Sequence[int],
@@ -886,10 +894,24 @@ def _r1_forms(args: tuple, norms: Sequence[int], mults: Sequence[int],
 
 
 def _count_r1_forms(forms: Sequence[tuple[int, int, int]]) -> tuple[int, int]:
-    """The r = 1 per-norm path: the sum of mult * `_count_fiber_good` count,
-    and the y_0 rows, over the Python-int forms of `_r1_forms`."""
-    parts = [(k, *_count_fiber_good((c0, 1), smax)) for c0, smax, k in forms]
-    return sum(k * c for k, c, _ in parts), sum(r for _, _, r in parts)
+    """The Python side of the r = 1 disk count: the sum of mult * fiber
+    count, and the y_0 rows Y = isqrt(S_max // c_0), over the Python-int
+    forms (c_0, S_max, mult) of `_r1_forms`.  It is `_count_r1_mobius`'s
+    sum in Python ints: M[y] = isqrt(S_max - c_0 y^2) for y = 1 .. Y, and
+    the fiber count is sum over squarefree d <= Y of
+    mu(d) (2 sum_k (M[d k] // d) + Y // d), with one `_mobius_table` for
+    every form, built before any M, so that a table too large to allocate
+    raises MemoryError first."""
+    tops = [isqrt(smax // c0) for c0, smax, _ in forms]
+    mob = _mobius_table(max(tops, default=0))
+    total = 0
+    for (c0, smax, k), top in zip(forms, tops):
+        M = [isqrt(smax - c0 * y * y) for y in range(top + 1)]
+        # d = 1 needs no division; M[d::d] holds the top // d multiples of d
+        total += k * (2 * (sum(M) - M[0]) + top + sum(
+            mob[d] * (2 * sum(map(d.__rfloordiv__, M[d::d])) + top // d)
+            for d in range(2, top + 1) if mob[d]))
+    return total, sum(tops)
 
 
 def _cpus() -> int:
@@ -919,11 +941,15 @@ def _count_good_open(X: HKVariety, L: LineBundleClass, B: Fraction,
     if workers == 1 or len(norms) < 4 * workers:
         parts = [_good_chunk_worker((*args, norms, mults))]
     else:
+        import signal
         from concurrent.futures import ProcessPoolExecutor
 
         chunks = [(*args, norms[i::workers], mults[i::workers])
                   for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a Ctrl-C ends each worker at once, with no traceback of its own,
+        # busy or idle, and reaches the caller as its KeyboardInterrupt
+        with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
             parts = list(pool.map(_good_chunk_worker, chunks))
     return sum(c for c, _ in parts), sum(v for _, v in parts)
 

@@ -194,9 +194,9 @@ def test_criterion_8_thread_determinism(monkeypatch):
     pool = concurrent.futures.ProcessPoolExecutor
     started = []
 
-    def spy(max_workers):
+    def spy(max_workers, **pool_args):
         started.append(max_workers)
-        return pool(max_workers=max_workers)
+        return pool(max_workers=max_workers, **pool_args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),

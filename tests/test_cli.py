@@ -6,8 +6,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hkcount
-from hkcount.cli import EXIT_INFINITE, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, \
-    _direct_counts, main
+from hkcount.cli import EXIT_INFINITE, EXIT_INTERRUPT, EXIT_OK, EXIT_PARSE, \
+    EXIT_VERIFY, _direct_counts, main
 from hkcount.constants import _ZP_BUDGET, zetaP1_closed, zetaP_theta
 from hkcount.enumeration import enum_hk_points
 from hkcount.geometry import HKVariety, LineBundleClass, anticanonical
@@ -900,10 +902,10 @@ class TestImportCost:
     numerical library; each case runs in a fresh interpreter."""
 
     HEAVY = ("scipy", "numpy", "mpmath")
-    # a numpy-loading command: X_2(1) -K at B = 2^25, whose 66,844 r = 1
-    # fiber rows take the numpy kernel
+    # a numpy-loading command: X_2(1) -K at B = 2^27, whose base walk takes
+    # the numpy blocks and whose 160,671 r = 1 fiber rows the numpy kernel
     NUMPY_COUNT = ("from hkcount.cli import main\n"
-                   "main(['count', '--variety', '1,2:1', '--B', '33554432',"
+                   "main(['count', '--variety', '1,2:1', '--B', '134217728',"
                    " '--region', 'u', '--threads', '1'])")
 
     def child(self, code, result, **env_set):
@@ -951,6 +953,10 @@ class TestImportCost:
         # an F count reduces to the Mobius ball count on P^2
         ["count", "--variety", "1,3:1", "--bundle", "1,2", "--region", "f",
          "--B", "200", "--threads", "1"],
+        # and on a surface to the P^1 disk count, whose 5,000 rows are
+        # below _NUMPY_ROWS_MIN
+        ["count", "--variety", "1,2:1", "--region", "f", "--B", "5000",
+         "--threads", "1"],
         # bigness is decided before any array code
         ["count", "--variety", "1,3:1", "--bundle=-1,3", "--B", "3",
          "--region", "u"],
@@ -971,9 +977,10 @@ class TestImportCost:
         ["verify", "--suite", "integral"],
         ["zeta", "--what", "zetaP", "--m", "1", "--s", "4", "--numeric",
          "--tol", "1e-6"],
-    ], ids=["tables", "zeta", "count-f", "count-infinite", "count-x-t1",
-            "count-x-t2", "count-pooled", "sweep", "verify-partition-t2",
-            "verify-oracle", "verify-integral", "zetaP-numeric"])
+    ], ids=["tables", "zeta", "count-f", "count-f-surface", "count-infinite",
+            "count-x-t1", "count-x-t2", "count-pooled", "sweep",
+            "verify-partition-t2", "verify-oracle", "verify-integral",
+            "zetaP-numeric"])
     def test_command_loads_no_numpy(self, argv):
         code = f"from hkcount.cli import main\nmain({argv!r})"
         assert "numpy" not in self.loaded(code)
@@ -1047,6 +1054,47 @@ def test_closed_pipe_exits_141_without_traceback():
     proc.stderr.close()
     assert (proc.wait(), err) == (141, b"")
     assert first.startswith(b"[")
+
+
+def test_interrupt_exits_130_with_one_line(capsys, monkeypatch):
+    # a Ctrl-C during a command ends it with one stderr line and the
+    # shell's code for a process that SIGINT ended, 128 + 2
+    def interrupted(req):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(hkcount.cli, "count_hk", interrupted)
+    try:  # one escaping main would end the whole test session
+        got = run(capsys, "count", "--variety", "1,2:1", "--B", "5",
+                  "--threads", "1")
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert got == (EXIT_INTERRUPT, "", "interrupted\n")
+    assert EXIT_INTERRUPT == 130
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="needs /proc/PID/task/TID/children")
+def test_interrupted_pool_exits_130_with_one_line():
+    # SIGINT to the process group of a pooled count (about 2 s of r = 2
+    # work per worker) reaches its workers too: they end without a
+    # traceback of their own, and the count exits 130 with one line
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(hkcount.__file__).resolve().parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hkcount.cli", "count", "--variety", "2,3:1,2",
+         "--bundle", "5,1", "--region", "u", "--B", "100", "--threads", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    deadline = time.monotonic() + 30
+    while proc.poll() is None and time.monotonic() < deadline:
+        if children.exists() and children.read_text().split():
+            break
+        time.sleep(0.01)
+    time.sleep(0.3)  # past each worker's start, into its chunk
+    os.killpg(proc.pid, signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (EXIT_INTERRUPT, b"", b"interrupted\n")
 
 
 class TestBenchHooks:

@@ -2,6 +2,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -912,7 +913,8 @@ class TestBatchedFiberStep:
         # c_0 = 1, so B = 2^17 and 2^17 + 1 give it that many rows, each
         # more than a part of _CHUNK rows.  Its fiber points are the
         # canonical primitive vectors of Z^2 with norm^2 <= B^2 other than
-        # (0, 1), counted here by the Mobius sieve.
+        # (0, 1), counted here by the gcd recursion (the P^1 count is this
+        # kernel itself).
         X = HKVariety(1, 2, (1,))
         kernel = enumeration._count_r1_mobius
         seen = []
@@ -922,7 +924,7 @@ class TestBatchedFiberStep:
         top = 1 << 17
         for B in (top, top + 1):
             args = (X.fiber_weights, 1, 1, 1, *_squared_cap(B))
-            fiber = enumeration._count_projective_n2(1, B * B) - 1
+            fiber = enumeration._count_fiber_good((1, 1), B * B)[0]
             # a multiplicity of 2^45 puts the sum past 2^63, into Python ints
             for mult in (3, 1 << 45):
                 assert _count_r1(args, norm, norm * mult) == (mult * fiber, B)
@@ -1016,16 +1018,61 @@ class TestMobiusKernel:
 
     def test_wide_norm_equals_recursion_and_sieve(self):
         # c_0 = 1 and 2^17 + 1 rows, wider than a part of _CHUNK rows: the
-        # kernel against the gcd recursion and against the P^1 sieve (the
-        # fiber points are the canonical primitive vectors of Z^2 other
-        # than (0, 1))
+        # kernel against the gcd recursion, which also counts the P^1 points
+        # other than [0:1] (the P^1 sieve is now this kernel)
         top = (1 << 17) + 1
         smax = top * top + 5
         one = np.array([1], dtype=np.int64)
         got = enumeration._count_r1_mobius(one, one * smax, one * 3)
-        fiber = enumeration._count_projective_n2(1, smax) - 1
+        fiber, rows = enumeration._count_fiber_good((1, 1), smax)
         assert got == (3 * fiber, top)
-        assert enumeration._count_fiber_good((1, 1), smax) == (fiber, top)
+        assert rows == top
+
+    def test_python_side_equals_gcd_recursion(self):
+        # the Python side of the disk count on 300 random forms, on the
+        # edges Y = 1 and S_max = c_0 y^2 exactly, and on one wide form
+        rng = random.Random(41)
+        forms = []
+        for _ in range(300):
+            c0 = rng.randint(1, 50)
+            forms.append((c0, rng.randint(c0, 10 ** 6), rng.randint(1, 9)))
+        for c0 in (1, 2, 7, 50):
+            for y in (1, 2, 3, 17):
+                forms += [(c0, c0 * y * y, 1), (c0, c0 * y * y + 1, 2),
+                          (c0, c0 * (y + 1) ** 2 - 1, 3)]
+        forms.append((3 ** 40, 2 ** 70 + 5, 2))
+        assert isqrt(forms[-1][1] // forms[-1][0]) == 9
+        for form in forms:
+            assert enumeration._count_r1_forms([form]) == _gcd_reference([form])
+        assert enumeration._count_r1_forms(forms) == _gcd_reference(forms)
+
+    def test_small_p1_counts_equal_the_fold(self):
+        # P^1 as the disk count y_0^2 + y_1^2 <= N plus [0:1], at every
+        # N <= 3000 and at bounds whose squares are not integers, against
+        # the gcd-tested fold
+        hist = projective_norm_histogram(1, 3000)
+        want = 0
+        for N in range(3001):
+            want += hist.get(N, 0)
+            assert enumeration._count_projective_n2(1, N) == want
+        for B in (Fraction(7, 3), Fraction(50), Fraction(301, 7)):
+            assert count_projective_moebius(1, B) == count_enum_projective(1, B)
+
+    def test_wide_p1_stratum_takes_the_kernel(self, monkeypatch):
+        # F of X_2(1) -K is P^1 to norm^2 B^2, one form (1, B^2, 1) of B
+        # rows, which from B = _NUMPY_ROWS_MIN on the kernel counts
+        X = HKVariety(1, 2, (1,))
+        B = enumeration._NUMPY_ROWS_MIN
+        kernel = enumeration._count_r1_mobius
+        seen = []
+        monkeypatch.setattr(
+            enumeration, "_count_r1_mobius",
+            lambda *a: seen.append([x.tolist() for x in a]) or kernel(*a))
+        res = count_hk(CountRequest(X, anticanonical(X), Fraction(B),
+                                    Region.SUBBUNDLE_F, 1))
+        fiber = enumeration._count_fiber_good((1, 1), B * B)[0]
+        assert res.count == res.points_visited == fiber + 1
+        assert seen == [[[1], [B * B], [1]]]
 
     def test_leftover_norms_skip_the_per_norm_path(self, monkeypatch):
         # every norm's S_max is below 2^62, so the kernel counts them all
@@ -1358,7 +1405,7 @@ class TestSizeSelection:
         started = []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **pool_args):
                 started.append(max_workers)
 
             def __enter__(self):
@@ -1534,8 +1581,8 @@ _EDGES = [
                  lambda args, norms: isinstance(norms, list),
                  id="numpy-walk-count"),
     # _NUMPY_ROWS_MIN: bundle (1, 6) on X_2(1) over a small base, whose
-    # rows reach 10^4 from B = 8815 to 8816, where the kernel takes over
-    pytest.param("count", [((1, 1, 6), 8815), ((1, 1, 6), 8816)],
+    # rows reach 10^5 from B = 88119 to 88120, where the kernel takes over
+    pytest.param("count", [((1, 1, 6), 88119), ((1, 1, 6), 88120)],
                  _kernel_runs, id="numpy-rows"),
 ]
 
